@@ -11,17 +11,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .pcalg import LearnedDag
-from .preprocess import DiscreteDataset
+from .preprocess import DiscreteDataset, config_codes
 
 # Exact inference enumerates completions of the unobserved nodes; beyond
 # this many weighted terms the query is refused instead of thrashing.
 ENUMERATION_CAP = 10_000_000
+# Completions scored per vectorized pass, which bounds a query's memory.
+_BLOCK = 4096
 
 
 @dataclass
@@ -42,12 +44,10 @@ class Cpt:
     def config_index(self, parent_states: Sequence[int]) -> int:
         if len(parent_states) != len(self.parents):
             raise ValueError(f"{self.node}: expected {len(self.parents)} parent states")
-        idx = 0
         for s, c in zip(parent_states, self.parent_cards):
             if not 0 <= s < c:
                 raise ValueError(f"{self.node}: parent state {s} out of range")
-            idx = idx * c + s
-        return idx
+        return int(config_codes(parent_states, self.parent_cards, 1)[0])
 
     def row(self, parent_states: Sequence[int]) -> np.ndarray:
         return self.table[self.config_index(parent_states)]
@@ -92,6 +92,7 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
     n = ds.n_rows
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
+    rows = ds.rows.astype(np.int64, copy=False)
 
     cpts: dict[str, Cpt] = {}
     for node in dag.nodes:
@@ -99,12 +100,9 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
         n_configs = int(np.prod(parent_cards)) if parents else 1
-        code = np.zeros(n, dtype=np.int64)
-        for p, c in zip(parents, parent_cards):
-            code = code * c + ds.rows[:, col_of[p]].astype(np.int64)
-        states = ds.rows[:, col_of[node]].astype(np.int64)
-        counts = np.bincount(code * card + states,
-                             minlength=n_configs * card).astype(float)
+        cells = config_codes([rows[:, col_of[q]] for q in [*parents, node]],
+                             [*parent_cards, card], n)
+        counts = np.bincount(cells, minlength=n_configs * card).astype(float)
         counts = counts.reshape(n_configs, card)
         totals = counts.sum(axis=1, keepdims=True)
         table = (counts + laplace_alpha) / (totals + laplace_alpha * card)
@@ -128,15 +126,14 @@ def _check_assignment(bn: BayesianNetwork, assignment: Mapping[str, int],
         raise ValueError(f"assignment misses nodes {missing}")
 
 
-def _joint_unchecked(bn: BayesianNetwork, assignment: Mapping[str, int]) -> float:
-    p = 1.0
+def _joint(bn: BayesianNetwork, states: Mapping, n: int) -> np.ndarray:
+    """Joint probabilities of ``n`` states; each node maps to n ints or one shared int."""
+    p = np.ones(n)
     for node in bn.dag.nodes:
         cpt = bn.cpts[node]
-        idx = 0
-        for q, c in zip(cpt.parents, cpt.parent_cards):
-            idx = idx * c + assignment[q]
-        p *= cpt.table[idx, assignment[node]]
-    return float(p)
+        code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
+        p *= cpt.table[code, states[node]]
+    return p
 
 
 def joint_probability(bn: BayesianNetwork, assignment) -> float:
@@ -148,7 +145,7 @@ def joint_probability(bn: BayesianNetwork, assignment) -> float:
         assignment = dict(zip(bn.dag.nodes, values))
     assignment = {k: int(v) for k, v in assignment.items()}
     _check_assignment(bn, assignment, complete=True)
-    return _joint_unchecked(bn, assignment)
+    return float(_joint(bn, assignment, 1)[0])
 
 
 def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int],
@@ -174,26 +171,26 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int],
     if not target_is_parent and all(p in evidence for p in t_cpt.parents):
         return t_cpt.row([evidence[p] for p in t_cpt.parents]).copy()
 
-    hidden = [n for n in bn.dag.nodes if n != target and n not in evidence]
-    n_terms = bn.cardinalities[target]
-    for h in hidden:
-        n_terms *= bn.cardinalities[h]
+    unobserved = [target] + [n for n in bn.dag.nodes
+                             if n != target and n not in evidence]
+    dims = [bn.cardinalities[n] for n in unobserved]
+    n_terms = math.prod(dims)
     if n_terms > max_states:
         raise ValueError(
             f"enumeration needs {n_terms} terms, above the cap of {max_states}")
 
-    assignment = dict(evidence)
-    totals = []
-    for t in range(bn.cardinalities[target]):
-        assignment[target] = t
+    def blocks():
+        # C order over ``dims``: each target state's terms form one run
+        for lo in range(0, n_terms, _BLOCK):
+            hi = min(lo + _BLOCK, n_terms)
+            states = dict(evidence)
+            states.update(zip(unobserved,
+                              np.unravel_index(np.arange(lo, hi), dims)))
+            yield _joint(bn, states, hi - lo).tolist()
 
-        def terms():
-            for combo in product(*(range(bn.cardinalities[h]) for h in hidden)):
-                for h, s in zip(hidden, combo):
-                    assignment[h] = s
-                yield _joint_unchecked(bn, assignment)
-
-        totals.append(math.fsum(terms()))
+    terms = chain.from_iterable(blocks())
+    per_state = n_terms // dims[0]
+    totals = [math.fsum(islice(terms, per_state)) for _ in range(dims[0])]
     norm = math.fsum(totals)
     if norm <= 0:
         raise ValueError("evidence has zero probability under the model")
@@ -215,27 +212,22 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
     for node in bn.dag.nodes:
         if node != target and node not in col_of:
             raise ValueError(f"missing column for node {node!r}")
-    rows = np.asarray(rows)
-    card_t = bn.cardinalities[target]
+    rows = np.asarray(rows, dtype=np.int64)
     n = rows.shape[0]
-
-    def config_codes(cpt: Cpt, target_state: int | None) -> np.ndarray:
-        code = np.zeros(n, dtype=np.int64)
-        for q, c in zip(cpt.parents, cpt.parent_cards):
-            col = (np.full(n, target_state, dtype=np.int64) if q == target
-                   else rows[:, col_of[q]].astype(np.int64))
-            code = code * c + col
-        return code
+    states = {node: rows[:, col_of[node]] for node in bn.dag.nodes
+              if node != target}
 
     t_cpt = bn.cpts[target]
-    scores = t_cpt.table[config_codes(t_cpt, None)].astype(float)
+    scores = t_cpt.table[config_codes([states[q] for q in t_cpt.parents],
+                                      t_cpt.parent_cards, n)].astype(float)
     for node in bn.dag.nodes:
         cpt = bn.cpts[node]
         if node == target or target not in cpt.parents:
             continue
-        states = rows[:, col_of[node]].astype(np.int64)
-        for t in range(card_t):
-            scores[:, t] *= cpt.table[config_codes(cpt, t), states]
+        for t in range(bn.cardinalities[target]):
+            states[target] = t
+            code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
+            scores[:, t] *= cpt.table[code, states[node]]
     return scores / scores.sum(axis=1, keepdims=True)
 
 
@@ -269,10 +261,7 @@ def nb_posterior(model: NaiveBayesModel, row: Sequence[int]) -> np.ndarray:
     for v, card, name in zip(values, model.cardinalities, model.columns):
         if not 0 <= v < card:
             raise ValueError(f"state {v} out of range for column {name!r}")
-    post = model.class_priors.astype(float).copy()
-    for j, table in enumerate(model.conditionals):
-        post *= table[:, values[j]]
-    return post / post.sum()
+    return nb_predict_rows(model, [values])[0]
 
 
 def nb_predict_rows(model: NaiveBayesModel, rows: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
+from .preprocess import DiscreteDataset, config_codes
+
 # Below this many samples per degree of freedom the asymptotic null is
 # unreliable; the test then abstains by reporting independence.
 MIN_SAMPLES_PER_DOF = 10.0
@@ -72,8 +74,6 @@ def _table_terms(xi: np.ndarray, xj: np.ndarray, ci: int, cj: int,
 def _resolve_columns(data, cardinalities, names: Iterable) -> tuple[np.ndarray, list[int], list[int]]:
     # Accept either the integer-coded dataset type or a plain matrix plus
     # explicit cardinalities; column references may be names or indices.
-    from .preprocess import DiscreteDataset
-
     if isinstance(data, DiscreteDataset):
         matrix = data.rows
         cards = list(data.cardinalities)
@@ -134,9 +134,8 @@ def g_test_ci(data, i, j, given=(), alpha: float = 0.05, *,
     ci, cj = cards[xi_col], cards[xj_col]
 
     if cond:
-        code = np.zeros(n, dtype=np.int64)
-        for c in cond:
-            code = code * cards[c] + matrix[:, c].astype(np.int64)
+        code = config_codes([matrix[:, c].astype(np.int64) for c in cond],
+                            [cards[c] for c in cond], n)
         statistic = 0.0
         dof = 0
         for value in np.unique(code):

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import timedelta
 
@@ -113,19 +114,15 @@ def _derived_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
+@contextmanager
 def _stage(name: str):
-    # context manager tagging errors with the pipeline step they came from
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError) \
-                    and isinstance(exc, Exception):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    # tags errors with the pipeline step they came from
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 class StageError(RuntimeError):

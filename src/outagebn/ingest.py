@@ -10,6 +10,7 @@ pass through :func:`interpolate_missing`.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -140,7 +141,7 @@ def _parse_cell(text: str) -> float | None:
         value = float(cell)
     except ValueError:
         return None
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTable:

@@ -196,13 +196,18 @@ def learn_skeleton(source, alpha: float = 0.05, *, nodes=None,
 
 
 def _commit_direction(g: PartialGraph, a: str, b: str, prov: str) -> bool:
-    """Turn the a-b link into a -> b; conflicting prior direction wins and logs."""
+    """Turn the a-b link into a -> b; a conflicting prior direction wins and
+    a direction that would close a directed cycle is skipped, both logged."""
     if (a, b) in g.directed:
         return False
     if (b, a) in g.directed:
         log.warning("orientation conflict on %s-%s: keeping %s -> %s (%s), "
                     "dropping %s request", a, b, b, a,
                     g.provenance.get((b, a), "?"), prov)
+        return False
+    if _reaches(g, b, a):
+        log.warning("skipping %s -> %s (%s): would close a directed cycle",
+                    a, b, prov)
         return False
     pair = g.pair(a, b)
     if pair not in g.undirected:
@@ -219,7 +224,8 @@ def orient_v_structures(g: PartialGraph) -> PartialGraph:
     Both edges point into z. The separating set for a removed pair must
     have been recorded during skeleton discovery; a missing entry means
     the graph did not come out of :func:`learn_skeleton` and is an error.
-    Conflicting orientations keep the earlier direction and log.
+    Conflicting orientations keep the earlier direction, and orientations
+    that would close a directed cycle are skipped; both are logged.
     """
     out = g.copy()
     order = out.order()
@@ -265,13 +271,6 @@ def propagate_orientations(g: PartialGraph) -> PartialGraph:
     out = g.copy()
     order = out.order()
 
-    def try_orient(a: str, b: str, prov: str) -> bool:
-        if _reaches(out, b, a):
-            log.warning("skipping %s -> %s (%s): would close a directed cycle",
-                        a, b, prov)
-            return False
-        return _commit_direction(out, a, b, prov)
-
     def directed_two_step(a: str, b: str) -> bool:
         return any((a, m) in out.directed and (m, b) in out.directed
                    for m in out.nodes)
@@ -288,13 +287,13 @@ def propagate_orientations(g: PartialGraph) -> PartialGraph:
             if (a, b) not in out.undirected:
                 continue
             if directed_two_step(a, b):
-                changed |= try_orient(a, b, PROV_PROPAGATION)
+                changed |= _commit_direction(out, a, b, PROV_PROPAGATION)
             elif directed_two_step(b, a):
-                changed |= try_orient(b, a, PROV_PROPAGATION)
+                changed |= _commit_direction(out, b, a, PROV_PROPAGATION)
             elif parent_nonadjacent(a, b):
-                changed |= try_orient(a, b, PROV_PROPAGATION)
+                changed |= _commit_direction(out, a, b, PROV_PROPAGATION)
             elif parent_nonadjacent(b, a):
-                changed |= try_orient(b, a, PROV_PROPAGATION)
+                changed |= _commit_direction(out, b, a, PROV_PROPAGATION)
     return out
 
 

@@ -64,6 +64,17 @@ class DiscreteDataset:
         assert set(np.unique(self.labels)) <= {0, 1}
 
 
+def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray:
+    """Mixed-radix code per row, first column most significant (the CPT row order).
+
+    Each column is an int array of length ``n`` or one int shared by all rows.
+    """
+    code = np.zeros(n, dtype=np.int64)
+    for col, card in zip(columns, cards):
+        code = code * card + col
+    return code
+
+
 def equal_width_edges(values, bins: int) -> np.ndarray:
     """Interior cut points of ``bins`` equal-width intervals over the data range.
 

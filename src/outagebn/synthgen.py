@@ -18,7 +18,7 @@ from .bayesnet import BayesianNetwork, Cpt, fit_cpts
 from .ingest import HOUR, TimeSeriesTable
 from .pcalg import LearnedDag
 from .preprocess import (DiscreteDataset, apply_bins, attach_label_column,
-                         discretize, equal_width_edges)
+                         config_codes, discretize, equal_width_edges)
 
 
 class ScenarioError(ValueError):
@@ -85,9 +85,8 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed: int) -> DiscreteDatas
     states: dict[str, np.ndarray] = {}
     for node in bn.dag.topological_order():
         cpt = bn.cpts[node]
-        code = np.zeros(n_rows, dtype=np.int64)
-        for q, c in zip(cpt.parents, cpt.parent_cards):
-            code = code * c + states[q]
+        code = config_codes([states[q] for q in cpt.parents],
+                            cpt.parent_cards, n_rows)
         cum = np.cumsum(cpt.table[code], axis=1)
         draws = rng.random(n_rows)
         states[node] = (draws[:, None] > cum).sum(axis=1).astype(np.int64)

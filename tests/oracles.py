@@ -146,6 +146,24 @@ def brute_force_posterior(nodes, parents: dict, cards: dict, cpt_entry,
     return [p / norm for p in posterior]
 
 
+def fsum_posterior(nodes, parents: dict, cards: dict, cpt_entry,
+                   target, evidence: dict) -> list:
+    """Bayes inversion on the enumerated joint, each sum taken exactly by fsum.
+
+    Every joint term is the product of table entries in ``nodes`` order
+    starting from 1.0, so any exact enumerator that multiplies in the same
+    order must agree to the last bit.
+    """
+    joint = joint_table(nodes, parents, cards, cpt_entry)
+    idx = {n: k for k, n in enumerate(nodes)}
+    totals = [math.fsum(p for combo, p in joint.items()
+                        if combo[idx[target]] == t
+                        and all(combo[idx[n]] == v for n, v in evidence.items()))
+              for t in range(cards[target])]
+    norm = math.fsum(totals)
+    return [p / norm for p in totals]
+
+
 def rational_prf1(tp: int, fp: int, fn: int) -> tuple:
     """Precision, recall, F1 as exact rationals with the zero conventions."""
     precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from outagebn import synthgen
+from outagebn import bayesnet, synthgen
 from outagebn.bayesnet import (fit_cpts, fit_naive_bayes, joint_probability,
                                load_model, nb_posterior, nb_predict_rows,
                                posterior_target, predict_rows, save_model)
@@ -156,6 +156,43 @@ class TestJointAndPosterior:
                 got = posterior_target(bn, evidence)
                 want = oracle_posterior(bn, target, evidence)
                 assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+    def test_enumeration_bit_exact_across_blocks(self, monkeypatch):
+        # blocks of 3 completions: queries of more than 3 terms run in
+        # several blocks, and every 2-state network leaves a ragged last one
+        monkeypatch.setattr(bayesnet, "_BLOCK", 3)
+        rng = np.random.default_rng(71)
+
+        def entry(bn):
+            # C-order reshape: first parent most significant
+            return lambda n, ps, s: float(bn.cpts[n].table.reshape(
+                *bn.cpts[n].parent_cards, bn.cpts[n].card)[(*ps, s)])
+
+        multi_block = ragged = 0
+        for trial in range(30):
+            n = int(rng.integers(2, 7))
+            card = int(rng.integers(2, 4))
+            target = f"X{int(rng.integers(n)) + 1}"
+            bn = synthgen.random_network(n, 0.5, seed=trial + 300, card=card,
+                                         target=target)
+            has_child = any(target in bn.dag.parents[v] for v in bn.dag.nodes)
+            others = [v for v in bn.dag.nodes if v != target]
+            for _ in range(5):
+                size = int(rng.integers(0, len(others) + 1))
+                chosen = list(rng.choice(others, size=size, replace=False))
+                evidence = {v: int(rng.integers(card)) for v in chosen}
+                if not has_child and all(p in evidence
+                                         for p in bn.dag.parents[target]):
+                    continue  # answered from the table row, not enumerated
+                got = posterior_target(bn, evidence)
+                want = oracles.fsum_posterior(
+                    bn.dag.nodes, bn.dag.parents, bn.cardinalities, entry(bn),
+                    target, evidence)
+                assert np.array_equal(got, np.array(want))
+                n_terms = card ** (len(others) - size + 1)
+                multi_block += n_terms > 3
+                ragged += n_terms > 3 and n_terms % 3 != 0
+        assert multi_block >= 20 and ragged >= 10
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)

@@ -153,6 +153,30 @@ class TestVStructures:
         assert not (("b", "c") in out.directed and ("c", "b") in out.directed)
         assert any("conflict" in r.message for r in caplog.records)
 
+    def test_collider_closing_cycle_skipped_and_logged(self, caplog):
+        # triangle a-b-c whose corners each get a collider from an outside
+        # parent: p3 -> a <- c, p1 -> b <- a, p2 -> c <- b. The last one
+        # would close c -> a -> b -> c.
+        g = PartialGraph(
+            nodes=["a", "b", "c", "p1", "p2", "p3"],
+            undirected={("a", "b"), ("b", "c"), ("a", "c"),
+                        ("a", "p3"), ("b", "p1"), ("c", "p2")},
+            sepsets={("c", "p3"): frozenset(), ("a", "p1"): frozenset(),
+                     ("b", "p2"): frozenset(),
+                     ("b", "p3"): frozenset({"a"}),
+                     ("c", "p1"): frozenset({"b"}),
+                     ("a", "p2"): frozenset({"c"}),
+                     ("p1", "p2"): frozenset(), ("p1", "p3"): frozenset(),
+                     ("p2", "p3"): frozenset()},
+        )
+        with caplog.at_level("WARNING", logger="outagebn.pcalg"):
+            dag = complete_to_dag(
+                propagate_orientations(orient_v_structures(g)), target="b")
+        dag.topological_order()
+        assert ("b", "c") not in dag.provenance
+        assert any("would close a directed cycle" in r.message
+                   for r in caplog.records)
+
 
 class TestPropagation:
     def test_two_step_rule(self):

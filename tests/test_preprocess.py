@@ -98,6 +98,22 @@ class TestEdgesAndBins:
             ds.validate()
 
 
+class TestConfigCodes:
+    def test_matches_c_order_ravel(self):
+        # first column most significant, like a C-order multi-index
+        rng = np.random.default_rng(3)
+        cards = [3, 4, 2]
+        cols = [rng.integers(c, size=50) for c in cards]
+        want = np.ravel_multi_index(cols, cards)
+        assert np.array_equal(preprocess.config_codes(cols, cards, 50), want)
+
+    def test_shared_int_column_and_empty(self):
+        cols = [np.array([0, 1, 2]), 1]
+        assert preprocess.config_codes(cols, [3, 2], 3).tolist() == [1, 3, 5]
+        got = preprocess.config_codes([], [], 4)
+        assert got.dtype == np.int64 and got.tolist() == [0, 0, 0, 0]
+
+
 class TestLabelColumn:
     def test_appends_binary_column(self):
         ds = make_ds([[0], [1], [2]], [0, 1, 0])
