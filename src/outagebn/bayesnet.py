@@ -28,18 +28,66 @@ _BLOCK = 4096
 
 @dataclass
 class Cpt:
-    """Conditional distribution of one node given its parents.
+    """Conditional distribution of one node given its parents, stored sparse.
 
-    ``table`` has one row per parent configuration and one column per node
-    state; rows sum to one. Configurations index mixed-radix with the
-    first parent most significant, i.e. row = (((s1) * c2 + s2) * c3 + s3)...
+    A parent configuration is coded mixed-radix with the first parent most
+    significant, i.e. code = (((s1) * c2 + s2) * c3 + s3)... ``configs`` are
+    the sorted codes that have their own row in ``rows`` (one column per node
+    state, rows sum to one); every other configuration has the ``default``
+    row. A table that lists every configuration is complete and indexes
+    ``rows`` by code directly.
     """
 
     node: str
     parents: list[str]
     parent_cards: list[int]
     card: int
-    table: np.ndarray
+    configs: np.ndarray
+    rows: np.ndarray
+    default: np.ndarray
+
+    def __post_init__(self):
+        n_configs = math.prod(self.parent_cards)
+        codes = np.asarray(self.configs, dtype=np.int64)
+        if np.any(np.diff(codes) <= 0) or np.any((codes < 0) | (codes >= n_configs)):
+            raise ValueError(f"{self.node}: configs must be sorted unique codes below {n_configs}")
+        # a sentinel above every code ends the search keys, so no search overruns
+        self._keys = np.append(codes, np.iinfo(np.int64).max)
+        # the default row sits last, so a missed configuration indexes it as -1
+        self._lut = np.vstack([
+            np.asarray(self.rows, dtype=float).reshape(len(codes), self.card),
+            np.asarray(self.default, dtype=float).reshape(1, self.card)])
+        self.configs, self.rows, self.default = self._keys[:-1], self._lut[:-1], self._lut[-1]
+        self._complete = len(codes) == n_configs
+
+    @classmethod
+    def dense(cls, node: str, parents: Sequence[str], parent_cards: Sequence[int],
+              card: int, table) -> "Cpt":
+        """Complete table from one row per configuration, in code order.
+
+        Its default row is never looked up; it is stored as the uniform row.
+        """
+        return cls(node, list(parents), list(parent_cards), card,
+                   np.arange(math.prod(parent_cards), dtype=np.int64), table,
+                   np.full(card, 1.0 / card))
+
+    def lookup(self, codes, states=slice(None)):
+        """Entries for configuration ``codes`` (an int or an int array) and node ``states``."""
+        if self._complete:
+            return self._lut[codes, states]
+        pos = self._keys.searchsorted(codes)
+        if isinstance(codes, np.ndarray):
+            pos[self._keys[pos] != codes] = -1
+        elif self._keys[pos] != codes:
+            pos = -1
+        return self._lut[pos, states]
+
+    @property
+    def table(self) -> np.ndarray:
+        """Read-only dense copy, one row per configuration; for tests and oracles only."""
+        dense = self.lookup(np.arange(math.prod(self.parent_cards)))
+        dense.flags.writeable = False
+        return dense
 
     def config_index(self, parent_states: Sequence[int]) -> int:
         if len(parent_states) != len(self.parents):
@@ -47,10 +95,10 @@ class Cpt:
         for s, c in zip(parent_states, self.parent_cards):
             if not 0 <= s < c:
                 raise ValueError(f"{self.node}: parent state {s} out of range")
-        return int(config_codes(parent_states, self.parent_cards, 1)[0])
+        return config_codes(parent_states, self.parent_cards, 1) if self.parents else 0
 
     def row(self, parent_states: Sequence[int]) -> np.ndarray:
-        return self.table[self.config_index(parent_states)]
+        return self.lookup(self.config_index(parent_states))
 
 
 @dataclass
@@ -79,9 +127,10 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
              laplace_alpha: float = 1.0) -> BayesianNetwork:
     """Estimate every node's table from integer-coded data.
 
-    Each cell gets (count + alpha) / (config_total + alpha * card); an all
-    zero configuration therefore yields a uniform row. ``alpha`` must be
-    positive so that every probability stays above zero.
+    Each cell gets (count + alpha) / (config_total + alpha * card). Only
+    configurations seen in ``ds`` get a row; every other one shares the
+    default row, the same expression on zero counts (a uniform row).
+    ``alpha`` must be positive so that every probability stays above zero.
     """
     if laplace_alpha <= 0:
         raise ValueError("laplace_alpha must be positive")
@@ -99,14 +148,16 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         card = ds.cardinalities[col_of[node]]
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
-        n_configs = int(np.prod(parent_cards)) if parents else 1
-        cells = config_codes([rows[:, col_of[q]] for q in [*parents, node]],
-                             [*parent_cards, card], n)
-        counts = np.bincount(cells, minlength=n_configs * card).astype(float)
-        counts = counts.reshape(n_configs, card)
+        codes = config_codes([rows[:, col_of[p]] for p in parents], parent_cards, n)
+        configs, config_of_row = np.unique(codes, return_inverse=True)
+        # one count row per observed configuration, then a zero row whose
+        # smoothed value is the default for every unobserved configuration
+        counts = np.bincount(config_of_row * card + rows[:, col_of[node]],
+                             minlength=(len(configs) + 1) * card).astype(float)
+        counts = counts.reshape(len(configs) + 1, card)
         totals = counts.sum(axis=1, keepdims=True)
         table = (counts + laplace_alpha) / (totals + laplace_alpha * card)
-        cpts[node] = Cpt(node, parents, parent_cards, card, table)
+        cpts[node] = Cpt(node, parents, parent_cards, card, configs, table[:-1], table[-1])
 
     cardinalities = {node: ds.cardinalities[col_of[node]] for node in dag.nodes}
     bin_edges = {node: [float(e) for e in ds.bin_edges[col_of[node]]]
@@ -131,8 +182,9 @@ def _joint(bn: BayesianNetwork, states: Mapping, n: int) -> np.ndarray:
     p = np.ones(n)
     for node in bn.dag.nodes:
         cpt = bn.cpts[node]
-        code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
-        p *= cpt.table[code, states[node]]
+        code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
+            if cpt.parents else 0
+        p *= cpt.lookup(code, states[node])
     return p
 
 
@@ -218,8 +270,8 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
               if node != target}
 
     t_cpt = bn.cpts[target]
-    scores = t_cpt.table[config_codes([states[q] for q in t_cpt.parents],
-                                      t_cpt.parent_cards, n)].astype(float)
+    scores = t_cpt.lookup(config_codes([states[q] for q in t_cpt.parents],
+                                       t_cpt.parent_cards, n))
     for node in bn.dag.nodes:
         cpt = bn.cpts[node]
         if node == target or target not in cpt.parents:
@@ -227,7 +279,7 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
         for t in range(bn.cardinalities[target]):
             states[target] = t
             code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
-            scores[:, t] *= cpt.table[code, states[node]]
+            scores[:, t] *= cpt.lookup(code, states[node])
     return scores / scores.sum(axis=1, keepdims=True)
 
 
@@ -274,7 +326,7 @@ def nb_predict_rows(model: NaiveBayesModel, rows: np.ndarray) -> np.ndarray:
 
 
 MODEL_FORMAT = "outagebn-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(bn: BayesianNetwork, path, naive_bayes: NaiveBayesModel | None = None) -> None:
@@ -290,7 +342,9 @@ def save_model(bn: BayesianNetwork, path, naive_bayes: NaiveBayesModel | None = 
         "cardinalities": bn.cardinalities,
         "bin_edges": bn.bin_edges,
         "cpts": {n: {"parents": c.parents,
-                     "table": [[float(v) for v in row] for row in c.table]}
+                     "configs": c.configs.tolist(),
+                     "rows": c.rows.tolist(),
+                     "default": c.default.tolist()}
                  for n, c in bn.cpts.items()},
     }
     if naive_bayes is not None:
@@ -311,6 +365,9 @@ def load_model(path) -> tuple[BayesianNetwork, NaiveBayesModel | None]:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a recognized model file: {path}")
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(f"model file {path} has version {doc.get('version')}, but this "
+                         f"program reads version {MODEL_VERSION}; re-run `learn` to rebuild it")
     nodes = list(doc["nodes"])
     parents = {n: list(doc["parents"][n]) for n in nodes}
     provenance = {}
@@ -324,9 +381,8 @@ def load_model(path) -> tuple[BayesianNetwork, NaiveBayesModel | None]:
     for n in nodes:
         entry = doc["cpts"][n]
         cpt_parents = list(entry["parents"])
-        cpts[n] = Cpt(n, cpt_parents,
-                      [cardinalities[p] for p in cpt_parents],
-                      cardinalities[n], np.array(entry["table"], dtype=float))
+        cpts[n] = Cpt(n, cpt_parents, [cardinalities[p] for p in cpt_parents],
+                      cardinalities[n], entry["configs"], entry["rows"], entry["default"])
     bin_edges = {n: [float(v) for v in doc.get("bin_edges", {}).get(n, [])]
                  for n in nodes}
     bn = BayesianNetwork(dag, cpts, cardinalities, bin_edges)

@@ -64,12 +64,16 @@ class DiscreteDataset:
         assert set(np.unique(self.labels)) <= {0, 1}
 
 
-def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray:
+def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     """Mixed-radix code per row, first column most significant (the CPT row order).
 
-    Each column is an int array of length ``n`` or one int shared by all rows.
+    Each column is an int64 array of length ``n`` or one int shared by all
+    rows. When every column is an int, so is the code; with no columns it
+    is ``n`` zeros.
     """
-    code = np.zeros(n, dtype=np.int64)
+    if not len(columns):
+        return np.zeros(n, dtype=np.int64)
+    code = 0
     for col, card in zip(columns, cards):
         code = code * card + col
     return code

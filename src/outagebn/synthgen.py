@@ -9,6 +9,7 @@ calibrated to a requested marginal rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -65,7 +66,7 @@ def random_network(n: int, edge_prob: float, seed: int, card: int = 2,
         n_configs = card ** len(parents)
         raw = rng.random((n_configs, card)) + 0.05
         table = raw / raw.sum(axis=1, keepdims=True)
-        cpts[node] = Cpt(node, list(parents), parent_cards, card, table)
+        cpts[node] = Cpt.dense(node, parents, parent_cards, card, table)
     cardinalities = {node: card for node in dag.nodes}
     edges = {node: [float(v) for v in np.arange(1, card) - 0.5]
              for node in dag.nodes}
@@ -87,7 +88,7 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed: int) -> DiscreteDatas
         cpt = bn.cpts[node]
         code = config_codes([states[q] for q in cpt.parents],
                             cpt.parent_cards, n_rows)
-        cum = np.cumsum(cpt.table[code], axis=1)
+        cum = np.cumsum(cpt.lookup(code), axis=1)
         draws = rng.random(n_rows)
         states[node] = (draws[:, None] > cum).sum(axis=1).astype(np.int64)
 
@@ -258,15 +259,15 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
     truth = fit_cpts(dag, ds, laplace_alpha=1e-9)
 
     # Replace the fitted target table with the exact generating risk curve.
-    t_cpt = truth.cpts[spec.target]
-    n_configs = t_cpt.table.shape[0]
+    parent_cards = [spec.bins] * len(parent_list)
     if parent_list:
-        grid = np.stack(np.unravel_index(np.arange(n_configs),
-                                         tuple([spec.bins] * len(parent_list))),
+        grid = np.stack(np.unravel_index(np.arange(math.prod(parent_cards)),
+                                         parent_cards),
                         axis=-1).astype(float) / (spec.bins - 1)
     else:
         grid = np.empty((1, 0))
     cfg_risk = _sigmoid(spec.risk_slope * (_power_mean(grid, spec.risk_pooling)
                                            - offset))
-    t_cpt.table = np.column_stack([1.0 - cfg_risk, cfg_risk])
+    truth.cpts[spec.target] = Cpt.dense(spec.target, parent_list, parent_cards, 2,
+                                        np.column_stack([1.0 - cfg_risk, cfg_risk]))
     return table, truth

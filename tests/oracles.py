@@ -164,6 +164,23 @@ def fsum_posterior(nodes, parents: dict, cards: dict, cpt_entry,
     return [p / norm for p in totals]
 
 
+def laplace_table(rows, parent_cols, node_col, parent_cards, card, alpha) -> list:
+    """Dense smoothed table with one row per parent configuration, counted by hand.
+
+    Configurations run in C order over ``parent_cards`` (first parent most
+    significant); each cell is (count + alpha) / (total + alpha * card).
+    """
+    table = []
+    for config in product(*(range(c) for c in parent_cards)):
+        counts = [0] * card
+        for r in rows:
+            if all(r[c] == s for c, s in zip(parent_cols, config)):
+                counts[r[node_col]] += 1
+        total = float(sum(counts))
+        table.append([(k + alpha) / (total + alpha * card) for k in counts])
+    return table
+
+
 def rational_prf1(tp: int, fp: int, fn: int) -> tuple:
     """Precision, recall, F1 as exact rationals with the zero conventions."""
     precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)

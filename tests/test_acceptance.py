@@ -67,8 +67,8 @@ def _strong_binary_network() -> BayesianNetwork:
         "F": [[0.92, 0.08], [0.15, 0.85], [0.25, 0.75], [0.03, 0.97]],
     }
     dag = LearnedDag(nodes=nodes, parents=parents)
-    cpts = {n: Cpt(n, list(parents[n]), [2] * len(parents[n]), 2,
-                   np.array(tables[n], dtype=float)) for n in nodes}
+    cpts = {n: Cpt.dense(n, parents[n], [2] * len(parents[n]), 2, tables[n])
+            for n in nodes}
     return BayesianNetwork(dag, cpts, {n: 2 for n in nodes},
                            {n: [0.5] for n in nodes})
 

@@ -1,6 +1,8 @@
 """CPT fitting, exact inference, naive Bayes baseline, model persistence."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +49,21 @@ class TestFitCpts:
         dag = LearnedDag(nodes=["p", "x"], parents={"p": [], "x": ["p"]})
         bn = fit_cpts(dag, ds, laplace_alpha=1.0)
         assert np.allclose(bn.cpts["x"].table[1], [0.5, 0.5])
+
+    def test_sparse_fit_dense_view_matches_counts(self):
+        # 3 parents at 4 states: 64 configurations, at most 30 observed
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, 4, size=(30, 4))
+        ds = make_ds(["a", "b", "c", "x"], rows, cards=[4, 4, 4, 4])
+        dag = LearnedDag(nodes=["a", "b", "c", "x"],
+                         parents={"a": [], "b": [], "c": [], "x": ["a", "b", "c"]})
+        for alpha in (0.1, 1.0, 3.0):
+            cpt = fit_cpts(dag, ds, laplace_alpha=alpha).cpts["x"]
+            want = oracles.laplace_table(rows.tolist(), [0, 1, 2], 3,
+                                         [4, 4, 4], 4, alpha)
+            assert np.array_equal(cpt.table, np.array(want))
+            unseen = sorted(set(range(64)) - set(cpt.configs.tolist()))
+            assert unseen and np.array_equal(cpt.default, np.array(want[unseen[0]]))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -288,7 +305,8 @@ class TestModelFile:
     def build(self):
         ds_rows = [[0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 0]] * 4
         labels = [r[2] for r in ds_rows]
-        ds = make_ds(["a", "b", "t"], ds_rows, labels, cards=[2, 2, 2])
+        # a's third state never occurs, so b's and t's tables are sparse
+        ds = make_ds(["a", "b", "t"], ds_rows, labels, cards=[3, 2, 2])
         dag = LearnedDag(nodes=["a", "b", "t"],
                          parents={"a": [], "b": ["a"], "t": ["a", "b"]},
                          provenance={("a", "b"): "canonical-fill",
@@ -298,7 +316,7 @@ class TestModelFile:
         bn = fit_cpts(dag, ds, laplace_alpha=1.0)
         nb = fit_naive_bayes(make_ds(["a", "b"],
                                      [r[:2] for r in ds_rows], labels,
-                                     cards=[2, 2]))
+                                     cards=[3, 2]))
         return bn, nb
 
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -310,12 +328,21 @@ class TestModelFile:
         assert bn2.dag.parents == bn.dag.parents
         assert bn2.dag.provenance == bn.dag.provenance
         assert bn2.dag.target == "t"
+        assert len(bn.cpts["t"].configs) == 4  # of 6 configurations
         for node in bn.dag.nodes:
-            assert np.array_equal(bn2.cpts[node].table, bn.cpts[node].table)
+            for part in ("configs", "rows", "default", "table"):
+                assert np.array_equal(getattr(bn2.cpts[node], part),
+                                      getattr(bn.cpts[node], part))
             assert bn2.bin_edges[node] == bn.bin_edges[node]
         assert np.array_equal(nb2.class_priors, nb.class_priors)
         for t1, t2 in zip(nb.conditionals, nb2.conditionals):
             assert np.array_equal(t1, t2)
+        grid = np.array([[a, b] for a in range(3) for b in range(2)])
+        assert predict_rows(bn2, grid, ["a", "b"]).tobytes() == \
+            predict_rows(bn, grid, ["a", "b"]).tobytes()
+        for evidence in ({}, {"a": 2}, {"b": 1}, {"a": 2, "b": 0}, {"a": 1, "b": 1}):
+            assert posterior_target(bn2, evidence).tobytes() == \
+                posterior_target(bn, evidence).tobytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         bn, nb = self.build()
@@ -326,8 +353,49 @@ class TestModelFile:
         save_model(bn2, p2, naive_bayes=nb2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_rejects_other_versions(self, tmp_path):
+        bn, _ = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        doc = json.loads(path.read_text())
+        for version in (bayesnet.MODEL_VERSION - 1, bayesnet.MODEL_VERSION + 1, None):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="re-run `learn`"):
+                load_model(path)
+
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="not a recognized model file"):
             load_model(path)
+
+
+class TestSparseScale:
+    def test_ten_million_configurations_stay_small(self, tmp_path):
+        # the target's 7 parents at 10 states give 10^7 configurations; a
+        # 3000-row fit observes at most 3000 of them, and a dense table of
+        # the parent configurations would take 160 MB on its own
+        rng = np.random.default_rng(21)
+        factors = [f"F{k}" for k in range(1, 8)]
+        rows = np.column_stack([rng.integers(0, 10, size=(3000, 7)),
+                                rng.integers(0, 2, size=3000)])
+        ds = make_ds([*factors, "outage"], rows, cards=[10] * 7 + [2])
+        dag = LearnedDag(nodes=[*factors, "outage"],
+                         parents={**{f: [] for f in factors}, "outage": factors},
+                         target="outage")
+        path = tmp_path / "m.json"
+        limit = 64 * 2 ** 20
+        tracemalloc.start()
+        try:
+            bn = fit_cpts(dag, ds)
+            assert tracemalloc.get_traced_memory()[1] < limit, "fit_cpts"
+            save_model(bn, path)
+            bn2, _ = load_model(path)
+            predict_rows(bn2, rows[:, :7], factors)
+            posterior_target(bn2, {f: 3 for f in factors[1:]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+        assert path.stat().st_size < 2 ** 20

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from outagebn import bayesnet
+from outagebn import bayesnet, synthgen
 from outagebn.cli import (PipelineConfig, _parse_grid, build_config,
                           build_parser, main)
 
@@ -145,6 +145,13 @@ class TestGen:
         assert bn.target == "outage"
         assert nb is None
         assert bn.dag.parents["outage"] == ["F1"]
+        _, truth = synthgen.weather_outage_scenario(synthgen.ScenarioSpec(
+            n_factors=3, hours=500, outage_parents=("F1",), outage_rate=0.05,
+            seed=2))
+        for node, cpt in truth.cpts.items():
+            for part in ("configs", "rows", "default", "table"):
+                assert np.array_equal(getattr(bn.cpts[node], part),
+                                      getattr(cpt, part))
 
 
 class TestLearn:
@@ -251,6 +258,26 @@ class TestPredict:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 1
         assert "error during load-model" in capsys.readouterr().err
+
+    def test_old_model_version_rejected(self, scenario_dir, tmp_path, capsys):
+        # a version 1 file held one dense "table" per node
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({
+            "format": "outagebn-model", "version": 1, "target": "outage",
+            "nodes": ["F1", "outage"],
+            "parents": {"F1": [], "outage": ["F1"]},
+            "cardinalities": {"F1": 2, "outage": 2},
+            "cpts": {"F1": {"parents": [], "table": [[0.5, 0.5]]},
+                     "outage": {"parents": ["F1"],
+                                "table": [[0.9, 0.1], [0.6, 0.4]]}}}))
+        for argv in (["predict", "--out", str(tmp_path / "p.csv")],
+                     ["eval", "--seed", "5", "--report", str(tmp_path / "r.csv"),
+                      "--outages", str(scenario_dir / "outages.csv")]):
+            rc = main([*argv, "--model", str(old),
+                       "--weather", str(scenario_dir / "weather.csv")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "error during load-model" in err and "re-run `learn`" in err
 
 
 class TestEval:

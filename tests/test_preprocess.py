@@ -110,6 +110,8 @@ class TestConfigCodes:
     def test_shared_int_column_and_empty(self):
         cols = [np.array([0, 1, 2]), 1]
         assert preprocess.config_codes(cols, [3, 2], 3).tolist() == [1, 3, 5]
+        got = preprocess.config_codes([2, 1], [3, 2], 3)
+        assert type(got) is int and got == 5
         got = preprocess.config_codes([], [], 4)
         assert got.dtype == np.int64 and got.tolist() == [0, 0, 0, 0]
 
