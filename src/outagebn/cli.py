@@ -11,7 +11,6 @@ explicit seed and all outputs are byte-stable for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from contextlib import contextmanager
@@ -207,11 +206,9 @@ def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
         rows, cols = _binned_evidence(bn, table)
         probs = bayesnet.predict_rows(bn, rows, cols)[:, 1]
     with _stage("write"):
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([ingest.TIMESTAMP_COLUMN, "p_outage"])
-            for ts, p in zip(table.timestamps, probs):
-                writer.writerow([ingest.format_timestamp(ts), repr(float(p))])
+        ingest.write_text_columns(out_path, [ingest.TIMESTAMP_COLUMN, "p_outage"],
+                                  [ingest.format_timestamps(table.timestamps),
+                                   list(map(repr, probs.tolist()))])
     print(f"wrote {len(probs)} hourly probabilities to {out_path}")
     return 0
 
@@ -273,14 +270,16 @@ def cmd_gen(cfg: PipelineConfig, spec: synthgen.ScenarioSpec, out_weather,
         rng = np.random.default_rng([spec.seed, 1])
         records = []
         for i in np.flatnonzero(np.asarray(table.label) == 1):
-            ts = table.timestamps[int(i)] + timedelta(seconds=int(rng.integers(3600)))
+            ts = ingest.to_datetime(table.timestamps[i]) \
+                + timedelta(seconds=int(rng.integers(3600)))
             records.append(ingest.OutageRecord(ts, True))
         # sprinkle an equal number of non-weather outages; they must be
         # ignored by label attachment downstream
         n_decoys = len(records)
         for _ in range(n_decoys):
             hour = int(rng.integers(table.n_rows))
-            ts = table.timestamps[hour] + timedelta(seconds=int(rng.integers(3600)))
+            ts = ingest.to_datetime(table.timestamps[hour]) \
+                + timedelta(seconds=int(rng.integers(3600)))
             records.append(ingest.OutageRecord(ts, False))
         records.sort(key=lambda r: (r.timestamp, not r.weather_related))
         ingest.write_outage_csv(records, out_outages)

@@ -2,8 +2,11 @@
 
 Weather files carry a ``timestamp`` column plus one numeric column per
 meteorological factor. Outage files carry ``timestamp,weather_related``.
-Timestamps are ISO-8601 UTC on disk and timezone-aware ``datetime`` objects
-in memory. All in-memory tables live on a uniform one-hour grid once they
+Timestamps are ISO-8601 UTC on disk. In memory a table's timeline is one
+``datetime64[us]`` array of UTC instants, microseconds being the resolution
+of the parsed ISO text, and its factor columns are float64 arrays with
+``NaN`` for a missing cell. Outage records keep timezone-aware ``datetime``
+objects. All in-memory tables live on a uniform one-hour grid once they
 pass through :func:`interpolate_missing`.
 """
 
@@ -18,7 +21,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HOUR = timedelta(hours=1)
+TIME_DTYPE = np.dtype("datetime64[us]")
+HOUR = np.timedelta64(1, "h")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_YEAR_1000 = np.datetime64("1000-01-01", "us")
 TIMESTAMP_COLUMN = "timestamp"
 OUTAGE_FLAG_COLUMN = "weather_related"
 
@@ -67,13 +74,19 @@ class EventOutOfRangeError(ValueError):
 class RawWeatherTable:
     """Parsed weather rows, sorted by time but possibly gappy and incomplete.
 
-    ``factors`` maps column name to one value per row; ``None`` marks a
-    missing measurement. Timestamps are unique and strictly increasing but
-    need not be contiguous.
+    ``timestamps`` is a ``datetime64[us]`` array, unique and strictly
+    increasing but not necessarily contiguous. ``factors`` maps column name
+    to a float64 array with one value per row; ``NaN`` marks a missing
+    measurement. Sequences given for ``factors`` are converted, with
+    ``None`` read as missing.
     """
 
-    timestamps: list[datetime]
-    factors: dict[str, list[float | None]]
+    timestamps: np.ndarray
+    factors: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        self.factors = {name: np.asarray(values, dtype=np.float64)
+                        for name, values in self.factors.items()}
 
     @property
     def n_rows(self) -> int:
@@ -88,12 +101,12 @@ class RawWeatherTable:
 class TimeSeriesTable:
     """Complete hourly table: uniform grid, no missing cells, binary labels.
 
-    Invariants: timestamps strictly increase with a constant 3600-second
-    step; every factor series is finite everywhere; ``label`` holds one
-    0/1 flag per hour.
+    Invariants: ``timestamps`` is a ``datetime64[us]`` array that strictly
+    increases with a constant one-hour step; every factor series is finite
+    everywhere; ``label`` holds one 0/1 flag per hour.
     """
 
-    timestamps: list[datetime]
+    timestamps: np.ndarray
     factors: dict[str, np.ndarray]
     label: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -126,6 +139,20 @@ def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime
 
 def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def to_datetime(stamp: np.datetime64) -> datetime:
+    """One timeline entry as an aware UTC datetime."""
+    return stamp.astype(TIME_DTYPE).item().replace(tzinfo=timezone.utc)
+
+
+def format_timestamps(stamps: np.ndarray) -> list[str]:
+    """:func:`format_timestamp` of every entry of a timeline, in one pass."""
+    text = np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
+    # strftime's %Y need not zero-pad years before 1000; keep its spelling
+    for i in np.flatnonzero(stamps < _YEAR_1000):
+        text[i] = format_timestamp(to_datetime(stamps[i]))
+    return text
 
 
 def _parse_cell(text: str) -> float | None:
@@ -171,7 +198,9 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
         ts_idx = header.index(TIMESTAMP_COLUMN)
         col_idx = [header.index(c) for c in columns]
 
-        entries: list[tuple[datetime, int, tuple[float | None, ...]]] = []
+        micros: list[int] = []
+        linenos: list[int] = []
+        records: list[list[str]] = []
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -180,21 +209,28 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
                     f"expected {len(header)} fields, got {len(record)}",
                     path=p, row=lineno)
             ts = parse_timestamp(record[ts_idx], path=p, row=lineno)
-            entries.append((ts, lineno, tuple(_parse_cell(record[k]) for k in col_idx)))
+            micros.append((ts - _EPOCH) // _MICROSECOND)
+            linenos.append(lineno)
+            records.append(record)
 
-    if not entries:
+    if not records:
         raise ParseError("weather file has no data rows", path=p)
-    entries.sort(key=lambda e: (e[0], e[1]))
-    for prev, cur in zip(entries, entries[1:]):
-        if prev[0] == cur[0]:
-            raise ParseError(f"duplicate timestamp {format_timestamp(cur[0])}",
-                             path=p, row=cur[1], column=TIMESTAMP_COLUMN)
+    # a stable sort keeps equal timestamps in file order, so a duplicate is
+    # reported at its later row
+    key = np.array(micros, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    timestamps = key[order].view(TIME_DTYPE)
+    repeats = np.flatnonzero(timestamps[1:] == timestamps[:-1]) + 1
+    if repeats.size:
+        k = repeats[0]
+        raise ParseError(
+            f"duplicate timestamp {format_timestamps(timestamps[k:k + 1])[0]}",
+            path=p, row=linenos[order[k]], column=TIMESTAMP_COLUMN)
 
-    factors: dict[str, list[float | None]] = {c: [] for c in columns}
-    for _, _, values in entries:
-        for c, v in zip(columns, values):
-            factors[c].append(v)
-    return RawWeatherTable([e[0] for e in entries], factors)
+    # float64 conversion reads each None from _parse_cell as NaN
+    return RawWeatherTable(timestamps, {
+        c: np.array([_parse_cell(r[k]) for r in records], dtype=np.float64)[order]
+        for c, k in zip(columns, col_idx)})
 
 
 def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
@@ -207,20 +243,20 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     """
     if raw.n_rows == 0:
         raise ValueError("cannot interpolate an empty table")
-    for ts in raw.timestamps:
-        if ts.minute or ts.second or ts.microsecond:
-            raise ValueError(
-                f"weather timestamp {format_timestamp(ts)} is not hour-aligned")
-    t0 = raw.timestamps[0]
-    positions = np.array(
-        [int((ts - t0).total_seconds()) // 3600 for ts in raw.timestamps])
+    stamps = raw.timestamps
+    misaligned = np.flatnonzero(stamps != stamps.astype("datetime64[h]"))
+    if misaligned.size:
+        k = misaligned[0]
+        raise ValueError(f"weather timestamp {format_timestamps(stamps[k:k + 1])[0]}"
+                         " is not hour-aligned")
+    positions = (stamps - stamps[0]) // HOUR
     n = int(positions[-1]) + 1
-    grid = [t0 + i * HOUR for i in range(n)]
+    grid = stamps[0] + np.arange(n) * HOUR
 
     filled: dict[str, np.ndarray] = {}
     for name, values in raw.factors.items():
         col = np.full(n, np.nan)
-        col[positions] = [np.nan if v is None else float(v) for v in values]
+        col[positions] = values
         observed = np.flatnonzero(np.isfinite(col))
         if observed.size == 0:
             raise UnrecoverableColumnError(name)
@@ -237,7 +273,7 @@ def attach_outage_labels(table: TimeSeriesTable,
     keeps labels already present, so the operation is idempotent and only
     ever turns labels on.
     """
-    t0 = table.timestamps[0]
+    t0 = to_datetime(table.timestamps[0])
     n = table.n_rows
     indices = []
     out_of_range = []
@@ -252,7 +288,7 @@ def attach_outage_labels(table: TimeSeriesTable,
     label = table.label.copy()
     if indices:
         label[indices] = 1
-    return TimeSeriesTable(list(table.timestamps),
+    return TimeSeriesTable(table.timestamps.copy(),
                            {k: v.copy() for k, v in table.factors.items()},
                            label)
 
@@ -296,20 +332,34 @@ def parse_outage_csv(path) -> list[OutageRecord]:
     return records
 
 
-def _format_value(v: float | None) -> str:
+def _format_column(values) -> list[str]:
     # repr round-trips float64 exactly, which keeps parse -> write -> parse
-    # bit-identical.
-    return "" if v is None else repr(float(v))
+    # bit-identical; a missing (NaN) cell is written empty.
+    values = np.asarray(values, dtype=np.float64)
+    text = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)):
+        text[i] = ""
+    return text
+
+
+def write_text_columns(path, header: Sequence[str],
+                       columns: Sequence[Sequence[str]]) -> None:
+    """Write a CSV from columns of cell texts, one row per position.
+
+    The header goes through :mod:`csv`; the cells are joined as they are,
+    with csv's CRLF line ends, so they must need no quoting, as timestamps
+    and float texts never do.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def write_weather_csv(table: RawWeatherTable | TimeSeriesTable, path) -> None:
     names = table.factor_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIMESTAMP_COLUMN, *names])
-        for i, ts in enumerate(table.timestamps):
-            writer.writerow([format_timestamp(ts),
-                             *(_format_value(table.factors[c][i]) for c in names)])
+    write_text_columns(path, [TIMESTAMP_COLUMN, *names],
+                       [format_timestamps(table.timestamps),
+                        *(_format_column(table.factors[c]) for c in names)])
 
 
 def write_outage_csv(records: Iterable[OutageRecord], path) -> None:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .ingest import TimeSeriesTable
 
@@ -204,6 +203,9 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
     need = target_minority_count - n_min
     if need <= 0:
         return replace(ds)
+
+    # imported here so the commands that never oversample never load scipy
+    from scipy.spatial.distance import cdist
 
     base = ds.rows[min_idx].astype(float)
     k_eff = min(k, n_min - 1)

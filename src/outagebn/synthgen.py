@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
 from .bayesnet import BayesianNetwork, Cpt, fit_cpts
-from .ingest import HOUR, TimeSeriesTable
+from .ingest import HOUR, TIME_DTYPE, TimeSeriesTable
 from .pcalg import LearnedDag
 from .preprocess import (DiscreteDataset, apply_bins, attach_label_column,
                          config_codes, discretize, equal_width_edges)
@@ -239,8 +238,8 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
     risk = _sigmoid(spec.risk_slope * (scores - offset))
     labels = (rng.random(spec.hours) < risk).astype(np.int64)
 
-    start = datetime(2000, 1, 1, tzinfo=timezone.utc)
-    timestamps = [start + i * HOUR for i in range(spec.hours)]
+    start = np.datetime64("2000-01-01").astype(TIME_DTYPE)
+    timestamps = start + np.arange(spec.hours) * HOUR
     table = TimeSeriesTable(timestamps, factors, labels)
 
     parents_map: dict[str, list[str]] = {n: [] for n in [*names, spec.target]}

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import outagebn
 from outagebn import bayesnet, synthgen
 from outagebn.cli import (PipelineConfig, _parse_grid, build_config,
                           build_parser, main)
@@ -322,3 +327,38 @@ class TestEval:
         with open(report) as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["threshold"]) for r in rows] == [0.25, 0.75]
+
+
+class TestStartup:
+    # Runs one command in a fresh interpreter and prints whether scipy was
+    # loaded by the time it returned.
+    PROBE = ("import sys\n"
+             "from outagebn.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print('scipy loaded:', 'scipy' in sys.modules)\n"
+             "sys.exit(code)\n")
+
+    def run(self, args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(outagebn.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_only_learn_loads_scipy(self, tmp_path):
+        w, o, m = tmp_path / "w.csv", tmp_path / "o.csv", tmp_path / "m.json"
+        assert self.run(["gen", "--seed", "5", "--hours", "3000", "--factors", "3",
+                         "--parents", "F1", "--outage-rate", "0.02",
+                         "--out-weather", w, "--out-outages", o]) == \
+            "scipy loaded: False"
+        # learn runs the CI tests and SMOTE, the two users of scipy
+        assert self.run(["learn", "--seed", "5", "--weather", w, "--outages", o,
+                         "--model", m]) == "scipy loaded: True"
+        assert self.run(["predict", "--model", m, "--weather", w,
+                         "--out", tmp_path / "p.csv"]) == "scipy loaded: False"
+        assert self.run(["eval", "--seed", "5", "--model", m, "--weather", w,
+                         "--outages", o, "--report", tmp_path / "r.csv",
+                         "--baseline-report", tmp_path / "b.csv"]) == \
+            "scipy loaded: False"

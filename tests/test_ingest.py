@@ -1,5 +1,6 @@
 """Ingestion: parsing, hourly alignment, interpolation, label attachment."""
 
+import csv
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -14,7 +15,14 @@ T0 = datetime(2021, 3, 1, 0, 0, tzinfo=UTC)
 
 
 def hours(*ks):
-    return [T0 + timedelta(hours=k) for k in ks]
+    return np.datetime64("2021-03-01T00:00", "us") + np.array(ks, dtype="m8[h]")
+
+
+def same(actual, expected):
+    """Arrays of one dtype holding equal values; NaN (a missing cell) matches NaN."""
+    expected = np.asarray(expected)
+    return (isinstance(actual, np.ndarray) and actual.dtype == expected.dtype
+            and np.array_equal(actual, expected, equal_nan=True))
 
 
 def write(tmp_path, name, text):
@@ -31,9 +39,9 @@ class TestParseWeather:
                   "2021-03-01T00:00:00Z,1.0,11\n"
                   "2021-03-01T01:00:00Z,2.0,12\n")
         raw = ingest.parse_weather_csv(p)
-        assert raw.timestamps == hours(0, 1, 2)
-        assert raw.factors["temp"] == [1.0, 2.0, 3.5]
-        assert raw.factors["wind"] == [11.0, 12.0, 10.0]
+        assert same(raw.timestamps, hours(0, 1, 2))
+        assert same(raw.factors["temp"], [1.0, 2.0, 3.5])
+        assert same(raw.factors["wind"], [11.0, 12.0, 10.0])
 
     def test_missing_markers(self, tmp_path):
         p = write(tmp_path, "w.csv",
@@ -41,14 +49,14 @@ class TestParseWeather:
                   "2021-03-01T00:00:00Z,,N/A\n"
                   "2021-03-01T01:00:00Z,not-a-number,4\n")
         raw = ingest.parse_weather_csv(p)
-        assert raw.factors["temp"] == [None, None]
-        assert raw.factors["wind"] == [None, 4.0]
+        assert same(raw.factors["temp"], [np.nan, np.nan])
+        assert same(raw.factors["wind"], [np.nan, 4.0])
 
     def test_locale_decimal_becomes_missing(self, tmp_path):
         p = write(tmp_path, "w.csv",
                   "timestamp,temp\n2021-03-01T00:00:00Z,\"1,5\"\n")
         raw = ingest.parse_weather_csv(p)
-        assert raw.factors["temp"] == [None]
+        assert same(raw.factors["temp"], [np.nan])
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
         p = write(tmp_path, "w.csv",
@@ -70,7 +78,7 @@ class TestParseWeather:
                   "timestamp,a,b,c\n2021-03-01T00:00:00Z,1,2,3\n")
         raw = ingest.parse_weather_csv(p, schema=["c", "a"])
         assert raw.factor_names == ["c", "a"]
-        assert raw.factors["c"] == [3.0]
+        assert same(raw.factors["c"], [3.0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
@@ -80,7 +88,55 @@ class TestParseWeather:
         p = write(tmp_path, "w.csv",
                   "timestamp,temp\n2021-03-01T02:00:00+02:00,1\n")
         raw = ingest.parse_weather_csv(p)
-        assert raw.timestamps == hours(0)
+        assert same(raw.timestamps, hours(0))
+
+    def test_column_parse_matches_cell_oracle(self, tmp_path):
+        # every parsed cell must carry the bits _parse_cell gives its text,
+        # with NaN for its missing marker; "1,5" (a locale decimal) is missing
+        cells = ["", "N/A", " N/A ", "  3.25\t", "-0", "nan", "NaN", "-inf",
+                 "inf", "1e500", "-1e-320", "1_000", "\uff11\uff12", "1,5",
+                 "0x10", "7", "2.5e3", " ", "\u00a04.5"]
+        p = tmp_path / "w.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", "x"])
+            for k, cell in enumerate(cells):
+                writer.writerow([f"2021-03-01T{k:02d}:00:00Z", cell])
+        parsed = ingest.parse_weather_csv(p).factors["x"]
+        oracle = [ingest._parse_cell(c) for c in cells]
+        expect = np.array([np.nan if v is None else v for v in oracle])
+        assert parsed.dtype == np.float64
+        assert np.array_equal(parsed.view(np.uint64), expect.view(np.uint64))
+        assert oracle[cells.index("1,5")] is None
+        assert oracle[cells.index("1_000")] == 1000.0
+        assert oracle[cells.index("-0")] == 0.0 and np.signbit(parsed[4])
+
+    def test_sub_second_timestamps_keep_their_order(self, tmp_path):
+        # rows 0.4 s apart are two rows, sorted at full precision; the
+        # grid then rejects them with the timestamp cut to whole seconds
+        p = write(tmp_path, "w.csv",
+                  "timestamp,x\n"
+                  "2021-03-01T00:00:00.7Z,1\n"
+                  "2021-03-01T00:00:00.3Z,2\n")
+        raw = ingest.parse_weather_csv(p)
+        assert same(raw.factors["x"], [2.0, 1.0])
+        assert same(raw.timestamps,
+                    hours(0, 0) + np.array([300_000, 700_000], dtype="m8[us]"))
+        with pytest.raises(ValueError) as err:
+            ingest.interpolate_missing(raw)
+        assert str(err.value) == \
+            "weather timestamp 2021-03-01T00:00:00Z is not hour-aligned"
+
+    def test_duplicate_is_exact_to_the_microsecond(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "timestamp,x\n"
+                  "2021-03-01T00:00:00.25Z,1\n"
+                  "2021-03-01T03:00:00+03:00,2\n"
+                  "2021-03-01T00:00:00.250Z,3\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_weather_csv(p)
+        assert str(err.value) == (f"duplicate timestamp 2021-03-01T00:00:00Z "
+                                  f"({p}, row 4, column 'timestamp')")
 
 
 class TestInterpolate:
@@ -88,7 +144,7 @@ class TestInterpolate:
         # a line sampled at the ends must be reproduced exactly in between
         raw = RawWeatherTable(hours(0, 3), {"x": [0.0, 6.0]})
         table = ingest.interpolate_missing(raw)
-        assert table.timestamps == hours(0, 1, 2, 3)
+        assert same(table.timestamps, hours(0, 1, 2, 3))
         assert np.allclose(table.factors["x"], [0.0, 2.0, 4.0, 6.0], rtol=1e-9)
 
     def test_affine_random_gaps(self):
@@ -134,7 +190,7 @@ class TestInterpolate:
         assert table.factors["x"][2] == vals[2]
 
     def test_misaligned_timestamp_rejected(self):
-        raw = RawWeatherTable([T0, T0 + timedelta(minutes=90)],
+        raw = RawWeatherTable(hours(0) + np.array([0, 90], dtype="m8[m]"),
                               {"x": [1.0, 2.0]})
         with pytest.raises(ValueError, match="hour-aligned"):
             ingest.interpolate_missing(raw)
@@ -223,6 +279,39 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
         assert all(float(a) == float(b)
                    for a, b in zip(again.factors["temp"], table.factors["temp"]))
+
+    def test_vectorized_format_matches_format_timestamp(self, tmp_path):
+        texts = ["2021-03-01T02:00:00+02:00", "2021-03-01T05:00:00z",
+                 "2021-03-01T07:00:00", "1969-12-31T23:00:00Z",
+                 "1900-01-01T00:00:00-05:00", "1969-12-31T23:59:59.999999Z",
+                 "2024-02-29T23:00:00Z", "2023-12-31T23:00:00Z",
+                 "2023-12-31T23:59:59.5+00:00", "0999-12-31T23:00:00Z",
+                 "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+        p = write(tmp_path, "w.csv", "timestamp\n" + "\n".join(texts) + "\n")
+        stamps = ingest.parse_weather_csv(p).timestamps
+        expect = sorted(ingest.parse_timestamp(t) for t in texts)
+        assert [ingest.to_datetime(s) for s in stamps] == expect
+        assert ingest.format_timestamps(stamps) == \
+            [ingest.format_timestamp(ts) for ts in expect]
+        assert ingest.format_timestamps(stamps[:0]) == []
+
+    def test_gappy_raw_round_trip_with_missing_cells(self, tmp_path):
+        raw = RawWeatherTable(hours(0, 1, 3, 7, 8),
+                              {"a": [1.5, np.nan, -0.0, 2e-300, np.nan],
+                               "b": [np.nan, np.nan, 3.0, -1e300, 0.1]})
+        p1 = tmp_path / "a.csv"
+        p2 = tmp_path / "b.csv"
+        ingest.write_weather_csv(raw, p1)
+        back = ingest.parse_weather_csv(p1)
+        ingest.write_weather_csv(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_bytes().split(b"\r\n")[:3] == [
+            b"timestamp,a,b", b"2021-03-01T00:00:00Z,1.5,",
+            b"2021-03-01T01:00:00Z,,"]
+        assert same(back.timestamps, raw.timestamps)
+        for name in ("a", "b"):
+            assert np.array_equal(back.factors[name].view(np.uint64),
+                                  raw.factors[name].view(np.uint64))
 
     def test_outage_round_trip(self, tmp_path):
         records = [ingest.OutageRecord(T0 + timedelta(hours=2, minutes=48), True),

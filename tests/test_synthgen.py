@@ -152,8 +152,8 @@ class TestScenario:
     def test_hourly_grid(self):
         spec = ScenarioSpec(hours=100, seed=20)
         table, _ = weather_outage_scenario(spec)
-        deltas = {(b - a).total_seconds()
-                  for a, b in zip(table.timestamps, table.timestamps[1:])}
+        assert table.timestamps.dtype == np.dtype("datetime64[us]")
+        deltas = {d.total_seconds() for d in np.diff(table.timestamps).tolist()}
         assert deltas == {3600.0}
 
     def test_invalid_specs(self):
