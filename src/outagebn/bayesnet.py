@@ -188,13 +188,8 @@ def _joint(bn: BayesianNetwork, states: Mapping, n: int) -> np.ndarray:
     return p
 
 
-def joint_probability(bn: BayesianNetwork, assignment) -> float:
-    """Probability of one complete state under the factorized model."""
-    if not isinstance(assignment, Mapping):
-        values = list(assignment)
-        if len(values) != len(bn.dag.nodes):
-            raise ValueError("state vector length does not match node count")
-        assignment = dict(zip(bn.dag.nodes, values))
+def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> float:
+    """Probability of one complete state (node -> state) under the factorized model."""
     assignment = {k: int(v) for k, v in assignment.items()}
     _check_assignment(bn, assignment, complete=True)
     return float(_joint(bn, assignment, 1)[0])

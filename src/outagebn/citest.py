@@ -3,14 +3,17 @@
 The data-driven test compares observed cell counts against the
 independence-factorized expectation inside every configuration of the
 conditioning variables, summing a likelihood-ratio statistic whose null
-distribution is chi-square. The graph-side oracle answers the same
-question structurally for a known DAG.
+distribution is chi-square. It reads an integer matrix by column position
+with declared cardinalities, and tabulates every observed (configuration,
+x, y) cell in one pass; :func:`dataset_ci` maps a dataset's column names
+to positions. The graph-side oracle answers the same question
+structurally for a known DAG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,66 +48,15 @@ def chi2_upper_tail(statistic: float, dof: int) -> float:
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 
-def _table_terms(xi: np.ndarray, xj: np.ndarray, ci: int, cj: int,
-                 method: str) -> tuple[float, int]:
-    """Statistic and dof contribution of one conditioning configuration.
-
-    Degrees of freedom count only rows/columns that actually appear:
-    (nonzero_rows - 1) * (nonzero_cols - 1). A table collapsing to a single
-    row or column factorizes trivially and contributes nothing.
-    """
-    table = np.bincount(xi * cj + xj, minlength=ci * cj).reshape(ci, cj).astype(float)
-    n = table.sum()
-    row_sums = table.sum(axis=1)
-    col_sums = table.sum(axis=0)
-    dof = max(int(np.count_nonzero(row_sums)) - 1, 0) * \
-        max(int(np.count_nonzero(col_sums)) - 1, 0)
-    if dof == 0:
-        return 0.0, 0
-    expected = np.outer(row_sums, col_sums) / n
-    if method == "g2":
-        mask = table > 0
-        stat = 2.0 * float(np.sum(table[mask] * np.log(table[mask] / expected[mask])))
-    elif method == "pearson":
-        mask = expected > 0
-        stat = float(np.sum((table[mask] - expected[mask]) ** 2 / expected[mask]))
-    else:
-        raise ValueError(f"unknown test method {method!r}")
-    return stat, dof
-
-
-def _resolve_columns(data, cardinalities, names: Iterable) -> tuple[np.ndarray, list[int], list[int]]:
-    # Accept either the integer-coded dataset type or a plain matrix plus
-    # explicit cardinalities; column references may be names or indices.
-    if isinstance(data, DiscreteDataset):
-        matrix = data.rows
-        cards = list(data.cardinalities)
-        idx = [c if isinstance(c, (int, np.integer)) else data.column_index(c)
-               for c in names]
-    else:
-        matrix = np.asarray(data)
-        if matrix.ndim != 2:
-            raise ValueError("data matrix must be 2-D")
-        if cardinalities is None:
-            if matrix.shape[0] == 0:
-                raise ValueError("cannot infer cardinalities from an empty matrix")
-            cards = [int(matrix[:, c].max()) + 1 for c in range(matrix.shape[1])]
-        else:
-            cards = [int(c) for c in cardinalities]
-        idx = []
-        for c in names:
-            if not isinstance(c, (int, np.integer)):
-                raise ValueError("plain matrices require integer column indices")
-            idx.append(int(c))
-    return matrix, cards, idx
-
-
-def g_test_ci(data, i, j, given=(), alpha: float = 0.05, *,
-              cardinalities=None, method: str = "g2",
+def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
+              alpha: float = 0.05, *, cardinalities: Sequence[int],
+              method: str = "g2",
               min_samples_per_dof: float = MIN_SAMPLES_PER_DOF) -> CITestResult:
     """Test column ``i`` independent of ``j`` given the ``given`` columns.
 
-    The statistic sums per-configuration likelihood-ratio terms
+    ``rows`` is an integer matrix whose column ``c`` takes values in
+    ``range(cardinalities[c])``; ``i``, ``j`` and ``given`` are column
+    positions. The statistic sums per-configuration likelihood-ratio terms
     2 * sum(O * ln(O / E)) over observed cells (``method="pearson"`` swaps
     in sum((O - E)^2 / E)); the p-value is the chi-square upper tail.
     When the sample is too sparse for the asymptotics
@@ -114,39 +66,59 @@ def g_test_ci(data, i, j, given=(), alpha: float = 0.05, *,
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    matrix, cards, cols = _resolve_columns(data, cardinalities,
-                                           [i, j, *tuple(given)])
-    xi_col, xj_col, cond = cols[0], cols[1], cols[2:]
-    if xi_col == xj_col:
+    if method not in ("g2", "pearson"):
+        raise ValueError(f"unknown test method {method!r}")
+    if rows.ndim != 2:
+        raise ValueError("data matrix must be 2-D")
+    cond = [int(c) for c in given]
+    if i == j:
         raise ValueError("i and j must be distinct columns")
-    if xi_col in cond or xj_col in cond:
+    if i in cond or j in cond:
         raise ValueError("conditioning set must not contain i or j")
     if len(set(cond)) != len(cond):
         raise ValueError("conditioning set has repeated columns")
-    n = matrix.shape[0]
+    n = rows.shape[0]
     if n == 0:
         raise ValueError("cannot test on an empty dataset")
     # Symmetric by construction: always tabulate the lower column index
     # against the higher one.
-    if xi_col > xj_col:
-        xi_col, xj_col = xj_col, xi_col
+    i, j = min(i, j), max(i, j)
+    ci, cj = cardinalities[i], cardinalities[j]
 
-    xi = matrix[:, xi_col].astype(np.int64)
-    xj = matrix[:, xj_col].astype(np.int64)
-    ci, cj = cards[xi_col], cards[xj_col]
-
-    if cond:
-        code = config_codes([matrix[:, c].astype(np.int64) for c in cond],
-                            [cards[c] for c in cond], n)
-        statistic = 0.0
-        dof = 0
-        for value in np.unique(code):
-            mask = code == value
-            stat_c, dof_c = _table_terms(xi[mask], xj[mask], ci, cj, method)
-            statistic += stat_c
-            dof += dof_c
+    # One (configuration, x, y) table over the observed configurations
+    # only, in ascending configuration-code order; no conditioning set is
+    # the single configuration 0.
+    code = config_codes([rows[:, c].astype(np.int64) for c in cond],
+                        [cardinalities[c] for c in cond], n)
+    _, config = np.unique(code, return_inverse=True)
+    m = int(config.max()) + 1
+    cell = (config * ci + rows[:, i]) * cj + rows[:, j]
+    table = np.bincount(cell, minlength=m * ci * cj).reshape(m, ci, cj).astype(float)
+    row_sums = table.sum(axis=2)
+    col_sums = table.sum(axis=1)
+    # A configuration counts only the rows/columns that actually appear,
+    # (nonzero_rows - 1) * (nonzero_cols - 1); one collapsing to a single
+    # row or column factorizes trivially and contributes nothing.
+    dofs = np.maximum(np.count_nonzero(row_sums, axis=1) - 1, 0) * \
+        np.maximum(np.count_nonzero(col_sums, axis=1) - 1, 0)
+    expected = row_sums[:, :, None] * col_sums[:, None, :] / \
+        row_sums.sum(axis=1)[:, None, None]
+    if method == "g2":
+        mask = table > 0
+        terms = table[mask] * np.log(table[mask] / expected[mask])
     else:
-        statistic, dof = _table_terms(xi, xj, ci, cj, method)
+        mask = expected > 0
+        terms = (table[mask] - expected[mask]) ** 2 / expected[mask]
+    # Each configuration sums its own cells with np.sum and the sums add up
+    # in code order, as tabulating the configurations one at a time would;
+    # np.add.reduceat groups the additions differently and changes the
+    # last bits.
+    bounds = np.concatenate([[0], np.cumsum(mask.reshape(m, -1).sum(axis=1))])
+    statistic = 0.0
+    for c in np.flatnonzero(dofs):
+        part = float(terms[bounds[c]:bounds[c + 1]].sum())
+        statistic += 2.0 * part if method == "g2" else part
+    dof = int(dofs.sum())
 
     p_value = chi2_upper_tail(statistic, dof)
     if n < min_samples_per_dof * dof:
@@ -154,10 +126,16 @@ def g_test_ci(data, i, j, given=(), alpha: float = 0.05, *,
     return CITestResult(statistic, dof, p_value, p_value > alpha)
 
 
-def dataset_ci(data, alpha: float = 0.05, **test_kwargs) -> CiCallable:
-    """Bind a dataset into a name-based conditional-independence callable."""
+def dataset_ci(data: DiscreteDataset, alpha: float = 0.05,
+               **test_kwargs) -> CiCallable:
+    """Bind a dataset into a name-based conditional-independence callable.
+
+    The conditioning columns are tested in name order.
+    """
     def ci(x: str, y: str, given: frozenset) -> bool:
-        return g_test_ci(data, x, y, tuple(sorted(given)), alpha,
+        return g_test_ci(data.rows, data.column_index(x), data.column_index(y),
+                         [data.column_index(g) for g in sorted(given)], alpha,
+                         cardinalities=data.cardinalities,
                          **test_kwargs).independent
     return ci
 

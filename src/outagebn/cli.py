@@ -249,14 +249,13 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
         evalmetrics.write_report_csv(report, report_path)
         if nb_report is not None and baseline_report_path is not None:
             evalmetrics.write_report_csv(nb_report, baseline_report_path)
-    best = report.best
+    precision, recall, f1 = evalmetrics.prf1(report.best)
     print(f"validation rows: {val.n_rows} ({int(val.labels.sum())} positive)")
-    print(f"model: best_f1={best.f1:.6f} at threshold={best.threshold:g} "
-          f"(precision={best.precision:.6f}, recall={best.recall:.6f})")
+    print(f"model: best_f1={f1:.6f} at threshold={report.best_threshold:g} "
+          f"(precision={precision:.6f}, recall={recall:.6f})")
     if nb_report is not None:
-        nb_best = nb_report.best
-        print(f"naive-bayes baseline: best_f1={nb_best.f1:.6f} at "
-              f"threshold={nb_best.threshold:g}")
+        print(f"naive-bayes baseline: best_f1={evalmetrics.prf1(nb_report.best)[2]:.6f} "
+              f"at threshold={nb_report.best_threshold:g}")
     print(f"report written to {report_path}")
     return 0
 

@@ -32,49 +32,41 @@ class ConfusionCounts:
 
 
 @dataclass
-class ThresholdMetrics:
-    threshold: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass
 class EvalReport:
-    rows: list[ThresholdMetrics]
+    """Confusion counts at each grid threshold; ``best_index`` has the top F1."""
+
+    thresholds: list[float]
+    rows: list[ConfusionCounts]
     best_index: int
 
     @property
-    def best(self) -> ThresholdMetrics:
+    def best(self) -> ConfusionCounts:
         return self.rows[self.best_index]
 
     @property
-    def thresholds(self) -> list[float]:
-        return [r.threshold for r in self.rows]
+    def best_threshold(self) -> float:
+        return self.thresholds[self.best_index]
 
 
-def _check_inputs(probs: np.ndarray, labels: np.ndarray) -> None:
+def _checked_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels)
     if probs.shape != labels.shape or probs.ndim != 1:
         raise ValueError("probabilities and labels must be equal-length vectors")
     if probs.size == 0:
         raise ValueError("cannot evaluate an empty prediction set")
-    if np.any(probs < 0) or np.any(probs > 1):
+    if not np.all((probs >= 0) & (probs <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     if not np.all((labels == 0) | (labels == 1)):
         raise ValueError("labels must be 0 or 1")
+    return probs, labels
 
 
 def confusion_at(probs, labels, threshold: float) -> ConfusionCounts:
     """Counts at one decision threshold; predicted positive means prob >= threshold."""
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    _check_inputs(probs, labels)
+    probs, labels = _checked_inputs(probs, labels)
     pred = probs >= threshold
     actual = labels == 1
     tp = int(np.sum(pred & actual))
@@ -111,34 +103,32 @@ def sweep_best_f1(probs, labels, grid: Sequence[float] | None = None) -> EvalRep
         raise ValueError("threshold grid is empty")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("threshold grid must be strictly ascending")
-    if thresholds[0] < 0 or thresholds[-1] > 1:
+    if not all(0 <= t <= 1 for t in thresholds):
         raise ValueError("threshold grid must lie within [0, 1]")
-    probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
-    _check_inputs(probs, labels)
+    probs, labels = _checked_inputs(probs, labels)
 
-    rows = []
-    best_index = 0
-    for k, t in enumerate(thresholds):
-        counts = confusion_at(probs, labels, t)
-        precision, recall, f1 = prf1(counts)
-        rows.append(ThresholdMetrics(t, counts.tp, counts.fp, counts.tn,
-                                     counts.fn, precision, recall, f1))
-        if f1 > rows[best_index].f1:
-            best_index = k
-    return EvalReport(rows, best_index)
+    # Rows at or above a threshold, per class: everything past the first
+    # sorted probability that reaches it.
+    grid_arr = np.asarray(thresholds, dtype=float)
+    pos = np.sort(probs[labels == 1])
+    neg = np.sort(probs[labels == 0])
+    tp = pos.size - np.searchsorted(pos, grid_arr, side="left")
+    fp = neg.size - np.searchsorted(neg, grid_arr, side="left")
+    rows = [ConfusionCounts(int(a), int(b), neg.size - int(b), pos.size - int(a))
+            for a, b in zip(tp, fp)]
+    f1 = [prf1(r)[2] for r in rows]
+    return EvalReport(thresholds, rows, f1.index(max(f1)))
 
 
 def split_validation(ds: DiscreteDataset, fraction: float = 0.05,
-                     keep_all_positives: bool = True,
                      seed: int = 0) -> tuple[DiscreteDataset, DiscreteDataset]:
     """Carve a validation set of about ``fraction`` of the rows.
 
-    With ``keep_all_positives`` every positive row goes to validation and
-    uniformly sampled negatives top the set up to ceil(fraction * n); the
-    validation set is never smaller than the positive count. Without it
-    (or when there are no positives, which logs a warning) the split is a
-    plain uniform sample. Row order is preserved on both sides.
+    Every positive row goes to validation and uniformly sampled negatives
+    top the set up to ceil(fraction * n); the validation set is never
+    smaller than the positive count. With no positives (which logs a
+    warning) the split is a plain uniform sample. Row order is preserved
+    on both sides.
     """
     if not 0 < fraction < 1:
         raise ValueError("fraction must lie in (0, 1)")
@@ -149,16 +139,13 @@ def split_validation(ds: DiscreteDataset, fraction: float = 0.05,
     quota = math.ceil(fraction * n)
 
     pos = np.flatnonzero(ds.labels == 1)
-    if keep_all_positives and pos.size == 0:
-        log.warning("no positive rows; falling back to a plain uniform split")
-        keep_all_positives = False
-
-    if keep_all_positives:
+    if pos.size:
         neg = np.flatnonzero(ds.labels == 0)
         extra = min(max(quota - pos.size, 0), neg.size)
         sampled = neg[np.sort(rng.choice(neg.size, size=extra, replace=False))]
         val_idx = np.sort(np.concatenate([pos, sampled]))
     else:
+        log.warning("no positive rows; falling back to a plain uniform split")
         val_idx = np.sort(rng.choice(n, size=min(quota, n), replace=False))
 
     mask = np.zeros(n, dtype=bool)
@@ -173,6 +160,6 @@ def write_report_csv(report: EvalReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "tp", "fp", "tn", "fn",
                          "precision", "recall", "f1"])
-        for r in report.rows:
-            writer.writerow([repr(float(r.threshold)), r.tp, r.fp, r.tn, r.fn,
-                             repr(r.precision), repr(r.recall), repr(r.f1)])
+        for t, r in zip(report.thresholds, report.rows):
+            writer.writerow([repr(float(t)), r.tp, r.fp, r.tn, r.fn,
+                             *map(repr, prf1(r))])

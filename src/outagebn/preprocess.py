@@ -100,22 +100,20 @@ def equal_width_edges(values, bins: int) -> np.ndarray:
 
 
 def apply_bins(bin_edges: Sequence[np.ndarray], raw) -> np.ndarray:
-    """Code raw values with previously computed edges.
+    """Code a matrix of raw values (columns aligned with ``bin_edges``).
 
-    Accepts one row (1-D, one value per column) or a matrix (2-D, columns
-    aligned with ``bin_edges``). Values past either end clamp into the
-    first or last bin, which is exactly what ``np.digitize`` against the
-    interior edges produces.
+    Values past either end clamp into the first or last bin, which is
+    exactly what ``np.digitize`` against the interior edges produces.
     """
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError("expected a row vector or a 2-D matrix")
-    if arr.shape[-1] != len(bin_edges):
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if arr.shape[1] != len(bin_edges):
         raise ValueError(
-            f"expected {len(bin_edges)} columns, got {arr.shape[-1]}")
+            f"expected {len(bin_edges)} columns, got {arr.shape[1]}")
     out = np.empty(arr.shape, dtype=np.int64)
     for j, edges in enumerate(bin_edges):
-        out[..., j] = np.digitize(arr[..., j], edges)
+        out[:, j] = np.digitize(arr[:, j], edges)
     return out
 
 
@@ -204,12 +202,15 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
     if need <= 0:
         return replace(ds)
 
-    # imported here so the commands that never oversample never load scipy
-    from scipy.spatial.distance import cdist
-
     base = ds.rows[min_idx].astype(float)
     k_eff = min(k, n_min - 1)
-    d2 = cdist(base, base, "sqeuclidean")
+    # Squared distances |a|^2 + |b|^2 - 2 a.b, built in place in one n x n
+    # array; exact because the rows are small integer bins.
+    sq = np.einsum("ij,ij->i", base, base)
+    d2 = base @ base.T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq[None, :]
     np.fill_diagonal(d2, np.inf)
     neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
 

@@ -4,7 +4,7 @@ Everything here is deliberately written the slow, obvious way and shares
 no code with the package internals: path enumeration instead of reachability
 for graphical independence, full-joint enumeration for inference, exact
 rational arithmetic for metrics, and textbook formulas for the test
-statistic.
+statistic, tabulated one conditioning configuration at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 def g2_two_by_two(table) -> float:
@@ -29,6 +31,51 @@ def g2_two_by_two(table) -> float:
                 expected = row_sums[i] * col_sums[j] / n
                 stat += 2.0 * observed * math.log(observed / expected)
     return stat
+
+
+def ci_per_configuration(rows, i, j, given, cards, method,
+                         min_samples_per_dof) -> tuple:
+    """(statistic, dof, p-value) of the conditional test, one configuration at a time.
+
+    Configurations are the distinct state tuples of the ``given`` columns in
+    lexicographic order (first column most significant). Each one gets its
+    own ``i`` x ``j`` table; its dof is (nonzero rows - 1) * (nonzero
+    columns - 1), a table with dof 0 contributes nothing, and its terms are
+    summed with ``np.sum`` before the per-configuration sums are added in
+    order. Too few rows per dof (``n < min_samples_per_dof * dof``) report
+    p = 1.
+    """
+    from scipy.special import gammaincc
+
+    i, j = min(i, j), max(i, j)
+    given = list(given)
+    statistic, dof = 0.0, 0
+    for config in sorted({tuple(int(v) for v in r[given]) for r in rows}):
+        sel = np.all(rows[:, given] == config, axis=1)
+        table = np.zeros((cards[i], cards[j]))
+        for a, b in zip(rows[sel, i], rows[sel, j]):
+            table[a, b] += 1
+        row_sums = table.sum(axis=1)
+        col_sums = table.sum(axis=0)
+        dof_c = max(int(np.count_nonzero(row_sums)) - 1, 0) * \
+            max(int(np.count_nonzero(col_sums)) - 1, 0)
+        if dof_c == 0:
+            continue
+        expected = np.outer(row_sums, col_sums) / table.sum()
+        if method == "g2":
+            seen = table > 0
+            statistic += 2.0 * float(np.sum(
+                table[seen] * np.log(table[seen] / expected[seen])))
+        else:
+            seen = expected > 0
+            statistic += float(np.sum(
+                (table[seen] - expected[seen]) ** 2 / expected[seen]))
+        dof += dof_c
+    p = float(gammaincc(dof / 2.0, statistic / 2.0)) \
+        if dof > 0 and statistic > 0 else 1.0
+    if len(rows) < min_samples_per_dof * dof:
+        p = 1.0
+    return statistic, dof, p
 
 
 def dag_children(parents: dict) -> dict:

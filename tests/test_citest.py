@@ -24,7 +24,7 @@ def table_to_matrix(table):
 class TestGStatistic:
     def test_frozen_two_by_two(self):
         data = table_to_matrix([[30, 10], [10, 30]])
-        res = g_test_ci(data, 0, 1, alpha=0.05)
+        res = g_test_ci(data, 0, 1, alpha=0.05, cardinalities=[2, 2])
         assert res.statistic == pytest.approx(G2_SPLIT_TABLE, abs=1e-9)
         assert abs(res.statistic - 20.93) < 0.01
         assert res.dof == 1
@@ -37,14 +37,14 @@ class TestGStatistic:
             shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
             table = rng.integers(1, 40, size=shape)
             res = g_test_ci(table_to_matrix(table), 0, 1,
-                            min_samples_per_dof=0.0)
+                            cardinalities=shape, min_samples_per_dof=0.0)
             assert res.statistic == pytest.approx(
                 oracles.g2_two_by_two(table.tolist()), rel=1e-12)
 
     def test_exact_factorization_gives_zero(self):
         # every row proportional: observed == expected exactly
         data = table_to_matrix([[20, 20], [20, 20]])
-        res = g_test_ci(data, 0, 1)
+        res = g_test_ci(data, 0, 1, cardinalities=[2, 2])
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.independent
@@ -55,8 +55,8 @@ class TestGStatistic:
     def test_symmetry_bit_identical(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 3, size=(500, 4))
-        a = g_test_ci(data, 0, 2, (1, 3))
-        b = g_test_ci(data, 2, 0, (3, 1))
+        a = g_test_ci(data, 0, 2, (1, 3), cardinalities=[3] * 4)
+        b = g_test_ci(data, 2, 0, (3, 1), cardinalities=[3] * 4)
         assert a.statistic == b.statistic
         assert a.dof == b.dof
         assert a.p_value == b.p_value
@@ -65,9 +65,10 @@ class TestGStatistic:
     def test_duplication_scales_statistic(self):
         rng = np.random.default_rng(9)
         data = rng.integers(0, 3, size=(300, 3))
-        once = g_test_ci(data, 0, 1, (2,), min_samples_per_dof=0.0)
+        once = g_test_ci(data, 0, 1, (2,), cardinalities=[3] * 3,
+                         min_samples_per_dof=0.0)
         twice = g_test_ci(np.vstack([data, data]), 0, 1, (2,),
-                          min_samples_per_dof=0.0)
+                          cardinalities=[3] * 3, min_samples_per_dof=0.0)
         assert twice.statistic == pytest.approx(2 * once.statistic, rel=1e-9)
         assert twice.dof == once.dof
 
@@ -86,8 +87,8 @@ class TestGStatistic:
         z = np.where(rng.random(n) < 0.9, x, 1 - x)
         y = np.where(rng.random(n) < 0.9, z, 1 - z)
         data = np.column_stack([x, y, z])
-        assert not g_test_ci(data, 0, 1).independent
-        assert g_test_ci(data, 0, 1, (2,)).independent
+        assert not g_test_ci(data, 0, 1, cardinalities=[2] * 3).independent
+        assert g_test_ci(data, 0, 1, (2,), cardinalities=[2] * 3).independent
 
     def test_sparse_guard_abstains(self):
         rng = np.random.default_rng(5)
@@ -101,21 +102,45 @@ class TestGStatistic:
 
     def test_pearson_variant(self):
         data = table_to_matrix([[30, 10], [10, 30]])
-        res = g_test_ci(data, 0, 1, method="pearson")
+        res = g_test_ci(data, 0, 1, cardinalities=[2, 2], method="pearson")
         # (|O-E|)^2/E summed: each cell (10)^2/20 = 5 -> 20
         assert res.statistic == pytest.approx(20.0, rel=1e-12)
         assert not res.independent
 
     def test_input_validation(self):
         data = np.zeros((10, 3), dtype=int)
+        cards = [1, 1, 1]
         with pytest.raises(ValueError):
-            g_test_ci(data, 0, 0)
+            g_test_ci(data, 0, 0, cardinalities=cards)
         with pytest.raises(ValueError):
-            g_test_ci(data, 0, 1, (0,))
+            g_test_ci(data, 0, 1, (0,), cardinalities=cards)
         with pytest.raises(ValueError):
-            g_test_ci(data, 0, 1, alpha=1.5)
+            g_test_ci(data, 0, 1, alpha=1.5, cardinalities=cards)
+        with pytest.raises(ValueError):
+            g_test_ci(data, 0, 1, cardinalities=cards, method="chi")
         with pytest.raises(ValueError):
             g_test_ci(np.zeros((0, 2), dtype=int), 0, 1, cardinalities=[2, 2])
+
+    def test_matches_per_configuration_oracle(self):
+        # bit-equal to tabulating each conditioning configuration on its
+        # own: 0-3 conditioning columns, declared levels that never occur,
+        # columns stuck at one value (tables collapsing to one row)
+        rng = np.random.default_rng(47)
+        for trial in range(400):
+            cards = rng.integers(1, 7, size=5)
+            seen = [int(rng.integers(1, c + 1)) for c in cards]
+            n = int(rng.integers(1, 500))
+            data = np.column_stack([rng.integers(0, s, size=n) for s in seen])
+            i, j, *given = (int(c) for c in
+                            rng.permutation(5)[:2 + int(rng.integers(0, 4))])
+            method = ("g2", "pearson")[trial % 2]
+            floor = (0.0, 10.0)[trial % 3 == 0]
+            res = g_test_ci(data, i, j, given, cardinalities=cards,
+                            method=method, min_samples_per_dof=floor)
+            want = oracles.ci_per_configuration(data, i, j, given, cards,
+                                                method, floor)
+            assert (res.statistic, res.dof, res.p_value) == want, trial
+            assert res.independent == (res.p_value > 0.05)
 
     def test_calibration_near_alpha(self):
         # independent binary pairs: rejection rate should sit near alpha
@@ -124,7 +149,8 @@ class TestGStatistic:
         trials = 200
         for _ in range(trials):
             data = rng.integers(0, 2, size=(2000, 2))
-            if not g_test_ci(data, 0, 1, alpha=0.05).independent:
+            if not g_test_ci(data, 0, 1, alpha=0.05,
+                             cardinalities=[2, 2]).independent:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.08
 

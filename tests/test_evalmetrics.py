@@ -39,6 +39,8 @@ class TestConfusion:
             confusion_at([0.5], [2], 0.5)
         with pytest.raises(ValueError):
             confusion_at([], [], 0.5)
+        with pytest.raises(ValueError):
+            confusion_at([float("nan")], [1], 0.5)
 
 
 class TestPrf1:
@@ -89,9 +91,9 @@ class TestSweep:
         probs = [0.1, 0.2, 0.8, 0.9]
         labels = [0, 0, 1, 1]
         report = sweep_best_f1(probs, labels)
-        assert report.best.f1 == 1.0
+        assert prf1(report.best)[2] == 1.0
         # ties on perfect F1 resolve to the lowest workable threshold
-        assert report.best.threshold == pytest.approx(0.21)
+        assert report.best_threshold == pytest.approx(0.21)
 
     def test_default_grid_has_101_points(self):
         report = sweep_best_f1([0.5], [1])
@@ -101,7 +103,7 @@ class TestSweep:
 
     def test_tie_takes_lower_threshold(self):
         report = sweep_best_f1([0.5, 0.5], [1, 1], grid=[0.1, 0.2, 0.3])
-        assert report.best.threshold == 0.1
+        assert report.best_threshold == 0.1
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -113,13 +115,13 @@ class TestSweep:
 
     def test_counts_consistent_at_every_threshold(self):
         rng = np.random.default_rng(31)
-        probs = rng.random(200)
         labels = (rng.random(200) < 0.3).astype(int)
-        report = sweep_best_f1(probs, labels)
-        for row in report.rows:
-            assert row.tp + row.fp + row.tn + row.fn == 200
-            c = confusion_at(probs, labels, row.threshold)
-            assert (c.tp, c.fp, c.tn, c.fn) == (row.tp, row.fp, row.tn, row.fn)
+        # the second set sits exactly on grid points, where >= decides
+        for probs in (rng.random(200), rng.integers(0, 101, size=200) / 100):
+            report = sweep_best_f1(probs, labels)
+            for t, row in zip(report.thresholds, report.rows, strict=True):
+                assert row.tp + row.fp + row.tn + row.fn == 200
+                assert confusion_at(probs, labels, t) == row
 
     def test_report_csv_format(self, tmp_path):
         report = sweep_best_f1([0.1, 0.9], [0, 1], grid=[0.0, 0.5, 1.0])
@@ -156,8 +158,9 @@ class TestSplit:
         assert any("plain uniform split" in r.message for r in caplog.records)
 
     def test_plain_split_sizes(self):
-        ds = make_ds(100, [1] * 50 + [0] * 50)
-        train, val = split_validation(ds, 0.25, keep_all_positives=False, seed=5)
+        # without positives the split is a plain uniform sample of the quota
+        ds = make_ds(100, [0] * 100)
+        train, val = split_validation(ds, 0.25, seed=5)
         assert val.n_rows == 25
         assert train.n_rows == 75
 

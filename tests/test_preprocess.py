@@ -73,10 +73,8 @@ class TestEdgesAndBins:
 
     def test_clamping_out_of_range(self):
         ds = discretize(make_table({"x": [0.0, 10.0]}), 10)
-        row = apply_bins(ds.bin_edges, np.array([-100.0]))
-        assert row[0] == 0
-        row = apply_bins(ds.bin_edges, np.array([1e9]))
-        assert row[0] == 9
+        coded = apply_bins(ds.bin_edges, np.array([[-100.0], [1e9]]))
+        assert coded.tolist() == [[0], [9]]
 
     def test_max_goes_to_top_bin(self):
         ds = discretize(make_table({"x": [0.0, 1.0, 10.0]}), 10)
@@ -86,6 +84,8 @@ class TestEdgesAndBins:
         ds = discretize(make_table({"x": [0.0, 1.0]}), 4)
         with pytest.raises(ValueError, match="columns"):
             apply_bins(ds.bin_edges, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            apply_bins(ds.bin_edges, np.zeros(1))
 
     def test_bounds_property(self):
         rng = np.random.default_rng(7)

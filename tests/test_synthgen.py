@@ -94,7 +94,8 @@ class TestScenario:
         table, truth = weather_outage_scenario(spec)
         ds = attach_label_column(discretize(table, 10), "outage")
         for k in range(3):
-            res = g_test_ci(ds, k, 3, alpha=0.01)
+            res = g_test_ci(ds.rows, k, 3, alpha=0.01,
+                            cardinalities=ds.cardinalities)
             assert res.independent
         # constant risk equals the requested rate
         assert truth.cpts["outage"].table[0, 1] == pytest.approx(0.01, rel=1e-6)
@@ -105,7 +106,8 @@ class TestScenario:
         ds = attach_label_column(discretize(table, 10), "outage")
         out_col = ds.column_index("outage")
         for parent in spec.outage_parents:
-            res = g_test_ci(ds, ds.column_index(parent), out_col, alpha=0.01)
+            res = g_test_ci(ds.rows, ds.column_index(parent), out_col,
+                            alpha=0.01, cardinalities=ds.cardinalities)
             assert not res.independent
 
     def test_echo_factors_track_parents(self):
