@@ -13,7 +13,9 @@ pass through :func:`interpolate_missing`.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -177,37 +179,124 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
     ``schema`` selects and orders the factor columns to keep; ``None``
     keeps every non-timestamp column in header order. Duplicate timestamps
     are rejected; rows arrive sorted by time regardless of file order.
+
+    A file numpy's C reader can take whole is read in one pass
+    (:func:`_parse_weather_fast`); any other file goes through the per-cell
+    reader, which is also the only source of row-level errors. Both give
+    the same table, bit for bit.
     """
     p = Path(path)
     if not p.is_file():
         raise ParseError("weather file not found", path=p)
     with open(p, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ParseError("empty weather file", path=p) from None
-        if TIMESTAMP_COLUMN not in header:
-            raise ParseError("missing required column", path=p,
-                             column=TIMESTAMP_COLUMN)
-        columns = [c for c in header if c != TIMESTAMP_COLUMN] if schema is None \
-            else list(schema)
-        for col in columns:
-            if col not in header:
-                raise ParseError("missing required column", path=p, column=col)
-        ts_idx = header.index(TIMESTAMP_COLUMN)
-        col_idx = [header.index(c) for c in columns]
+    if TIMESTAMP_COLUMN not in header:
+        raise ParseError("missing required column", path=p, column=TIMESTAMP_COLUMN)
+    columns = [c for c in header if c != TIMESTAMP_COLUMN] if schema is None \
+        else list(schema)
+    for col in columns:
+        if col not in header:
+            raise ParseError("missing required column", path=p, column=col)
+    ts_idx = header.index(TIMESTAMP_COLUMN)
+    col_idx = [header.index(c) for c in columns]
+    table = _parse_weather_fast(p, len(header), ts_idx, columns, col_idx)
+    if table is None:
+        table = _parse_weather_rows(p, len(header), ts_idx, columns, col_idx)
+    return table
 
+
+# Byte-level rewrites of the exact missing-cell texts ("" and "N/A") to
+# "nan", applied in order to LF text that ends with a newline. A field ends
+# at "," or "\n" and starts after either. A pattern that consumes both its
+# commas is applied twice, so a run of missing cells is rewritten whole. A
+# blank line is left alone, as the per-cell reader skips it, and so is a
+# line's only field, which can only be a timestamp.
+_FIELD_BOUNDS = ((b",", b","), (b",", b","), (b",", b"\n"), (b"\n", b","))
+# The one timestamp layout the fast path reads, "YYYY-MM-DDTHH:MM:SSZ",
+# plus one byte that must stay empty: numpy cuts a text to its field's
+# width, so a longer stamp shows only there.
+_STAMP_LAYOUT = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP_LAYOUT == ord("0")
+_DATA_BYTE = re.compile(rb"[^\n]")
+_YEAR_1 = np.datetime64("0001-01-01", "us")
+
+
+def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
+                        col_idx: list[int]) -> RawWeatherTable | None:
+    """The whole file through one ``np.loadtxt`` call, or ``None`` to fall back.
+
+    Accepts only files whose every cell the per-cell reader would read the
+    same way: ASCII with no quote, NUL or lone CR; at least one data line;
+    every timestamp in the fixed layout ``YYYY-MM-DDTHH:MM:SSZ`` and unique;
+    every other cell a number numpy parses or an exact missing token.
+    numpy and ``float`` share CPython's string-to-double routine and its
+    whitespace rules; numpy rejects what else ``float`` takes (``1_000``).
+    """
+    data = p.read_bytes()
+    # C code on either side may end a text at a NUL
+    if not data.isascii() or b'"' in data or b"\0" in data:
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None  # a lone CR, which csv reads as a line end
+    body = data.find(b"\n") + 1
+    if not body or _DATA_BYTE.search(data, body) is None:
+        return None  # no data rows
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    for token in (b"", b"N/A") if b"N/A" in data else (b"",):
+        for pre, post in _FIELD_BOUNDS:
+            data = data.replace(pre + token + post, pre + b"nan" + post)
+    dtype = np.dtype([(f"f{k}", f"S{_STAMP_LAYOUT.size}" if k == ts_idx else "f8")
+                      for k in range(n_fields)])
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+                          comments=None, skiprows=1, ndmin=1, encoding="ascii")
+    except ValueError:
+        return None
+    del data
+    text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
+        .reshape(len(rows), _STAMP_LAYOUT.size)
+    if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
+            and np.all(text[:, ~_STAMP_DIGITS] == _STAMP_LAYOUT[~_STAMP_DIGITS])):
+        return None
+    try:
+        stamps = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0].astype(TIME_DTYPE)
+    except ValueError:  # a field out of range, such as month 13
+        return None
+    if stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
+        return None
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    if np.any(stamps[1:] == stamps[:-1]):
+        return None  # the per-cell reader reports the row
+    factors = {}
+    for c, k in zip(columns, col_idx):
+        values = rows[f"f{k}"][order]
+        values[~np.isfinite(values)] = np.nan
+        factors[c] = values
+    return RawWeatherTable(stamps, factors)
+
+
+def _parse_weather_rows(p: Path, n_fields: int, ts_idx: int, columns: list[str],
+                        col_idx: list[int]) -> RawWeatherTable:
+    """The per-cell reader: ``parse_timestamp`` and ``_parse_cell`` on each row."""
+    with open(p, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
         micros: list[int] = []
         linenos: list[int] = []
         records: list[list[str]] = []
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(record)}",
-                    path=p, row=lineno)
+            if len(record) != n_fields:
+                raise ParseError(f"expected {n_fields} fields, got {len(record)}",
+                                 path=p, row=lineno)
             ts = parse_timestamp(record[ts_idx], path=p, row=lineno)
             micros.append((ts - _EPOCH) // _MICROSECOND)
             linenos.append(lineno)
@@ -278,7 +367,7 @@ def attach_outage_labels(table: TimeSeriesTable,
     indices = []
     out_of_range = []
     for ev in events:
-        idx = int((ev - t0).total_seconds()) // 3600
+        idx = (ev - t0) // timedelta(hours=1)
         if 0 <= idx < n:
             indices.append(idx)
         else:

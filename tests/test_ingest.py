@@ -1,12 +1,17 @@
 """Ingestion: parsing, hourly alignment, interpolation, label attachment."""
 
 import csv
+import warnings
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from outagebn import ingest
+import oracles
+from outagebn import cli, ingest
 from outagebn.ingest import (EventOutOfRangeError, ParseError,
                              RawWeatherTable, UnrecoverableColumnError)
 
@@ -29,6 +34,27 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def assert_matches_per_cell(p, schema=None):
+    """parse_weather_csv gives the per-cell reference's table, bit for bit,
+    or the same ParseError (message, row and column)."""
+    try:
+        stamps, values = oracles.weather_per_cell(p, schema)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as err:
+            ingest.parse_weather_csv(p, schema)
+        assert (str(err.value), err.value.row, err.value.column) == \
+            (str(expected), expected.row, expected.column)
+        return expected
+    raw = ingest.parse_weather_csv(p, schema)
+    assert raw.timestamps.dtype == ingest.TIME_DTYPE
+    assert np.array_equal(raw.timestamps.view(np.int64), stamps.view(np.int64))
+    assert list(raw.factors) == list(values)
+    for name, col in values.items():
+        assert raw.factors[name].dtype == np.float64
+        assert np.array_equal(raw.factors[name].view(np.uint64), col.view(np.uint64))
+    return raw
 
 
 class TestParseWeather:
@@ -139,6 +165,209 @@ class TestParseWeather:
                                   f"({p}, row 4, column 'timestamp')")
 
 
+def gen_weather(tmp_path, hours=300):
+    """A weather file exactly as ``gen`` writes it (CRLF line ends)."""
+    weather = tmp_path / "gen_weather.csv"
+    assert cli.main(["gen", "--seed", "3", "--hours", str(hours), "--factors", "4",
+                     "--parents", "F1,F2", "--outage-rate", "0.01",
+                     "--out-weather", str(weather),
+                     "--out-outages", str(tmp_path / "gen_outages.csv")]) == 0
+    return weather
+
+
+def gappy_copy(src, dst, seed=0):
+    """``src`` with LF line ends, some hours dropped and some cells "" or N/A."""
+    rng = np.random.default_rng(seed)
+    header, *body = src.read_text().splitlines()
+    out = [header]
+    for line in body:
+        if rng.random() < 0.05:
+            continue
+        cells = line.split(",")
+        for j in range(1, len(cells)):
+            if rng.random() < 0.1:
+                cells[j] = "N/A" if rng.random() < 0.5 else ""
+        out.append(",".join(cells))
+    dst.write_bytes(("\n".join(out) + "\n").encode())
+    return dst
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("per-cell reader used")
+
+
+class TestFastPath:
+    """Files the C reader takes whole never reach the per-cell reader; every
+    other file gets the per-cell reader's table or error."""
+
+    def test_gen_and_gappy_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        stock = gen_weather(tmp_path)
+        gappy = gappy_copy(stock, tmp_path / "gappy.csv")
+        assert b"\r\n" in stock.read_bytes() and b"\r" not in gappy.read_bytes()
+        text = gappy.read_text()
+        assert ",N/A," in text and ",," in text and ",\n" in text
+        expected = {p: oracles.weather_per_cell(p) for p in (stock, gappy)}
+        monkeypatch.setattr(ingest, "_parse_cell", refuse)
+        monkeypatch.setattr(ingest, "parse_timestamp", refuse)
+        for p, (stamps, values) in expected.items():
+            raw = ingest.parse_weather_csv(p)
+            assert np.array_equal(raw.timestamps.view(np.int64), stamps.view(np.int64))
+            for name, col in values.items():
+                assert np.array_equal(raw.factors[name].view(np.uint64),
+                                      col.view(np.uint64))
+        assert np.isnan(raw.factors["F1"]).any()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blank_lines_are_skipped_without_warning(self, tmp_path, eol):
+        p = tmp_path / "w.csv"
+        p.write_bytes(eol.join(["timestamp,x", "", "2021-03-01T01:00:00Z,1", "",
+                                "2021-03-01T00:00:00Z,", "", ""]).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = assert_matches_per_cell(p)
+            assert same(raw.factors["x"], [np.nan, 1.0])
+            p.write_bytes(eol.join(["timestamp,x", "", ""]).encode())
+            err = assert_matches_per_cell(p)
+        assert str(err) == f"weather file has no data rows ({p})"
+
+    def test_header_only(self, tmp_path):
+        for text in ("timestamp,x", "timestamp,x\n", "timestamp,x\r\n"):
+            p = write(tmp_path, "w.csv", text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                err = assert_matches_per_cell(p)
+            assert str(err) == f"weather file has no data rows ({p})"
+
+    def test_byte_order_mark_hides_the_timestamp_column(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_bytes("timestamp,x\n2021-03-01T00:00:00Z,1\n".encode("utf-8-sig"))
+        err = assert_matches_per_cell(p)
+        assert str(err) == f"missing required column ({p}, column 'timestamp')"
+        p.write_bytes("x,timestamp\n1,2021-03-01T00:00:00Z\n".encode("utf-8-sig"))
+        raw = assert_matches_per_cell(p)
+        assert raw.factor_names == ["﻿x"] and same(raw.factors["﻿x"], [1.0])
+
+    def test_non_ascii_cells(self, tmp_path):
+        # float reads full-width digits; numpy's reader never sees them
+        p = tmp_path / "w.csv"
+        p.write_bytes("timestamp,x,y\n2021-03-01T00:00:00Z,é,2\n"
+                      "2021-03-01T01:00:00Z,３,N/A\n".encode())
+        raw = assert_matches_per_cell(p)
+        assert same(raw.factors["x"], [np.nan, 3.0])
+        assert same(raw.factors["y"], [2.0, np.nan])
+
+    def test_timestamp_not_in_first_column(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "a,timestamp,b\n"
+                  ",2021-03-01T01:00:00Z,N/A\n"
+                  "N/A,2021-03-01T00:00:00Z,\n"
+                  "-0,2021-03-01T02:00:00Z,1e500\n")
+        raw = assert_matches_per_cell(p)
+        assert same(raw.timestamps, hours(0, 1, 2))
+        assert same(raw.factors["a"], [np.nan, np.nan, -0.0])
+        assert np.signbit(raw.factors["a"][2])
+        assert same(raw.factors["b"], [np.nan, np.nan, np.nan])
+
+    def test_schema_subset_beside_non_numeric_column(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "timestamp,a,note\n"
+                  "2021-03-01T00:00:00Z,1.5,calm\n"
+                  "2021-03-01T01:00:00Z,2.5,storm\n")
+        raw = assert_matches_per_cell(p, schema=["a"])
+        assert raw.factor_names == ["a"] and same(raw.factors["a"], [1.5, 2.5])
+        raw = assert_matches_per_cell(p)
+        assert same(raw.factors["note"], [np.nan, np.nan])
+
+    def test_short_row_reports_its_row(self, tmp_path):
+        p = write(tmp_path, "w.csv",
+                  "timestamp,a,b\n"
+                  "2021-03-01T00:00:00Z,1,2\n"
+                  "\n"
+                  "2021-03-01T01:00:00Z,1\n")
+        err = assert_matches_per_cell(p)
+        assert str(err) == f"expected 3 fields, got 2 ({p}, row 4)"
+
+    @pytest.mark.parametrize("stamp", [
+        "2021-03-01T00:00:00Zjunk", "2021-03-01T00:00:00", "0000-01-01T00:00:00Z",
+        "2021-02-29T00:00:00Z", " 2021-03-01T00:00:00Z", "2021-03-01T00:00:00z",
+        "2021-03-01T00:00:00.5Z", "2021-03-01T02:00:00+02:00", "2021-03-01 00:00:00Z",
+        # numpy reads these years; datetime does not
+        "-021-03-01T00:00:00Z", " 021-03-01T00:00:00Z", "+021-03-01T00:00:00Z",
+        "2021-03-01T00:00:00Z\x00"])
+    def test_other_stamp_layouts(self, tmp_path, stamp):
+        p = write(tmp_path, "w.csv", f"timestamp,x\n{stamp},1\n")
+        assert_matches_per_cell(p)
+
+    @pytest.mark.parametrize("text", [
+        # csv ends a line at a lone CR, numpy's reader does not
+        "timestamp,x\r2021-03-01T00:00:00Z,1\n2021-03-01T01:00:00Z,2\n",
+        "timestamp,x\n2021-03-01T00:00:00Z,1\r2021-03-01T01:00:00Z,2\n",
+        "timestamp,x\n2021-03-01T00:00:00Z,1\r",
+        "timestamp,x\n2021-03-01T00:00:00Z,1\x00\n",
+        "timestamp,x\n2021-03-01T00:00:00Z\x00junk,1\n",
+        'timestamp,x\n2021-03-01T00:00:00Z,"1,5"\n',
+        "timestamp,x\n2021-03-01T00:00:00Z,1\n2021-03-01T00:00:00Z,2\n",
+        "timestamp,x\n2021-03-01T00:00:00Z,1_000\n2021-03-01T01:00:00Z, N/A \n",
+        "timestamp,x\n2021-03-01T00:00:00Z,1,2\n"])
+    def test_other_rejections(self, tmp_path, text):
+        p = tmp_path / "w.csv"
+        p.write_bytes(text.encode())
+        assert_matches_per_cell(p)
+
+
+# Cell spellings the C reader takes (numpy and float agree on them, or the
+# fast path rewrites them) and ones that send a file to the per-cell reader.
+FAST_CELLS = ["", "N/A", "-0", "1e500", "nan", "-nan", "Infinity", "-inf", "+4",
+              ".5", "5.", "\t3", "2.5e-3", "-1e-320", "17", "0.1"]
+SLOW_CELLS = [" N/A ", "1_000", "0x10", "junk", " ", "n/a", "1e", "é", "１",
+              "3 4", "1,5", '"1,5"', "\x00"]
+FAST_STAMPS = ["{}Z"]
+SLOW_STAMPS = ["{}+00:00", "{}z", "{}.5Z", "{}Zjunk", " {}Z", "{}", "{}+02:00"]
+
+
+@st.composite
+def weather_files(draw):
+    """(file bytes, schema, whether the C reader must take it)."""
+    fast = draw(st.booleans())
+    n_factors = draw(st.integers(0, 3))
+    names = [f"c{k}" for k in range(n_factors)]
+    header = list(names)
+    ts_pos = draw(st.integers(0, n_factors))
+    header.insert(ts_pos, "timestamp")
+    cells = st.sampled_from(FAST_CELLS if fast else FAST_CELLS + SLOW_CELLS)
+    stamps = st.sampled_from(FAST_STAMPS if fast else FAST_STAMPS + SLOW_STAMPS)
+    hours_ = draw(st.lists(st.integers(0, 60), min_size=1 if fast else 0,
+                           max_size=8, unique=fast))
+    lines = [",".join(header)]
+    for h in hours_:
+        when = (T0 + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%S")
+        row = [draw(cells) for _ in names]
+        row.insert(ts_pos, draw(stamps).format(when))
+        if not fast:
+            row = row[:len(row) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))]
+        lines.append(",".join(row))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    schema = draw(st.one_of(st.none(), st.lists(st.sampled_from(names), unique=True)
+                            if names else st.none()))
+    return text.encode(), schema, fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(weather_files())
+def test_parse_matches_per_cell_reader(tmp_path_factory, case):
+    data, schema, fast = case
+    p = tmp_path_factory.getbasetemp() / "differential.csv"
+    p.write_bytes(data)
+    if fast:
+        with mock.patch.object(ingest, "_parse_weather_rows", refuse):
+            assert_matches_per_cell(p, schema)
+    else:
+        assert_matches_per_cell(p, schema)
+
+
 class TestInterpolate:
     def test_affine_gap_fill(self):
         # a line sampled at the ends must be reproduced exactly in between
@@ -228,6 +457,17 @@ class TestLabels:
             ingest.attach_outage_labels(table, [T0 - timedelta(hours=1)])
         with pytest.raises(EventOutOfRangeError):
             ingest.attach_outage_labels(table, [T0 + timedelta(hours=5)])
+
+    def test_event_just_before_start_is_out_of_range(self):
+        # floored, not truncated toward zero: half a second before the
+        # first hour is the hour before it
+        table = self.table()
+        for ev in (T0 - timedelta(seconds=0.5), T0 - timedelta(microseconds=1)):
+            with pytest.raises(EventOutOfRangeError):
+                ingest.attach_outage_labels(table, [ev])
+        out = ingest.attach_outage_labels(
+            table, [T0 + timedelta(hours=5) - timedelta(microseconds=1)])
+        assert list(out.label) == [0, 0, 0, 0, 1]
 
     def test_last_hour_is_in_range(self):
         table = self.table()
