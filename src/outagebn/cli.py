@@ -207,8 +207,7 @@ def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
         probs = bayesnet.predict_rows(bn, rows, cols)[:, 1]
     with _stage("write"):
         ingest.write_text_columns(out_path, [ingest.TIMESTAMP_COLUMN, "p_outage"],
-                                  [ingest.format_timestamps(table.timestamps),
-                                   list(map(repr, probs.tolist()))])
+                                  table.timestamps, [probs])
     print(f"wrote {len(probs)} hourly probabilities to {out_path}")
     return 0
 

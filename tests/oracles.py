@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way and shares
 no code with the package internals: path enumeration instead of reachability
 for graphical independence, full-joint enumeration for inference, exact
-rational arithmetic for metrics, and textbook formulas for the test
-statistic, tabulated one conditioning configuration at a time. The one
+rational arithmetic for metrics, textbook formulas for the test
+statistic, tabulated one conditioning configuration at a time, and scipy's
+incomplete gamma for the chi-square tail. The one
 exception is the weather reader, which is built from the package's own
 per-cell parsers, ``_parse_cell`` and ``parse_timestamp``, so that any
 faster reader can be held to them bit for bit.
@@ -37,8 +38,23 @@ def g2_two_by_two(table) -> float:
     return stat
 
 
+def chi2_upper_tail(statistic: float, dof: int) -> float:
+    """Chi-square upper tail from scipy's regularized upper incomplete gamma."""
+    from scipy.special import gammaincc
+
+    return float(gammaincc(dof / 2.0, statistic / 2.0)) \
+        if dof > 0 and statistic > 0 else 1.0
+
+
+def chi2_critical_value(dof: int, alpha: float) -> float:
+    """The statistic whose chi-square upper tail is ``alpha``, from scipy."""
+    from scipy.special import chdtri
+
+    return float(chdtri(dof, alpha))
+
+
 def ci_per_configuration(rows, i, j, given, cards, method,
-                         min_samples_per_dof) -> tuple:
+                         min_samples_per_dof, tail=chi2_upper_tail) -> tuple:
     """(statistic, dof, p-value) of the conditional test, one configuration at a time.
 
     Configurations are the distinct state tuples of the ``given`` columns in
@@ -47,10 +63,8 @@ def ci_per_configuration(rows, i, j, given, cards, method,
     columns - 1), a table with dof 0 contributes nothing, and its terms are
     summed with ``np.sum`` before the per-configuration sums are added in
     order. Too few rows per dof (``n < min_samples_per_dof * dof``) report
-    p = 1.
+    p = 1; otherwise p is ``tail(statistic, dof)``, scipy's by default.
     """
-    from scipy.special import gammaincc
-
     i, j = min(i, j), max(i, j)
     given = list(given)
     statistic, dof = 0.0, 0
@@ -75,10 +89,7 @@ def ci_per_configuration(rows, i, j, given, cards, method,
             statistic += float(np.sum(
                 (table[seen] - expected[seen]) ** 2 / expected[seen]))
         dof += dof_c
-    p = float(gammaincc(dof / 2.0, statistic / 2.0)) \
-        if dof > 0 and statistic > 0 else 1.0
-    if len(rows) < min_samples_per_dof * dof:
-        p = 1.0
+    p = 1.0 if len(rows) < min_samples_per_dof * dof else tail(statistic, dof)
     return statistic, dof, p
 
 

@@ -1,7 +1,12 @@
 """Likelihood-ratio independence testing and graphical separation."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from outagebn import citest, synthgen
@@ -138,9 +143,28 @@ class TestGStatistic:
             res = g_test_ci(data, i, j, given, cardinalities=cards,
                             method=method, min_samples_per_dof=floor)
             want = oracles.ci_per_configuration(data, i, j, given, cards,
-                                                method, floor)
+                                                method, floor,
+                                                tail=chi2_upper_tail)
             assert (res.statistic, res.dof, res.p_value) == want, trial
-            assert res.independent == (res.p_value > 0.05)
+            # scipy's tail differs in the last bits (TestChi2UpperTail), but
+            # never in the decision
+            scipy_p = oracles.ci_per_configuration(data, i, j, given, cards,
+                                                   method, floor)[2]
+            assert res.independent == (res.p_value > 0.05) == (scipy_p > 0.05)
+
+    def test_abstaining_test_skips_the_tail(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 10, size=(50, 2))
+        abstained = g_test_ci(data, 0, 1, cardinalities=[10, 10])
+        assert abstained.dof * citest.MIN_SAMPLES_PER_DOF > 50
+        calls = []
+        monkeypatch.setattr(citest, "chi2_upper_tail",
+                            lambda *args: calls.append(args) or 0.0)
+        assert g_test_ci(data, 0, 1, cardinalities=[10, 10]) == \
+            CITestResult(abstained.statistic, abstained.dof, 1.0, True)
+        assert calls == []
+        g_test_ci(data, 0, 1, cardinalities=[10, 10], min_samples_per_dof=0.0)
+        assert calls == [(abstained.statistic, abstained.dof)]
 
     def test_calibration_near_alpha(self):
         # independent binary pairs: rejection rate should sit near alpha
@@ -153,6 +177,44 @@ class TestGStatistic:
                              cardinalities=[2, 2]).independent:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.08
+
+
+def assert_matches_scipy(statistic, dof):
+    # relative error at most 1e-10 wherever the tail exceeds 1e-12; below
+    # that, an absolute error at most 1e-22
+    want = oracles.chi2_upper_tail(statistic, dof)
+    got = chi2_upper_tail(statistic, dof)
+    assert abs(got - want) <= 1e-10 * max(want, 1e-12), (statistic, dof, got, want)
+    return got
+
+
+class TestChi2UpperTail:
+    def test_matches_scipy_and_decreases(self):
+        rng = np.random.default_rng(81)
+        dofs = [*range(1, 201), *(int(d) for d in rng.integers(201, 81_001, 60))]
+        for dof in dofs:
+            crit = oracles.chi2_critical_value(dof, 0.05)
+            stats = sorted([*np.linspace(0.01 * dof, 5 * dof, 40),
+                            *(crit * (1 + e) for e in
+                              (-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3))])
+            tails = [assert_matches_scipy(float(x), dof) for x in stats]
+            assert all(a >= b for a, b in zip(tails, tails[1:])), dof
+
+    @given(dof=st.integers(1, 81_000),
+           ratio=st.floats(1e-4, 20.0, allow_nan=False))
+    @settings(max_examples=300, deadline=None)
+    def test_differential_against_scipy(self, dof, ratio):
+        assert_matches_scipy(ratio * dof, dof)
+
+    def test_edges(self):
+        for statistic, dof in [(3.0, 0), (3.0, -2), (0.0, 4), (-1.0, 4),
+                               (-math.inf, 4), (5e-324, 1)]:
+            assert chi2_upper_tail(statistic, dof) == 1.0
+        for dof in (1, 2, 81_000):
+            assert chi2_upper_tail(math.inf, dof) == 0.0
+            # the tail underflows to 0.0 without an overflow on the way
+            assert chi2_upper_tail(1e300, dof) == 0.0
+            assert chi2_upper_tail(sys.float_info.max, dof) == 0.0
 
 
 def chain_dag():

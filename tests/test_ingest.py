@@ -553,6 +553,25 @@ class TestRoundTrip:
             assert np.array_equal(back.factors[name].view(np.uint64),
                                   raw.factors[name].view(np.uint64))
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_block_writes_match_row_by_row(self, tmp_path, extra):
+        # around one block of rows; the last stamp, a year before 1000,
+        # falls in the second block at block + 1 rows
+        n = ingest.WRITE_BLOCK_ROWS + extra
+        stamps = hours(*range(n))
+        stamps[-1] = np.datetime64("0999-12-31T23:00:00", "us")
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) * 1e3
+        a[rng.random(n) < 0.1] = np.nan
+        b = rng.normal(size=n)
+        p = tmp_path / "w.csv"
+        ingest.write_weather_csv(RawWeatherTable(stamps, {"a": a, "b": b}), p)
+        lines = [f"{ingest.format_timestamp(ingest.to_datetime(t))},"
+                 f"{'' if np.isnan(x) else repr(float(x))},{float(y)!r}"
+                 for t, x, y in zip(stamps, a, b)]
+        assert p.read_bytes() == "\r\n".join(
+            ["timestamp,a,b", *lines, ""]).encode()
+
     def test_outage_round_trip(self, tmp_path):
         records = [ingest.OutageRecord(T0 + timedelta(hours=2, minutes=48), True),
                    ingest.OutageRecord(T0 + timedelta(hours=7), False)]
