@@ -214,20 +214,20 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
     return table
 
 
-# Byte-level rewrites of the exact missing-cell texts ("" and "N/A") to
-# "nan", applied in order to LF text that ends with a newline. A field ends
-# at "," or "\n" and starts after either. A pattern that consumes both its
-# commas is applied twice, so a run of missing cells is rewritten whole. A
-# blank line is left alone, as the per-cell reader skips it, and so is a
-# line's only field, which can only be a timestamp.
-_FIELD_BOUNDS = ((b",", b","), (b",", b","), (b",", b"\n"), (b"\n", b","))
 # The one timestamp layout the fast path reads, "YYYY-MM-DDTHH:MM:SSZ",
 # plus one byte that must stay empty: numpy cuts a text to its field's
 # width, so a longer stamp shows only there.
 _STAMP_LAYOUT = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP_LAYOUT == ord("0")
-_DATA_BYTE = re.compile(rb"[^\n]")
+_DATA_BYTE = re.compile(rb"[^\r\n]")
 _YEAR_1 = np.datetime64("0001-01-01", "us")
+_COMMA, _LF, _CR = b",\n\r"
+_NAN = np.frombuffer(b"nan", dtype=np.uint8)
+# Bytes that the empty-field scan takes per numpy call: enough that
+# per-call overhead vanishes (64 KiB scanned the 65k- and 100k-hour files
+# about 20% slower), few enough that its scratch arrays stay a small part
+# of the file (1 MiB lifted the gappy parse's tracemalloc peak by 1.8 MiB).
+_SCAN_BLOCK = 1 << 18
 
 
 def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
@@ -237,34 +237,41 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
     Accepts only files whose every cell the per-cell reader would read the
     same way: ASCII with no quote, NUL or lone CR; at least one data line;
     every timestamp in the fixed layout ``YYYY-MM-DDTHH:MM:SSZ`` and unique;
-    every other cell a number numpy parses or an exact missing token.
-    numpy and ``float`` share CPython's string-to-double routine and its
-    whitespace rules; numpy rejects what else ``float`` takes (``1_000``).
+    every other cell a number numpy parses or a missing cell. numpy and
+    ``float`` share CPython's string-to-double routine and its whitespace
+    rules; numpy rejects what else ``float`` takes (``1_000``).
+
+    numpy reads LF and CRLF line ends alike, so the bytes go to it as they
+    are, but for two rewrites to ``nan``. ``N/A`` becomes ``nan`` wherever
+    it occurs: as a whole field, signed or padded, it is then a NaN, as
+    ``_parse_cell`` reads it; inside any other text (``xN/A``, ``N/AN/A``)
+    numpy refuses the field, and the file falls back. An empty data field
+    gets ``nan`` written into it (:func:`_fill_empty_fields`). A file with
+    neither is not copied.
     """
     data = p.read_bytes()
     # C code on either side may end a text at a NUL
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None  # a lone CR, which csv reads as a line end
     body = data.find(b"\n") + 1
     if not body or _DATA_BYTE.search(data, body) is None:
         return None  # no data rows
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    for token in (b"", b"N/A") if b"N/A" in data else (b"",):
-        for pre, post in _FIELD_BOUNDS:
-            data = data.replace(pre + token + post, pre + b"nan" + post)
+    data = data.replace(b"N/A", b"nan")
+    data = _fill_empty_fields(data, body)
+    if data is None:
+        return None  # a lone CR, which csv reads as a line end
     dtype = np.dtype([(f"f{k}", f"S{_STAMP_LAYOUT.size}" if k == ts_idx else "f8")
                       for k in range(n_fields)])
+    # BytesIO shares a bytes object but copies an array; the file's own
+    # bytes went when data took the array, so two copies are the most held
+    stream = io.BytesIO(data)
+    del data
     try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=",",
+        rows = np.loadtxt(stream, dtype=dtype, delimiter=",",
                           comments=None, skiprows=1, ndmin=1, encoding="ascii")
     except ValueError:
         return None
-    del data
+    del stream
     text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
         .reshape(len(rows), _STAMP_LAYOUT.size)
     if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
@@ -286,6 +293,68 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
         values[~np.isfinite(values)] = np.nan
         factors[c] = values
     return RawWeatherTable(stamps, factors)
+
+
+def _fill_empty_fields(data: bytes, body: int) -> bytes | np.ndarray | None:
+    """``data`` with ``nan`` in each empty field of its data lines, or ``None``
+    if it holds a lone CR.
+
+    ``body`` is the offset of the first data line. ``data`` itself comes
+    back when no field is empty; otherwise a new uint8 array, built one
+    block at a time, so that ``data`` and the result are the only copies of
+    the file held: :func:`_empty_field_spots` runs once to count the fields
+    and once more to place them.
+    """
+    if data.find(b"\r", 0, body - 2) >= 0:
+        return None  # in the header, whose line ends at body - 1
+    buf = np.frombuffer(data, dtype=np.uint8)
+    blocks = range(body, buf.size, _SCAN_BLOCK)
+    n_empty = 0
+    for start in blocks:
+        cr = np.flatnonzero(buf[start:start + _SCAN_BLOCK] == _CR) + start
+        if np.any(_next_byte(buf, cr) != _LF):
+            return None
+        n_empty += _empty_field_spots(buf, start).size
+    if not n_empty:
+        return data
+    out = np.empty(buf.size + _NAN.size * n_empty, dtype=np.uint8)
+    out[:body] = buf[:body]
+    at = body
+    for start in blocks:
+        block = buf[start:start + _SCAN_BLOCK]
+        spots = _empty_field_spots(buf, start) - start
+        region = out[at:at + block.size + _NAN.size * spots.size]
+        # where each nan text lands in region
+        slots = (spots + _NAN.size * np.arange(spots.size))[:, None] \
+            + np.arange(_NAN.size)
+        keep = np.ones(region.size, dtype=bool)
+        keep[slots] = False
+        region[keep] = block
+        region[slots] = _NAN
+        at += region.size
+    return out
+
+
+def _empty_field_spots(buf: np.ndarray, start: int) -> np.ndarray:
+    """Sorted offsets of the empty fields next to the commas of one scan block.
+
+    A comma after LF starts a line with an empty field; a comma before a
+    comma, CR, LF or the end of the file ends one. A blank line holds no
+    field. A field's offset is where ``nan`` goes in, so a comma that ends
+    the block may give the offset just past it.
+    """
+    comma = np.flatnonzero(buf[start:start + _SCAN_BLOCK] == _COMMA) + start
+    ahead = _next_byte(buf, comma)
+    return np.sort(np.concatenate([
+        comma[buf[comma - 1] == _LF],
+        comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1]))
+
+
+def _next_byte(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The byte after each offset. Past the end of the file the last byte
+    stands in for it: a CR there is lone, and a comma there ends an empty
+    field, as they should be."""
+    return buf[np.minimum(at + 1, buf.size - 1)]
 
 
 def _parse_weather_rows(p: Path, n_fields: int, ts_idx: int, columns: list[str],
@@ -366,7 +435,8 @@ def attach_outage_labels(table: TimeSeriesTable,
     Event times are floored to the containing hour. Events outside the
     table's timeline abort with :class:`EventOutOfRangeError`. The result
     keeps labels already present, so the operation is idempotent and only
-    ever turns labels on.
+    ever turns labels on. It shares the timeline and factor arrays with
+    ``table``; only its labels are a new array.
     """
     t0 = to_datetime(table.timestamps[0])
     n = table.n_rows
@@ -383,9 +453,7 @@ def attach_outage_labels(table: TimeSeriesTable,
     label = table.label.copy()
     if indices:
         label[indices] = 1
-    return TimeSeriesTable(table.timestamps.copy(),
-                           {k: v.copy() for k, v in table.factors.items()},
-                           label)
+    return TimeSeriesTable(table.timestamps, dict(table.factors), label)
 
 
 @dataclass
@@ -454,7 +522,7 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
             block = slice(start, start + WRITE_BLOCK_ROWS)
             cells = [format_timestamps(timestamps[block]),
                      *(_format_column(c[block]) for c in columns)]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_weather_csv(table: RawWeatherTable | TimeSeriesTable, path) -> None:

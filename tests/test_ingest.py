@@ -1,6 +1,7 @@
 """Ingestion: parsing, hourly alignment, interpolation, label attachment."""
 
 import csv
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -314,12 +315,67 @@ class TestFastPath:
         p.write_bytes(text.encode())
         assert_matches_per_cell(p)
 
+    @pytest.mark.parametrize("text", [
+        # an empty last cell before CRLF, and empty first cells
+        "timestamp,x,y\r\n2021-03-01T00:00:00Z,1,\r\n2021-03-01T01:00:00Z,,\r\n",
+        "x,y,timestamp\r\n,,2021-03-01T00:00:00Z\r\n,2,2021-03-01T01:00:00Z\r\n",
+        "x,timestamp,y\r\n\r\n,2021-03-01T00:00:00Z,\r\n\r\n",
+        # an empty last cell at the end of a file with no final line end
+        "timestamp,x,y\n2021-03-01T01:00:00Z,1,2\n2021-03-01T00:00:00Z,3,",
+        "timestamp,x,y\r\n2021-03-01T00:00:00Z,,",
+        # N/A signed or padded becomes a signed or padded nan
+        "x,timestamp\n-N/A,2021-03-01T00:00:00Z\n+N/A,2021-03-01T01:00:00Z\n",
+        "timestamp,x\r\n2021-03-01T00:00:00Z, N/A \r\n2021-03-01T01:00:00Z,\tN/A\r\n"])
+    def test_prelude_cases_take_the_c_reader(self, tmp_path, text):
+        p = tmp_path / "w.csv"
+        p.write_bytes(text.encode())
+        with mock.patch.object(ingest, "_parse_weather_rows", refuse):
+            raw = assert_matches_per_cell(p)
+        assert any(np.isnan(v).any() for v in raw.factors.values())
+
+    @pytest.mark.parametrize("text", [
+        # a lone CR in the header, in a CRLF file and in an LF one
+        "timestamp\r,x\r\n2021-03-01T00:00:00Z,1\r\n",
+        "timestamp,x\ry\n2021-03-01T00:00:00Z,1\n",
+        "timestamp,x\r2021-03-01T00:00:00Z,1\r\n2021-03-01T01:00:00Z,2\r\n",
+        # N/A inside other text, and another spelling of it
+        "timestamp,x\n2021-03-01T00:00:00Z,xN/A\n",
+        "timestamp,x\n2021-03-01T00:00:00Z,N/AN/A\n",
+        "timestamp,x\r\n2021-03-01T00:00:00Z,n/a\r\n2021-03-01T01:00:00Z,\r\n",
+        "timestamp,x\n2021-03-01T00:00:00Z,1N/A\n",
+        "timestamp,x\nN/A,1\n"])
+    def test_prelude_cases_fall_back(self, tmp_path, text):
+        p = tmp_path / "w.csv"
+        p.write_bytes(text.encode())
+        with mock.patch.object(ingest, "_parse_weather_rows",
+                               wraps=ingest._parse_weather_rows) as per_cell:
+            assert_matches_per_cell(p)
+        assert per_cell.called
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_peak_memory_within_two_copies(self, tmp_path, eol):
+        # the file's bytes and one rewritten copy of them, plus the table
+        p = gappy_copy(gen_weather(tmp_path, hours=40_000), tmp_path / "gappy.csv")
+        p.write_bytes(p.read_bytes().replace(b"\n", eol.encode()))
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            raw = ingest.parse_weather_csv(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        table = raw.timestamps.nbytes + sum(v.nbytes for v in raw.factors.values())
+        assert np.isnan(raw.factors["F1"]).any()
+        assert peak <= 2 * size + table
+
 
 # Cell spellings the C reader takes (numpy and float agree on them, or the
 # fast path rewrites them) and ones that send a file to the per-cell reader.
-FAST_CELLS = ["", "N/A", "-0", "1e500", "nan", "-nan", "Infinity", "-inf", "+4",
-              ".5", "5.", "\t3", "2.5e-3", "-1e-320", "17", "0.1"]
-SLOW_CELLS = [" N/A ", "1_000", "0x10", "junk", " ", "n/a", "1e", "é", "１",
+FAST_CELLS = ["", "N/A", " N/A ", "-N/A", "+N/A", "-0", "1e500", "nan", "-nan",
+              "Infinity", "-inf", "+4", ".5", "5.", "\t3", "2.5e-3", "-1e-320", "17",
+              "0.1"]
+SLOW_CELLS = ["1_000", "0x10", "junk", " ", "n/a", "xN/A", "N/AN/A", "1e", "é", "１",
               "3 4", "1,5", '"1,5"', "\x00"]
 FAST_STAMPS = ["{}Z"]
 SLOW_STAMPS = ["{}+00:00", "{}z", "{}.5Z", "{}Zjunk", " {}Z", "{}", "{}+02:00"]
@@ -479,6 +535,16 @@ class TestLabels:
         table = self.table()
         ingest.attach_outage_labels(table, [T0])
         assert list(table.label) == [0] * 5
+
+    def test_shares_timeline_and_factors_but_not_labels(self):
+        table = self.table()
+        table.label[3] = 1
+        out = ingest.attach_outage_labels(table, [T0 + timedelta(hours=1)])
+        assert out.timestamps is table.timestamps
+        assert out.factors["x"] is table.factors["x"]
+        assert out.label is not table.label
+        assert list(out.label) == [0, 1, 0, 1, 0]
+        assert list(table.label) == [0, 0, 0, 1, 0]
 
 
 class TestOutageCsv:
