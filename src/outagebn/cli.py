@@ -188,9 +188,8 @@ def _binned_evidence(bn: bayesnet.BayesianNetwork,
                      table: ingest.TimeSeriesTable) -> tuple[np.ndarray, list[str]]:
     factor_cols = [n for n in bn.dag.nodes if n != bn.target]
     edges = [np.asarray(bn.bin_edges[c], dtype=float) for c in factor_cols]
-    matrix = np.column_stack([np.asarray(table.factors[c], dtype=float)
-                              for c in factor_cols])
-    return preprocess.apply_bins(edges, matrix), factor_cols
+    columns = [table.factors[c] for c in factor_cols]
+    return preprocess.apply_bins(edges, columns), factor_cols
 
 
 def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:

@@ -15,6 +15,10 @@ import numpy as np
 
 from .ingest import TimeSeriesTable
 
+# Rows coded per np.digitize call in apply_bins; bounds its scratch to
+# 512 KB beside the code matrix.
+_BIN_BLOCK_ROWS = 1 << 16
+
 
 class ImbalanceError(ValueError):
     """Rebalancing needs both classes present."""
@@ -99,21 +103,31 @@ def equal_width_edges(values, bins: int) -> np.ndarray:
     return lo + np.arange(1, bins, dtype=float)
 
 
-def apply_bins(bin_edges: Sequence[np.ndarray], raw) -> np.ndarray:
-    """Code a matrix of raw values (columns aligned with ``bin_edges``).
+def apply_bins(bin_edges: Sequence[np.ndarray],
+               columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Code equal-length 1-D columns of raw values, one per entry of ``bin_edges``.
 
     Values past either end clamp into the first or last bin, which is
-    exactly what ``np.digitize`` against the interior edges produces.
+    exactly what ``np.digitize`` against the interior edges produces. The
+    codes fill one int64 matrix, row block by row block, so besides the
+    codes only one block's digitize result is held at a time.
     """
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if arr.shape[1] != len(bin_edges):
-        raise ValueError(
-            f"expected {len(bin_edges)} columns, got {arr.shape[1]}")
-    out = np.empty(arr.shape, dtype=np.int64)
-    for j, edges in enumerate(bin_edges):
-        out[:, j] = np.digitize(arr[:, j], edges)
+    cols = [np.asarray(col, dtype=float) for col in columns]
+    if len(cols) != len(bin_edges):
+        raise ValueError(f"expected {len(bin_edges)} columns, got {len(cols)}")
+    if not cols:
+        raise ValueError("need at least one column")
+    for j, col in enumerate(cols):
+        if col.ndim != 1:
+            raise ValueError(f"column {j} is {col.ndim}-D, expected 1-D")
+    n = len(cols[0])
+    if any(len(col) != n for col in cols):
+        raise ValueError("columns differ in length")
+    out = np.empty((n, len(cols)), dtype=np.int64)
+    for start in range(0, n, _BIN_BLOCK_ROWS):
+        stop = start + _BIN_BLOCK_ROWS
+        for j, (col, edges) in enumerate(zip(cols, bin_edges)):
+            out[start:stop, j] = np.digitize(col[start:stop], edges)
     return out
 
 
@@ -128,9 +142,7 @@ def discretize(table: TimeSeriesTable, bins_per_factor: int = 10) -> DiscreteDat
     if not names:
         raise ValueError("table has no factor columns")
     edges = [equal_width_edges(table.factors[c], bins_per_factor) for c in names]
-    matrix = np.column_stack([np.asarray(table.factors[c], dtype=float)
-                              for c in names])
-    rows = apply_bins(edges, matrix)
+    rows = apply_bins(edges, [table.factors[c] for c in names])
     return DiscreteDataset(
         columns=list(names),
         cardinalities=[bins_per_factor] * len(names),

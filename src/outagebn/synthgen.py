@@ -157,21 +157,39 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _calibrate_offset(scores: np.ndarray, slope: float, rate: float) -> float:
-    """Bisect the risk-curve offset so the mean risk over scores hits rate."""
+    """Bisect the risk-curve offset so the mean risk over scores hits rate.
+
+    The scores pool a few parents' bin indices, so they take few distinct
+    values (42 at 10 bins and two parents). Each step evaluates the
+    sigmoid once per distinct score and gathers the results back to one
+    per hour: the gathered array holds the same elements, in the same
+    order and dtype, as the sigmoid over every score, so ``np.mean`` sums
+    it in the same pairwise order and returns the same bits.
+
+    The loop stops once the bracket can no longer shrink, when the
+    midpoint rounds onto ``lo`` or ``hi`` (after about 60 steps).
+    Bisecting on would change nothing: ``lo`` always has mean risk at
+    least ``rate``, so a midpoint equal to ``lo`` keeps it; a midpoint
+    equal to ``hi`` either keeps ``hi`` or, when the mean risk at ``hi``
+    equals ``rate``, moves ``lo`` onto it. Either way the midpoint stays
+    what it is, so any number of further steps would return it too.
+    """
+    values, inverse = np.unique(scores, return_inverse=True)
 
     def mean_risk(offset: float) -> float:
-        return float(np.mean(_sigmoid(slope * (scores - offset))))
+        return float(np.mean(_sigmoid(slope * (values - offset))[inverse]))
 
     lo, hi = -5.0, 40.0
     if not (mean_risk(hi) <= rate <= mean_risk(lo)):
         raise ScenarioError(f"outage rate {rate} is unreachable for this scenario")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # lo and hi are adjacent doubles
+            return mid
         if mean_risk(mid) >= rate:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, BayesianNetwork]:
@@ -229,7 +247,7 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
     parent_list = list(spec.outage_parents)
     if parent_list:
         edges = [equal_width_edges(factors[p], spec.bins) for p in parent_list]
-        coded = apply_bins(edges, np.column_stack([factors[p] for p in parent_list]))
+        coded = apply_bins(edges, [factors[p] for p in parent_list])
         u = coded.astype(float) / (spec.bins - 1)
     else:
         u = np.empty((spec.hours, 0))

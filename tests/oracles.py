@@ -5,7 +5,8 @@ no code with the package internals: path enumeration instead of reachability
 for graphical independence, full-joint enumeration for inference, exact
 rational arithmetic for metrics, textbook formulas for the test
 statistic, tabulated one conditioning configuration at a time, and scipy's
-incomplete gamma for the chi-square tail. The one
+incomplete gamma for the chi-square tail, and the scenario generator's
+risk-offset bisection over every hourly score for a fixed 200 steps. The one
 exception is the weather reader, which is built from the package's own
 per-cell parsers, ``_parse_cell`` and ``parse_timestamp``, so that any
 faster reader can be held to them bit for bit.
@@ -301,3 +302,37 @@ def weather_per_cell(path, schema=None) -> tuple:
         values[col] = np.array([np.nan if v is None else v for v in cells],
                                dtype=np.float64)
     return stamps, values
+
+
+def calibrate_offset_reference(scores, slope: float, rate: float) -> float:
+    """Risk-curve offset whose mean risk over every score hits ``rate``.
+
+    A fixed 200-step bisection on [-5, 40] that evaluates the numerically
+    stable sigmoid on the full score array at every step; an unreachable
+    rate raises the package's ``ScenarioError`` with its message.
+    """
+    from outagebn.synthgen import ScenarioError
+
+    scores = np.asarray(scores, dtype=float)
+
+    def sigmoid(z):
+        out = np.empty_like(z, dtype=float)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def mean_risk(offset):
+        return float(np.mean(sigmoid(slope * (scores - offset))))
+
+    lo, hi = -5.0, 40.0
+    if not (mean_risk(hi) <= rate <= mean_risk(lo)):
+        raise ScenarioError(f"outage rate {rate} is unreachable for this scenario")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_risk(mid) >= rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 import outagebn
 from outagebn import bayesnet, synthgen
-from outagebn.cli import (PipelineConfig, _parse_grid, build_config,
-                          build_parser, main)
+from outagebn.cli import (PipelineConfig, _binned_evidence, _parse_grid,
+                          build_config, build_parser, main)
 
 
 class TestConfig:
@@ -364,3 +365,24 @@ class TestStartup:
                          "--outages", o, "--report", tmp_path / "r.csv",
                          "--baseline-report", tmp_path / "b.csv"]) == \
             "scipy loaded: False False"
+
+
+class TestBinnedEvidence:
+    def test_peak_memory_is_codes_plus_one_column(self):
+        hours = 100_000
+        table, truth = synthgen.weather_outage_scenario(
+            synthgen.ScenarioSpec(hours=hours, seed=5))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            rows, cols = _binned_evidence(truth, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert rows.shape == (hours, 6) and rows.dtype == np.int64
+        one_float_column = hours * np.dtype(np.float64).itemsize
+        assert peak - before < rows.nbytes + one_float_column

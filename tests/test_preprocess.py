@@ -67,13 +67,12 @@ class TestEdgesAndBins:
         rng = np.random.default_rng(2)
         table = make_table({"a": rng.normal(size=200), "b": rng.normal(size=200)})
         ds = discretize(table, 10)
-        matrix = np.column_stack([table.factors["a"], table.factors["b"]])
-        again = apply_bins(ds.bin_edges, matrix)
+        again = apply_bins(ds.bin_edges, [table.factors["a"], table.factors["b"]])
         assert np.array_equal(again, ds.rows)
 
     def test_clamping_out_of_range(self):
         ds = discretize(make_table({"x": [0.0, 10.0]}), 10)
-        coded = apply_bins(ds.bin_edges, np.array([[-100.0], [1e9]]))
+        coded = apply_bins(ds.bin_edges, [np.array([-100.0, 1e9])])
         assert coded.tolist() == [[0], [9]]
 
     def test_max_goes_to_top_bin(self):
@@ -83,9 +82,23 @@ class TestEdgesAndBins:
     def test_dimension_mismatch(self):
         ds = discretize(make_table({"x": [0.0, 1.0]}), 4)
         with pytest.raises(ValueError, match="columns"):
-            apply_bins(ds.bin_edges, np.zeros((3, 2)))
+            apply_bins(ds.bin_edges, [np.zeros(3), np.zeros(3)])
         with pytest.raises(ValueError, match="2-D"):
-            apply_bins(ds.bin_edges, np.zeros(1))
+            apply_bins(ds.bin_edges, [np.zeros((1, 1))])
+        with pytest.raises(ValueError, match="length"):
+            apply_bins(ds.bin_edges * 2, [np.zeros(3), np.zeros(4)])
+        with pytest.raises(ValueError, match="at least one"):
+            apply_bins([], [])
+
+    def test_codes_across_row_blocks(self):
+        # more rows than one block, the last block partial
+        rng = np.random.default_rng(4)
+        cols = [rng.normal(size=150_001) * s for s in (1.0, 5.0, 0.1)]
+        edges = [equal_width_edges(c, b) for c, b in zip(cols, (10, 4, 7))]
+        coded = apply_bins(edges, cols)
+        assert coded.dtype == np.int64 and coded.flags.c_contiguous
+        assert np.array_equal(coded, np.column_stack(
+            [np.digitize(c, e) for c, e in zip(cols, edges)]))
 
     def test_bounds_property(self):
         rng = np.random.default_rng(7)
@@ -247,6 +260,6 @@ def test_equal_width_edges_properties(values, bins):
     edges = equal_width_edges(values, bins)
     assert len(edges) == bins - 1
     assert np.all(np.diff(edges) >= 0)
-    coded = apply_bins([edges], np.asarray(values)[:, None])
+    coded = apply_bins([edges], [np.asarray(values)])
     assert coded.min() >= 0
     assert coded.max() <= bins - 1

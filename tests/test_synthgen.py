@@ -1,10 +1,12 @@
 """Random networks, forward sampling, and the weather/outage scenario."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import oracles
 from outagebn import synthgen
 from outagebn.citest import g_test_ci
 from outagebn.pcalg import LearnedDag
@@ -138,7 +140,7 @@ class TestScenario:
         # the per-hour risk off the target table; its mean must hit the rate
         cols = ["F1", "F2"]
         edges = [np.asarray(truth.bin_edges[c]) for c in cols]
-        coded = apply_bins(edges, np.column_stack([table.factors[c] for c in cols]))
+        coded = apply_bins(edges, [table.factors[c] for c in cols])
         risk = truth.cpts["outage"].table[coded[:, 0] * 10 + coded[:, 1], 1]
         assert float(np.mean(risk)) == pytest.approx(0.004, abs=1e-9)
 
@@ -180,3 +182,66 @@ class TestScenario:
         assert truth.dag.nodes == ["F1", "F2", "F3", "F4", "outage"]
         # first spare factor becomes the echo of F2
         assert truth.dag.parents["F1"] == ["F2"]
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("n_parents", [0, 1, 2, 3])
+    @pytest.mark.parametrize("pooling", [-4.0, 0.0, 2.0])
+    def test_matches_full_bisection(self, n_parents, pooling):
+        rng = np.random.default_rng([n_parents, int(pooling) + 4])
+        for bins in range(2, 11):
+            coded = rng.integers(0, bins, size=(1_000, n_parents))
+            scores = synthgen._power_mean(coded / (bins - 1), pooling)
+            for slope in (5.0, 30.0):
+                risk_at = {end: float(np.mean(synthgen._sigmoid(slope * (scores - end))))
+                           for end in (-5.0, 40.0)}
+                # reachable rates, both ends of the bracket exactly, and
+                # the first doubles past either end (unreachable)
+                rates = [0.002, 0.3, risk_at[-5.0], risk_at[40.0],
+                         float(np.nextafter(risk_at[-5.0], 2.0)),
+                         float(np.nextafter(risk_at[40.0], -1.0))]
+                for rate in rates:
+                    try:
+                        want = oracles.calibrate_offset_reference(scores, slope, rate)
+                    except ScenarioError as exc:
+                        with pytest.raises(ScenarioError, match=re.escape(str(exc))):
+                            synthgen._calibrate_offset(scores, slope, rate)
+                        continue
+                    got = synthgen._calibrate_offset(scores, slope, rate)
+                    assert got == want, (bins, slope, rate)
+
+    def test_no_parents_scenario(self):
+        spec = ScenarioSpec(hours=2_000, outage_parents=(), outage_rate=0.01, seed=5)
+        _, truth = weather_outage_scenario(spec)
+        scores = np.zeros(spec.hours)
+        offset = oracles.calibrate_offset_reference(scores, spec.risk_slope, 0.01)
+        assert truth.cpts["outage"].table[0, 1] == \
+            float(synthgen._sigmoid(np.array([-spec.risk_slope * offset]))[0])
+        with pytest.raises(ScenarioError, match="unreachable"):
+            synthgen._calibrate_offset(scores, 5.0, 1.0)
+
+    def test_work_bounded_by_distinct_scores(self, monkeypatch):
+        distinct: list[int] = []  # distinct score count seen by each calibration
+        sizes: list[int] = []  # input size of each sigmoid call made inside one
+        active: list[bool] = []
+        real_sigmoid = synthgen._sigmoid
+        real_calibrate = synthgen._calibrate_offset
+
+        def sigmoid(z):
+            if active:
+                sizes.append(np.size(z))
+            return real_sigmoid(z)
+
+        def calibrate(scores, slope, rate):
+            distinct.append(len(np.unique(scores)))
+            active.append(True)
+            try:
+                return real_calibrate(scores, slope, rate)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(synthgen, "_sigmoid", sigmoid)
+        monkeypatch.setattr(synthgen, "_calibrate_offset", calibrate)
+        weather_outage_scenario(ScenarioSpec(hours=50_000, seed=23))
+        assert len(distinct) == 1 and 0 < len(sizes) <= 70
+        assert max(sizes) <= distinct[0]
