@@ -15,11 +15,10 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from datetime import timedelta
 
 import numpy as np
 
-from . import bayesnet, evalmetrics, ingest, pcalg, preprocess, synthgen
+from . import bayesnet, citest, evalmetrics, ingest, pcalg, preprocess, synthgen
 
 
 @dataclass
@@ -134,9 +133,9 @@ class StageError(RuntimeError):
 def _ingest_labeled(weather_path, outage_path, schema=None) -> ingest.TimeSeriesTable:
     raw = ingest.parse_weather_csv(weather_path, schema)
     table = ingest.interpolate_missing(raw)
-    records = ingest.parse_outage_csv(outage_path)
-    weather_events = [r.timestamp for r in records if r.weather_related]
-    return ingest.attach_outage_labels(table, weather_events)
+    events = ingest.parse_outage_csv(outage_path)
+    return ingest.attach_outage_labels(table,
+                                       events.timestamps[events.weather_related])
 
 
 def _rebalance(ds: preprocess.DiscreteDataset, cfg: PipelineConfig,
@@ -163,8 +162,8 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
         balanced = _rebalance(ds, cfg, seed)
     with _stage("structure"):
         augmented = preprocess.attach_label_column(balanced, cfg.target)
-        dag = pcalg.learn_structure(augmented, cfg.target, cfg.alpha,
-                                    method=cfg.ci_method)
+        ci = citest.dataset_ci(augmented, cfg.alpha, method=cfg.ci_method)
+        dag = pcalg.learn_structure(ci, augmented.columns, cfg.target)
     with _stage("fit"):
         fit_ds = preprocess.attach_label_column(ds, cfg.target) if cfg.fit_on_raw \
             else augmented
@@ -265,21 +264,20 @@ def cmd_gen(cfg: PipelineConfig, spec: synthgen.ScenarioSpec, out_weather,
     with _stage("write"):
         ingest.write_weather_csv(table, out_weather)
         rng = np.random.default_rng([spec.seed, 1])
-        records = []
-        for i in np.flatnonzero(np.asarray(table.label) == 1):
-            ts = ingest.to_datetime(table.timestamps[i]) \
-                + timedelta(seconds=int(rng.integers(3600)))
-            records.append(ingest.OutageRecord(ts, True))
+        hot = np.flatnonzero(np.asarray(table.label) == 1)
+        # scalar draws, in this order: one array draw would give other numbers
+        seconds = [int(rng.integers(3600)) for _ in hot]
         # sprinkle an equal number of non-weather outages; they must be
         # ignored by label attachment downstream
-        n_decoys = len(records)
-        for _ in range(n_decoys):
-            hour = int(rng.integers(table.n_rows))
-            ts = ingest.to_datetime(table.timestamps[hour]) \
-                + timedelta(seconds=int(rng.integers(3600)))
-            records.append(ingest.OutageRecord(ts, False))
-        records.sort(key=lambda r: (r.timestamp, not r.weather_related))
-        ingest.write_outage_csv(records, out_outages)
+        hours = hot.tolist()
+        for _ in hot:
+            hours.append(int(rng.integers(table.n_rows)))
+            seconds.append(int(rng.integers(3600)))
+        stamps = table.timestamps[hours] + np.array(seconds, dtype="m8[s]")
+        flags = np.arange(len(hours)) < hot.size
+        order = np.lexsort((~flags, stamps))
+        ingest.write_outage_csv(ingest.OutageEvents(stamps[order], flags[order]),
+                                out_outages)
         if out_truth is not None:
             bayesnet.save_model(truth, out_truth)
     n_pos = int(np.asarray(table.label).sum())

@@ -5,9 +5,10 @@ meteorological factor. Outage files carry ``timestamp,weather_related``.
 Timestamps are ISO-8601 UTC on disk. In memory a table's timeline is one
 ``datetime64[us]`` array of UTC instants, microseconds being the resolution
 of the parsed ISO text, and its factor columns are float64 arrays with
-``NaN`` for a missing cell. Outage records keep timezone-aware ``datetime``
-objects. All in-memory tables live on a uniform one-hour grid once they
-pass through :func:`interpolate_missing`.
+``NaN`` for a missing cell. Outage event times are a ``datetime64[us]``
+array too, beside a bool array of their flags. All in-memory tables live
+on a uniform one-hour grid once they pass through
+:func:`interpolate_missing`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ TIME_DTYPE = np.dtype("datetime64[us]")
 HOUR = np.timedelta64(1, "h")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
-_YEAR_1000 = np.datetime64("1000-01-01", "us")
 # Rows that write_text_columns formats and writes at a time. Formatting a
 # whole file at once held one str per cell: at 1M hours that lifted
 # `predict` from 282 to 467 MB. A block of 4,096 rows adds 1-2 MB; 16,384
@@ -69,10 +69,13 @@ class UnrecoverableColumnError(ValueError):
 
 
 class EventOutOfRangeError(ValueError):
-    """Outage events fall outside the weather table's hourly timeline."""
+    """Outage events fall outside the weather table's hourly timeline.
 
-    def __init__(self, events: list[datetime]):
-        shown = ", ".join(format_timestamp(e) for e in events[:5])
+    ``events`` holds exactly those events, in input order.
+    """
+
+    def __init__(self, events: np.ndarray):
+        shown = ", ".join(format_timestamps(events[:5]))
         more = "" if len(events) <= 5 else f" and {len(events) - 5} more"
         super().__init__(f"outage events outside table range: {shown}{more}")
         self.events = events
@@ -145,22 +148,10 @@ def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime
     return ts.astimezone(timezone.utc)
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def to_datetime(stamp: np.datetime64) -> datetime:
-    """One timeline entry as an aware UTC datetime."""
-    return stamp.astype(TIME_DTYPE).item().replace(tzinfo=timezone.utc)
-
-
 def format_timestamps(stamps: np.ndarray) -> list[str]:
-    """:func:`format_timestamp` of every entry of a timeline, in one pass."""
-    text = np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
-    # strftime's %Y need not zero-pad years before 1000; keep its spelling
-    for i in np.flatnonzero(stamps < _YEAR_1000):
-        text[i] = format_timestamp(to_datetime(stamps[i]))
-    return text
+    """The ISO text ``YYYY-MM-DDTHH:MM:SSZ`` of every entry of a timeline,
+    cut to the second."""
+    return np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
 
 
 def _parse_cell(text: str) -> float | None:
@@ -429,40 +420,35 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
 
 
 def attach_outage_labels(table: TimeSeriesTable,
-                         events: Iterable[datetime]) -> TimeSeriesTable:
+                         events: np.ndarray) -> TimeSeriesTable:
     """Mark the hour bucket of each outage event with label 1.
 
-    Event times are floored to the containing hour. Events outside the
-    table's timeline abort with :class:`EventOutOfRangeError`. The result
-    keeps labels already present, so the operation is idempotent and only
-    ever turns labels on. It shares the timeline and factor arrays with
-    ``table``; only its labels are a new array.
+    ``events`` is a ``datetime64[us]`` array. Event times are floored to
+    the containing hour. Events outside the table's timeline abort with
+    :class:`EventOutOfRangeError`. The result keeps labels already present,
+    so the operation is idempotent and only ever turns labels on. It shares
+    the timeline and factor arrays with ``table``; only its labels are a
+    new array.
     """
-    t0 = to_datetime(table.timestamps[0])
-    n = table.n_rows
-    indices = []
-    out_of_range = []
-    for ev in events:
-        idx = (ev - t0) // timedelta(hours=1)
-        if 0 <= idx < n:
-            indices.append(idx)
-        else:
-            out_of_range.append(ev)
-    if out_of_range:
-        raise EventOutOfRangeError(out_of_range)
+    indices = (events - table.timestamps[0]) // HOUR
+    outside = (indices < 0) | (indices >= table.n_rows)
+    if np.any(outside):
+        raise EventOutOfRangeError(events[outside])
     label = table.label.copy()
-    if indices:
-        label[indices] = 1
+    label[indices] = 1
     return TimeSeriesTable(table.timestamps, dict(table.factors), label)
 
 
 @dataclass
-class OutageRecord:
-    timestamp: datetime
-    weather_related: bool
+class OutageEvents:
+    """Outage events in file order: one ``datetime64[us]`` instant and one
+    weather-related flag each."""
+
+    timestamps: np.ndarray
+    weather_related: np.ndarray
 
 
-def parse_outage_csv(path) -> list[OutageRecord]:
+def parse_outage_csv(path) -> OutageEvents:
     """Read an outage event CSV; flag values must be literal 0 or 1."""
     p = Path(path)
     if not p.is_file():
@@ -478,7 +464,8 @@ def parse_outage_csv(path) -> list[OutageRecord]:
                 raise ParseError("missing required column", path=p, column=col)
         ts_idx = header.index(TIMESTAMP_COLUMN)
         flag_idx = header.index(OUTAGE_FLAG_COLUMN)
-        records = []
+        micros: list[int] = []
+        flags: list[bool] = []
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -491,8 +478,10 @@ def parse_outage_csv(path) -> list[OutageRecord]:
             if flag not in ("0", "1"):
                 raise ParseError(f"weather_related flag must be 0 or 1, got {flag!r}",
                                  path=p, row=lineno, column=OUTAGE_FLAG_COLUMN)
-            records.append(OutageRecord(ts, flag == "1"))
-    return records
+            micros.append((ts - _EPOCH) // _MICROSECOND)
+            flags.append(flag == "1")
+    return OutageEvents(np.array(micros, dtype=np.int64).view(TIME_DTYPE),
+                        np.array(flags, dtype=bool))
 
 
 def _format_column(values: np.ndarray) -> list[str]:
@@ -531,10 +520,9 @@ def write_weather_csv(table: RawWeatherTable | TimeSeriesTable, path) -> None:
                        [table.factors[c] for c in names])
 
 
-def write_outage_csv(records: Iterable[OutageRecord], path) -> None:
+def write_outage_csv(events: OutageEvents, path) -> None:
+    flags = np.where(events.weather_related, "1", "0").tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([TIMESTAMP_COLUMN, OUTAGE_FLAG_COLUMN])
-        for rec in records:
-            writer.writerow([format_timestamp(rec.timestamp),
-                             "1" if rec.weather_related else "0"])
+        csv.writer(fh).writerow([TIMESTAMP_COLUMN, OUTAGE_FLAG_COLUMN])
+        fh.writelines(f"{ts},{flag}\r\n" for ts, flag
+                      in zip(format_timestamps(events.timestamps), flags))

@@ -14,10 +14,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Sequence
 
-from .citest import CiCallable, dataset_ci
-from .preprocess import DiscreteDataset
+from .citest import CiCallable
 
 log = logging.getLogger(__name__)
 
@@ -125,32 +124,18 @@ class LearnedDag:
         return out
 
 
-def _resolve_source(source, alpha: float, nodes, test_kwargs) -> tuple[CiCallable, list[str]]:
-    if isinstance(source, DiscreteDataset):
-        return dataset_ci(source, alpha, **test_kwargs), list(source.columns)
-    if callable(source):
-        if nodes is None:
-            raise ValueError("a callable independence source needs explicit nodes")
-        if test_kwargs:
-            raise ValueError("test options only apply to dataset sources")
-        return source, list(nodes)
-    raise TypeError("source must be a DiscreteDataset or a callable")
+def learn_skeleton(ci: CiCallable, nodes: Sequence[str]) -> PartialGraph:
+    """Prune the complete graph over ``nodes`` to the dependence skeleton.
 
-
-def learn_skeleton(source, alpha: float = 0.05, *, nodes=None,
-                   max_depth: int | None = None, **test_kwargs) -> PartialGraph:
-    """Prune the complete graph down to the conditional-dependence skeleton.
-
-    ``source`` is either an integer-coded dataset (tested with the
-    likelihood-ratio CI test at level ``alpha``) or a callable
-    ``(x, y, given) -> bool`` returning True for independence. At depth d,
-    every surviving pair is tested against the d-subsets of each
-    endpoint's other current neighbors, each distinct subset once; the
-    first separating set found removes the edge and is recorded. Depths
-    grow until no neighborhood can supply a subset of the required size
-    (or ``max_depth`` is hit).
+    ``ci(x, y, given)`` returns True when ``x`` and ``y`` are independent
+    given the node set ``given``; :func:`outagebn.citest.dataset_ci` binds
+    a dataset into one. At depth d, every surviving pair is tested against
+    the d-subsets of each endpoint's other current neighbors, each distinct
+    subset once; the first separating set found removes the edge and is
+    recorded. Depths grow until no neighborhood can supply a subset of the
+    required size.
     """
-    ci, node_list = _resolve_source(source, alpha, nodes, test_kwargs)
+    node_list = list(nodes)
     if len(set(node_list)) != len(node_list):
         raise ValueError("node names must be unique")
     order = {n: k for k, n in enumerate(node_list)}
@@ -161,7 +146,7 @@ def learn_skeleton(source, alpha: float = 0.05, *, nodes=None,
         return (a, b) if order[a] < order[b] else (b, a)
 
     depth = 0
-    while max_depth is None or depth <= max_depth:
+    while True:
         pairs = [(x, y) for i, x in enumerate(node_list)
                  for y in node_list[i + 1:] if y in adjacency[x]]
         if not any(len(adjacency[x]) - 1 >= depth or len(adjacency[y]) - 1 >= depth
@@ -341,11 +326,9 @@ def complete_to_dag(g: PartialGraph, target: str) -> LearnedDag:
     return dag
 
 
-def learn_structure(source, target: str, alpha: float = 0.05, *, nodes=None,
-                    max_depth: int | None = None, **test_kwargs) -> LearnedDag:
+def learn_structure(ci: CiCallable, nodes: Sequence[str], target: str) -> LearnedDag:
     """Full pipeline: skeleton, colliders, propagation, DAG completion."""
-    skeleton = learn_skeleton(source, alpha, nodes=nodes, max_depth=max_depth,
-                              **test_kwargs)
+    skeleton = learn_skeleton(ci, nodes)
     oriented = propagate_orientations(orient_v_structures(skeleton))
     return complete_to_dag(oriented, target)
 

@@ -264,8 +264,7 @@ def weather_per_cell(path, schema=None) -> tuple:
     NaN for a missing cell. Malformed files raise the ``ParseError`` the
     package documents, with the same message, row and column.
     """
-    from outagebn.ingest import (ParseError, _parse_cell, format_timestamp,
-                                 parse_timestamp)
+    from outagebn.ingest import ParseError, _parse_cell, parse_timestamp
 
     with open(path, newline="") as fh:
         records = list(csv.reader(fh))
@@ -292,7 +291,8 @@ def weather_per_cell(path, schema=None) -> tuple:
     rows.sort(key=lambda r: r[0])
     for (prev, _, _), (ts, lineno, _) in zip(rows, rows[1:]):
         if ts == prev:
-            raise ParseError(f"duplicate timestamp {format_timestamp(ts)}",
+            text = ts.replace(microsecond=0, tzinfo=None).isoformat()
+            raise ParseError(f"duplicate timestamp {text}Z",
                              path=path, row=lineno, column="timestamp")
     stamps = np.array([np.datetime64(ts.replace(tzinfo=None), "us") for ts, _, _ in rows],
                       dtype="datetime64[us]")

@@ -22,7 +22,7 @@ import numpy as np
 
 from outagebn.bayesnet import (BayesianNetwork, Cpt, fit_cpts,
                                posterior_target)
-from outagebn.citest import g_test_ci, independence_oracle
+from outagebn.citest import dataset_ci, g_test_ci, independence_oracle
 from outagebn.cli import main
 from outagebn.evalmetrics import ConfusionCounts, prf1
 from outagebn.pcalg import LearnedDag, learn_skeleton, orient_v_structures
@@ -123,7 +123,7 @@ def test_02_finite_sample_skeleton_recovery():
     shds = []
     for seed in range(20):
         ds = forward_sample(bn, 50_000, seed=seed)
-        g = learn_skeleton(ds, alpha=0.01)
+        g = learn_skeleton(dataset_ci(ds, 0.01), ds.columns)
         shd = len(set(g.undirected) ^ true_skel)
         shds.append(shd)
         good += shd <= 1

@@ -488,58 +488,84 @@ class TestLabels:
 
     def test_event_floors_to_hour_bucket(self):
         table = self.table()
-        out = ingest.attach_outage_labels(
-            table, [T0 + timedelta(hours=2, minutes=48)])
+        out = ingest.attach_outage_labels(table, hours(2) + np.timedelta64(48, "m"))
         assert list(out.label) == [0, 0, 1, 0, 0]
 
     def test_multiple_same_bucket(self):
         table = self.table()
         out = ingest.attach_outage_labels(
-            table, [T0 + timedelta(hours=1, minutes=5),
-                    T0 + timedelta(hours=1, minutes=59)])
+            table, hours(1, 1) + np.array([5, 59], dtype="m8[m]"))
         assert list(out.label) == [0, 1, 0, 0, 0]
 
     def test_idempotent_and_monotone(self):
         table = self.table()
-        once = ingest.attach_outage_labels(table, [T0 + timedelta(hours=3)])
-        twice = ingest.attach_outage_labels(once, [T0 + timedelta(hours=3)])
+        once = ingest.attach_outage_labels(table, hours(3))
+        twice = ingest.attach_outage_labels(once, hours(3))
         assert list(once.label) == list(twice.label)
-        more = ingest.attach_outage_labels(once, [T0 + timedelta(hours=1)])
+        more = ingest.attach_outage_labels(once, hours(1))
         assert all(a >= b for a, b in zip(more.label, once.label))
 
     def test_out_of_range_event(self):
         table = self.table()
         with pytest.raises(EventOutOfRangeError):
-            ingest.attach_outage_labels(table, [T0 - timedelta(hours=1)])
+            ingest.attach_outage_labels(table, hours(-1))
         with pytest.raises(EventOutOfRangeError):
-            ingest.attach_outage_labels(table, [T0 + timedelta(hours=5)])
+            ingest.attach_outage_labels(table, hours(5))
 
     def test_event_just_before_start_is_out_of_range(self):
         # floored, not truncated toward zero: half a second before the
         # first hour is the hour before it
         table = self.table()
-        for ev in (T0 - timedelta(seconds=0.5), T0 - timedelta(microseconds=1)):
+        for before in (np.timedelta64(500, "ms"), np.timedelta64(1, "us")):
             with pytest.raises(EventOutOfRangeError):
-                ingest.attach_outage_labels(table, [ev])
-        out = ingest.attach_outage_labels(
-            table, [T0 + timedelta(hours=5) - timedelta(microseconds=1)])
+                ingest.attach_outage_labels(table, hours(0) - before)
+        out = ingest.attach_outage_labels(table, hours(5) - np.timedelta64(1, "us"))
         assert list(out.label) == [0, 0, 0, 0, 1]
 
     def test_last_hour_is_in_range(self):
         table = self.table()
-        out = ingest.attach_outage_labels(
-            table, [T0 + timedelta(hours=4, minutes=59)])
+        out = ingest.attach_outage_labels(table, hours(4) + np.timedelta64(59, "m"))
         assert out.label[4] == 1
+
+    def test_empty_events_leave_labels(self):
+        table = self.table()
+        table.label[3] = 1
+        out = ingest.attach_outage_labels(table, hours())
+        assert list(out.label) == [0, 0, 0, 1, 0]
+
+    def test_error_holds_exactly_the_offending_events(self):
+        table = self.table()
+        events = hours(-3, 0, -2, -1, 5, 2, 6, 7, 8)
+        with pytest.raises(EventOutOfRangeError) as info:
+            ingest.attach_outage_labels(table, events)
+        assert same(info.value.events, hours(-3, -2, -1, 5, 6, 7, 8))
+        assert str(info.value) == (
+            "outage events outside table range: 2021-02-28T21:00:00Z, "
+            "2021-02-28T22:00:00Z, 2021-02-28T23:00:00Z, 2021-03-01T05:00:00Z, "
+            "2021-03-01T06:00:00Z and 2 more")
+
+    def test_matches_per_event_floor(self):
+        hour_us = 3_600_000_000
+        micros = np.random.default_rng(4).integers(-2 * hour_us, 52 * hour_us, 300)
+        events = hours(0) + micros.astype("m8[us]")
+        buckets = [m // hour_us for m in micros.tolist()]
+        inside = np.array([0 <= b < 50 for b in buckets])
+        with pytest.raises(EventOutOfRangeError) as info:
+            ingest.attach_outage_labels(self.table(50), events)
+        assert same(info.value.events, events[~inside])
+        out = ingest.attach_outage_labels(self.table(50), events[inside])
+        assert set(np.flatnonzero(out.label).tolist()) == \
+            {b for b in buckets if 0 <= b < 50}
 
     def test_original_untouched(self):
         table = self.table()
-        ingest.attach_outage_labels(table, [T0])
+        ingest.attach_outage_labels(table, hours(0))
         assert list(table.label) == [0] * 5
 
     def test_shares_timeline_and_factors_but_not_labels(self):
         table = self.table()
         table.label[3] = 1
-        out = ingest.attach_outage_labels(table, [T0 + timedelta(hours=1)])
+        out = ingest.attach_outage_labels(table, hours(1))
         assert out.timestamps is table.timestamps
         assert out.factors["x"] is table.factors["x"]
         assert out.label is not table.label
@@ -553,8 +579,22 @@ class TestOutageCsv:
                   "timestamp,weather_related\n"
                   "2021-03-01T00:12:00Z,1\n"
                   "2021-03-01T03:00:00Z,0\n")
-        records = ingest.parse_outage_csv(p)
-        assert [r.weather_related for r in records] == [True, False]
+        events = ingest.parse_outage_csv(p)
+        assert same(events.weather_related, np.array([True, False]))
+
+    def test_file_order_non_weather_rows_and_offsets_kept(self, tmp_path):
+        p = write(tmp_path, "o.csv",
+                  "timestamp,weather_related\n"
+                  "2021-03-01T05:30:00+02:00,0\n"
+                  "2021-03-01T01:00:00.25Z,1\n"
+                  "\n"
+                  "2021-02-28T23:15:00-05:00,0\n"
+                  "2021-03-01T00:00:00,1\n")
+        events = ingest.parse_outage_csv(p)
+        assert same(events.timestamps, np.array(
+            ["2021-03-01T03:30", "2021-03-01T01:00:00.25",
+             "2021-03-01T04:15", "2021-03-01T00:00"], dtype="M8[us]"))
+        assert same(events.weather_related, np.array([False, True, False, True]))
 
     def test_bad_flag(self, tmp_path):
         p = write(tmp_path, "o.csv",
@@ -586,7 +626,7 @@ class TestRoundTrip:
         assert all(float(a) == float(b)
                    for a, b in zip(again.factors["temp"], table.factors["temp"]))
 
-    def test_vectorized_format_matches_format_timestamp(self, tmp_path):
+    def test_format_timestamps_matches_parsed_datetimes(self, tmp_path):
         texts = ["2021-03-01T02:00:00+02:00", "2021-03-01T05:00:00z",
                  "2021-03-01T07:00:00", "1969-12-31T23:00:00Z",
                  "1900-01-01T00:00:00-05:00", "1969-12-31T23:59:59.999999Z",
@@ -595,10 +635,12 @@ class TestRoundTrip:
                  "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
         p = write(tmp_path, "w.csv", "timestamp\n" + "\n".join(texts) + "\n")
         stamps = ingest.parse_weather_csv(p).timestamps
-        expect = sorted(ingest.parse_timestamp(t) for t in texts)
-        assert [ingest.to_datetime(s) for s in stamps] == expect
+        expect = [ts.replace(tzinfo=None)
+                  for ts in sorted(ingest.parse_timestamp(t) for t in texts)]
+        assert stamps.tolist() == expect
+        # whole seconds, the year zero-padded to four digits
         assert ingest.format_timestamps(stamps) == \
-            [ingest.format_timestamp(ts) for ts in expect]
+            [ts.replace(microsecond=0).isoformat() + "Z" for ts in expect]
         assert ingest.format_timestamps(stamps[:0]) == []
 
     def test_gappy_raw_round_trip_with_missing_cells(self, tmp_path):
@@ -621,8 +663,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_block_writes_match_row_by_row(self, tmp_path, extra):
-        # around one block of rows; the last stamp, a year before 1000,
-        # falls in the second block at block + 1 rows
+        # around one block of rows; the last stamp, a year before 1000
+        # written zero-padded, falls in the second block at block + 1 rows
         n = ingest.WRITE_BLOCK_ROWS + extra
         stamps = hours(*range(n))
         stamps[-1] = np.datetime64("0999-12-31T23:00:00", "us")
@@ -632,17 +674,38 @@ class TestRoundTrip:
         b = rng.normal(size=n)
         p = tmp_path / "w.csv"
         ingest.write_weather_csv(RawWeatherTable(stamps, {"a": a, "b": b}), p)
-        lines = [f"{ingest.format_timestamp(ingest.to_datetime(t))},"
+        lines = [f"{t.item().isoformat()}Z,"
                  f"{'' if np.isnan(x) else repr(float(x))},{float(y)!r}"
                  for t, x, y in zip(stamps, a, b)]
         assert p.read_bytes() == "\r\n".join(
             ["timestamp,a,b", *lines, ""]).encode()
 
     def test_outage_round_trip(self, tmp_path):
-        records = [ingest.OutageRecord(T0 + timedelta(hours=2, minutes=48), True),
-                   ingest.OutageRecord(T0 + timedelta(hours=7), False)]
+        events = ingest.OutageEvents(hours(2, 7) + np.array([48, 0], dtype="m8[m]"),
+                                     np.array([True, False]))
         p = tmp_path / "o.csv"
-        ingest.write_outage_csv(records, p)
+        ingest.write_outage_csv(events, p)
         back = ingest.parse_outage_csv(p)
-        assert [(r.timestamp, r.weather_related) for r in back] == \
-            [(r.timestamp, r.weather_related) for r in records]
+        assert same(back.timestamps, events.timestamps)
+        assert same(back.weather_related, events.weather_related)
+
+    def test_years_before_1000_round_trip(self, tmp_path):
+        stamps = np.datetime64("0999-12-31T22", "us") + np.arange(4) * ingest.HOUR
+        raw = RawWeatherTable(stamps, {"a": [1.5, np.nan, -2.0, 0.25]})
+        weather = tmp_path / "w.csv"
+        ingest.write_weather_csv(raw, weather)
+        assert weather.read_bytes().split(b"\r\n")[1:5:3] == [
+            b"0999-12-31T22:00:00Z,1.5", b"1000-01-01T01:00:00Z,0.25"]
+        back = ingest.parse_weather_csv(weather)
+        assert same(back.timestamps, stamps)
+        assert same(back.factors["a"], raw.factors["a"])
+        events = ingest.OutageEvents(stamps[::-1] + np.timedelta64(59, "m"),
+                                     np.array([True, False, True, False]))
+        outages = tmp_path / "o.csv"
+        ingest.write_outage_csv(events, outages)
+        again = ingest.parse_outage_csv(outages)
+        assert same(again.timestamps, events.timestamps)
+        assert same(again.weather_related, events.weather_related)
+        table = ingest.attach_outage_labels(ingest.interpolate_missing(back),
+                                            again.timestamps[again.weather_related])
+        assert list(table.label) == [0, 1, 0, 1]

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from outagebn import synthgen
-from outagebn.citest import independence_oracle
+from outagebn.citest import dataset_ci, independence_oracle
 from outagebn.pcalg import (GraphStateError, LearnedDag, PartialGraph,
                             complete_to_dag, learn_skeleton, learn_structure,
                             orient_v_structures, propagate_orientations,
@@ -78,16 +78,6 @@ class TestSkeleton:
             got = {tuple(sorted(e)) for e in g.undirected}
             assert got == want, (dag.parents,)
 
-    def test_max_depth_limits_conditioning(self):
-        seen = []
-
-        def fake(x, y, given):
-            seen.append(len(given))
-            return False
-
-        learn_skeleton(fake, nodes=list("abcde"), max_depth=1)
-        assert max(seen) == 1
-
     def test_dataset_source(self):
         rng = np.random.default_rng(8)
         n = 4000
@@ -99,7 +89,7 @@ class TestSkeleton:
                              rows=np.column_stack([a, b, c]),
                              labels=np.zeros(n, dtype=np.int64),
                              bin_edges=[np.array([0.5])] * 3)
-        g = learn_skeleton(ds, alpha=0.01)
+        g = learn_skeleton(dataset_ci(ds, 0.01), ds.columns)
         assert ("a", "b") in g.undirected
         assert ("a", "c") not in g.undirected
 
@@ -305,8 +295,8 @@ class TestFullRun:
                              rows=np.column_stack([a, b, c, t]),
                              labels=t.astype(np.int64),
                              bin_edges=[np.array([0.5, 1.5])] * 3 + [np.array([0.5])])
-        d1 = learn_structure(ds, target="t", alpha=0.05)
-        d2 = learn_structure(ds, target="t", alpha=0.05)
+        d1 = learn_structure(dataset_ci(ds, 0.05), ds.columns, "t")
+        d2 = learn_structure(dataset_ci(ds, 0.05), ds.columns, "t")
         assert d1.parents == d2.parents
         assert d1.provenance == d2.provenance
 
