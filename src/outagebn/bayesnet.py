@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pcalg import LearnedDag
-from .preprocess import DiscreteDataset, config_codes
+from .preprocess import DiscreteDataset, code_space, config_codes
 
 # Exact inference enumerates completions of the unobserved nodes; beyond
 # this many weighted terms the query is refused instead of thrashing.
@@ -47,7 +47,7 @@ class Cpt:
     default: np.ndarray
 
     def __post_init__(self):
-        n_configs = math.prod(self.parent_cards)
+        n_configs = code_space(self.parent_cards, f"node {self.node!r}")
         codes = np.asarray(self.configs, dtype=np.int64)
         if np.any(np.diff(codes) <= 0) or np.any((codes < 0) | (codes >= n_configs)):
             raise ValueError(f"{self.node}: configs must be sorted unique codes below {n_configs}")
@@ -148,6 +148,7 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         card = ds.cardinalities[col_of[node]]
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
+        code_space(parent_cards, f"node {node!r}")
         codes = config_codes([rows[:, col_of[p]] for p in parents], parent_cards, n)
         configs, config_of_row = np.unique(codes, return_inverse=True)
         # one count row per observed configuration, then a zero row whose

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .preprocess import DiscreteDataset, config_codes
+from .preprocess import DiscreteDataset, code_space, config_codes
 
 # Below this many samples per degree of freedom the asymptotic null is
 # unreliable; the test then abstains by reporting independence.
@@ -151,8 +151,9 @@ def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
     # One (configuration, x, y) table over the observed configurations
     # only, in ascending configuration-code order; no conditioning set is
     # the single configuration 0.
-    code = config_codes([rows[:, c].astype(np.int64) for c in cond],
-                        [cardinalities[c] for c in cond], n)
+    cond_cards = [cardinalities[c] for c in cond]
+    code_space(cond_cards, f"conditioning columns {cond}")
+    code = config_codes([rows[:, c].astype(np.int64) for c in cond], cond_cards, n)
     _, config = np.unique(code, return_inverse=True)
     m = int(config.max()) + 1
     cell = (config * ci + rows[:, i]) * cj + rows[:, j]

@@ -204,8 +204,11 @@ def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
         rows, cols = _binned_evidence(bn, table)
         probs = bayesnet.predict_rows(bn, rows, cols)[:, 1]
     with _stage("write"):
+        # hours share few distinct probabilities, so each is formatted once;
+        # distinct bit patterns keep -0.0 and 0.0 apart
+        bits, index = np.unique(probs.view(np.uint64), return_inverse=True)
         ingest.write_text_columns(out_path, [ingest.TIMESTAMP_COLUMN, "p_outage"],
-                                  table.timestamps, [probs])
+                                  table.timestamps, [(bits.view(np.float64), index)])
     print(f"wrote {len(probs)} hourly probabilities to {out_path}")
     return 0
 

@@ -26,6 +26,7 @@ import numpy as np
 
 TIME_DTYPE = np.dtype("datetime64[us]")
 HOUR = np.timedelta64(1, "h")
+_SECOND = np.timedelta64(1, "s")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 # Rows that write_text_columns formats and writes at a time. Formatting a
@@ -150,8 +151,22 @@ def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime
 
 def format_timestamps(stamps: np.ndarray) -> list[str]:
     """The ISO text ``YYYY-MM-DDTHH:MM:SSZ`` of every entry of a timeline,
-    cut to the second."""
-    return np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
+    cut to the second.
+
+    The text is ``np.datetime_as_string(stamps, unit="s", timezone="UTC")``'s.
+    When days repeat, as in a block of an hourly file (a few hundred days,
+    24 times of day), each distinct day and each distinct second of the day
+    is formatted once and the two are joined by index.
+    """
+    days = stamps.astype("datetime64[D]")
+    day, day_of = np.unique(days, return_inverse=True)
+    if 2 * day.size > stamps.size:  # as with outage events: little to share
+        return np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
+    second, second_of = np.unique((stamps - days) // _SECOND, return_inverse=True)
+    day_text = np.datetime_as_string(day).astype(object)
+    time_text = np.array([f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}Z"
+                          for s in second.tolist()], dtype=object)
+    return (day_text[day_of] + time_text[second_of]).tolist()
 
 
 def _parse_cell(text: str) -> float | None:
@@ -394,7 +409,9 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     Whole missing hours become rows first, then each factor is filled by
     linear interpolation against time; runs at either edge take the nearest
     observed value. A column observed nowhere raises
-    :class:`UnrecoverableColumnError`. Labels start at zero.
+    :class:`UnrecoverableColumnError`. Labels start at zero. When no hour is
+    missing, a column observed at every hour is ``raw``'s own array, not a
+    copy: ``np.interp`` would give back each sample exactly.
     """
     if raw.n_rows == 0:
         raise ValueError("cannot interpolate an empty table")
@@ -410,6 +427,9 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
 
     filled: dict[str, np.ndarray] = {}
     for name, values in raw.factors.items():
+        if n == raw.n_rows and np.isfinite(values).all():
+            filled[name] = values
+            continue
         col = np.full(n, np.nan)
         col[positions] = values
         observed = np.flatnonzero(np.isfinite(col))
@@ -494,23 +514,37 @@ def _format_column(values: np.ndarray) -> list[str]:
 
 
 def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
-                       columns: Sequence[np.ndarray]) -> None:
+                       columns: Sequence[np.ndarray | tuple[np.ndarray, np.ndarray]]
+                       ) -> None:
     """Write a CSV of a timeline and float columns, one row per timestamp.
 
     Each row is the :func:`format_timestamps` text of its timestamp and the
-    ``repr`` of its floats, a NaN written as an empty cell. The header goes
-    through :mod:`csv`; the cells are joined as they are, with csv's CRLF
-    line ends, as they never need quoting. Rows are formatted and written
-    :data:`WRITE_BLOCK_ROWS` at a time, so the texts held in memory stay one
-    block long whatever the length of the file.
+    ``repr`` of its floats, a NaN written as an empty cell. A column is a
+    float array, or a pair ``(values, index)`` that stands for
+    ``values[index]``: each of ``values`` is then formatted once, which
+    pays off when few distinct values repeat over many rows. The header
+    goes through :mod:`csv`; the cells are joined as they are, with csv's
+    CRLF line ends, as they never need quoting. Rows are formatted and
+    written :data:`WRITE_BLOCK_ROWS` at a time, so the texts held in memory
+    stay one block long, beside those of the paired columns' ``values``.
     """
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    # each column as the texts of its values, or None to format per row,
+    # beside the array a block slices
+    parts = []
+    for c in columns:
+        if isinstance(c, tuple):
+            values, index = c
+            parts.append((np.array(_format_column(np.asarray(values, dtype=np.float64)),
+                                   dtype=object), np.asarray(index)))
+        else:
+            parts.append((None, np.asarray(c, dtype=np.float64)))
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(timestamps), WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
             cells = [format_timestamps(timestamps[block]),
-                     *(_format_column(c[block]) for c in columns)]
+                     *(_format_column(c[block]) if texts is None
+                       else texts[c[block]].tolist() for texts, c in parts)]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

@@ -67,12 +67,27 @@ class DiscreteDataset:
         assert set(np.unique(self.labels)) <= {0, 1}
 
 
+def code_space(cards: Sequence[int], owner: str) -> int:
+    """The number of configurations of columns with cardinalities ``cards``.
+
+    Refuses, with a ValueError naming ``owner``, a space of 2**63 or more,
+    whose codes :func:`config_codes` cannot hold in int64. Callers check
+    once per table or test, before coding any row.
+    """
+    space = math.prod(int(c) for c in cards)
+    if space >= 2**63:
+        raise ValueError(f"{owner}: {space} configurations of {len(cards)} columns "
+                         "do not fit an int64 code")
+    return space
+
+
 def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     """Mixed-radix code per row, first column most significant (the CPT row order).
 
     Each column is an int64 array of length ``n`` or one int shared by all
     rows. When every column is an int, so is the code; with no columns it
-    is ``n`` zeros.
+    is ``n`` zeros. The codes wrap silently unless
+    ``code_space(cards, ...)`` holds.
     """
     if not len(columns):
         return np.zeros(n, dtype=np.int64)

@@ -100,6 +100,36 @@ class TestFitCpts:
             assert np.max(np.abs(bn.cpts[node].table
                                  - bn_true.cpts[node].table)) < 0.02
 
+    def test_eighteen_ten_state_parents_code_as_python_ints(self):
+        rng = np.random.default_rng(18)
+        parents = [f"P{k}" for k in range(18)]
+        rows = rng.integers(0, 10, size=(300, 19))
+        ds = make_ds([*parents, "x"], rows, cards=[10] * 19)
+        dag = LearnedDag(nodes=[*parents, "x"],
+                         parents={**{q: [] for q in parents}, "x": parents})
+        cpt = fit_cpts(dag, ds).cpts["x"]
+        want = sorted({int("".join(map(str, r[:18]))) for r in rows.tolist()})
+        assert cpt.configs.tolist() == want
+        assert cpt.row(rows[7, :18].tolist()).tolist() == \
+            cpt.rows[want.index(int("".join(map(str, rows[7, :18]))))].tolist()
+
+    def test_nineteen_ten_state_parents_refused(self):
+        # 10**19 configurations overflow the int64 code
+        rng = np.random.default_rng(19)
+        parents = [f"P{k}" for k in range(19)]
+        ds = make_ds([*parents, "x"], rng.integers(0, 10, size=(300, 20)),
+                     cards=[10] * 20)
+        dag = LearnedDag(nodes=[*parents, "x"],
+                         parents={**{q: [] for q in parents}, "x": parents})
+        message = "node 'x': 10000000000000000000 configurations of 19 columns " \
+            "do not fit an int64 code"
+        with pytest.raises(ValueError, match=message):
+            fit_cpts(dag, ds)
+        # a table read from a model file is checked the same way
+        with pytest.raises(ValueError, match=message):
+            bayesnet.Cpt("x", parents, [10] * 19, 10, np.array([0]),
+                         np.full((1, 10), 0.1), np.full(10, 0.1))
+
     def test_alpha_validation(self):
         ds = make_ds(["x"], [[0]], cards=[2])
         dag = LearnedDag(nodes=["x"], parents={"x": []})

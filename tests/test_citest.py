@@ -126,6 +126,16 @@ class TestGStatistic:
         with pytest.raises(ValueError):
             g_test_ci(np.zeros((0, 2), dtype=int), 0, 1, cardinalities=[2, 2])
 
+    def test_conditioning_space_past_int64_refused(self):
+        rng = np.random.default_rng(19)
+        data = rng.integers(0, 10, size=(50, 21))
+        cards = [10] * 21
+        # 18 ten-state columns code; 19 would wrap
+        g_test_ci(data, 0, 1, list(range(2, 20)), cardinalities=cards)
+        with pytest.raises(ValueError, match=r"conditioning columns \[2, 3, .*, 20\]: "
+                                             "10000000000000000000 configurations"):
+            g_test_ci(data, 0, 1, list(range(2, 21)), cardinalities=cards)
+
     def test_matches_per_configuration_oracle(self):
         # bit-equal to tabulating each conditioning configuration on its
         # own: 0-3 conditioning columns, declared levels that never occur,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import outagebn
-from outagebn import bayesnet, synthgen
+from outagebn import bayesnet, ingest, synthgen
 from outagebn.cli import (PipelineConfig, _binned_evidence, _parse_grid,
                           build_config, build_parser, main)
 
@@ -247,6 +247,21 @@ class TestPredict:
                        "--out", str(out)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_is_the_per_hour_repr(self, scenario_dir, tmp_path):
+        # the probabilities go to the writer as distinct values plus an
+        # index; the file is the one the per-hour column gives
+        out, plain = tmp_path / "preds.csv", tmp_path / "plain.csv"
+        assert main(["predict", "--model", str(scenario_dir / "model.json"),
+                     "--weather", str(scenario_dir / "weather.csv"),
+                     "--out", str(out)]) == 0
+        bn, _ = bayesnet.load_model(scenario_dir / "model.json")
+        table = ingest.interpolate_missing(
+            ingest.parse_weather_csv(scenario_dir / "weather.csv"))
+        probs = bayesnet.predict_rows(bn, *_binned_evidence(bn, table))[:, 1]
+        ingest.write_text_columns(plain, ["timestamp", "p_outage"],
+                                  table.timestamps, [probs])
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_wrong_columns_fail_in_ingest(self, scenario_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

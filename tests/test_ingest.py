@@ -20,6 +20,10 @@ UTC = timezone.utc
 T0 = datetime(2021, 3, 1, 0, 0, tzinfo=UTC)
 
 
+_YEAR_1_US = int(np.datetime64("0001-01-01", "us").view(np.int64))
+_YEAR_10000_US = int(np.datetime64("10000-01-01", "us").view(np.int64))
+
+
 def hours(*ks):
     return np.datetime64("2021-03-01T00:00", "us") + np.array(ks, dtype="m8[h]")
 
@@ -474,6 +478,24 @@ class TestInterpolate:
         assert table.factors["x"][0] == vals[0]
         assert table.factors["x"][2] == vals[2]
 
+    def test_complete_columns_pass_through(self):
+        # every hour present: an observed column comes back as it is, the
+        # bytes np.interp gives at the sample points, even where a slope
+        # overflows (1e308 beside -1e308) or the sample is -0.0
+        x = np.array([1e308, -1e308, -0.0, 1e308, 0.0, -1e308, 2.5])
+        y = np.array([1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0])
+        raw = RawWeatherTable(hours(*range(7)), {"x": x, "y": y})
+        table = ingest.interpolate_missing(raw)
+        grid = np.arange(7)
+        assert table.factors["x"] is raw.factors["x"]
+        assert table.factors["x"].tobytes() == np.interp(grid, grid, x).tobytes()
+        assert list(table.factors["y"]) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        # a missing hour sends every column through the interpolation
+        gappy = ingest.interpolate_missing(
+            RawWeatherTable(hours(0, 1, 3), {"x": [-0.0, 1e308, -1e308]}))
+        assert gappy.factors["x"].tobytes() == np.interp(
+            [0, 1, 2, 3], [0, 1, 3], [-0.0, 1e308, -1e308]).tobytes()
+
     def test_misaligned_timestamp_rejected(self):
         raw = RawWeatherTable(hours(0) + np.array([0, 90], dtype="m8[m]"),
                               {"x": [1.0, 2.0]})
@@ -643,6 +665,42 @@ class TestRoundTrip:
             [ts.replace(microsecond=0).isoformat() + "Z" for ts in expect]
         assert ingest.format_timestamps(stamps[:0]) == []
 
+    def test_distinct_value_column_writes_per_value_bytes(self, tmp_path):
+        # NaN (an empty cell), both signed zeros and two values one ulp
+        # apart, over more than one block of rows
+        n = ingest.WRITE_BLOCK_ROWS + 3
+        pool = np.array([np.nan, 0.0, -0.0, 0.1, np.nextafter(0.1, 1.0), 1e-320, 0.5])
+        col = pool[np.random.default_rng(4).integers(pool.size, size=n)]
+        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+        assert bits.size == pool.size
+        stamps = hours(*range(n))
+        plain, paired = tmp_path / "plain.csv", tmp_path / "paired.csv"
+        ingest.write_text_columns(plain, ["timestamp", "p"], stamps, [col])
+        ingest.write_text_columns(paired, ["timestamp", "p"], stamps,
+                                  [(bits.view(np.float64), index)])
+        assert paired.read_bytes() == plain.read_bytes()
+        assert set(plain.read_bytes().split(b"\r\n")[1].split(b",")[1:]) <= \
+            {b"", b"0.0", b"-0.0", b"0.1", b"0.10000000000000002", b"1e-320", b"0.5"}
+
+    def test_distinct_value_column_holds_one_block_of_texts(self, tmp_path):
+        # 100k rows drawing on 500 values: the write holds the 500 texts and
+        # one block's, nowhere near the texts of the whole file
+        n = 100_000
+        rng = np.random.default_rng(9)
+        values = rng.random(500)
+        index = rng.integers(values.size, size=n)
+        stamps = np.datetime64("2000-01-01T00", "us") + np.arange(n) * ingest.HOUR
+        p = tmp_path / "p.csv"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ingest.write_text_columns(p, ["timestamp", "p"], stamps, [(values, index)])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the texts of every row take about five times the file's size
+        assert peak < p.stat().st_size / 2
+
     def test_gappy_raw_round_trip_with_missing_cells(self, tmp_path):
         raw = RawWeatherTable(hours(0, 1, 3, 7, 8),
                               {"a": [1.5, np.nan, -0.0, 2e-300, np.nan],
@@ -660,6 +718,24 @@ class TestRoundTrip:
         for name in ("a", "b"):
             assert np.array_equal(back.factors[name].view(np.uint64),
                                   raw.factors[name].view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_format_timestamps_matches_numpy(self, data):
+        # unsorted instants from year 1 to 9999, with repeats, before 1970
+        # and between whole seconds; days repeat in some arrays and not in
+        # others
+        instant = st.one_of(
+            st.integers(_YEAR_1_US, _YEAR_10000_US - 1),
+            st.integers(-2 * 86_400_000_000, 2 * 86_400_000_000),
+            st.integers(-200, 200).map(lambda h: h * 3_600_000_000))
+        micros = data.draw(st.lists(instant, max_size=40))
+        if micros:
+            micros += data.draw(st.lists(st.sampled_from(micros), max_size=10))
+            micros = data.draw(st.permutations(micros))
+        stamps = np.array(micros, dtype=np.int64).view(ingest.TIME_DTYPE)
+        assert ingest.format_timestamps(stamps) == \
+            np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_block_writes_match_row_by_row(self, tmp_path, extra):

@@ -128,6 +128,21 @@ class TestConfigCodes:
         got = preprocess.config_codes([], [], 4)
         assert got.dtype == np.int64 and got.tolist() == [0, 0, 0, 0]
 
+    def test_eighteen_ten_state_columns_match_python_ints(self):
+        # 10**18 configurations still fit int64; 10**19 do not
+        rng = np.random.default_rng(18)
+        cols = [rng.integers(10, size=200) for _ in range(18)]
+        want = [int("".join(map(str, digits))) for digits in zip(*cols)]
+        assert preprocess.config_codes(cols, [10] * 18, 200).tolist() == want
+        assert preprocess.code_space([10] * 18, "t") == 10 ** 18
+        with pytest.raises(ValueError, match="t: 10000000000000000000 configurations "
+                                             "of 19 columns do not fit an int64 code"):
+            preprocess.code_space([10] * 19, "t")
+        with pytest.raises(ValueError, match="int64"):
+            preprocess.code_space([2] * 63, "t")
+        assert preprocess.code_space([2] * 62 + [1], "t") == 2 ** 62
+        assert preprocess.code_space([], "t") == 1
+
 
 class TestLabelColumn:
     def test_appends_binary_column(self):
