@@ -148,7 +148,6 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         card = ds.cardinalities[col_of[node]]
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
-        code_space(parent_cards, f"node {node!r}")
         codes = config_codes([rows[:, col_of[p]] for p in parents], parent_cards, n)
         configs, config_of_row = np.unique(codes, return_inverse=True)
         # one count row per observed configuration, then a zero row whose

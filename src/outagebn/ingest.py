@@ -154,14 +154,12 @@ def format_timestamps(stamps: np.ndarray) -> list[str]:
     cut to the second.
 
     The text is ``np.datetime_as_string(stamps, unit="s", timezone="UTC")``'s.
-    When days repeat, as in a block of an hourly file (a few hundred days,
-    24 times of day), each distinct day and each distinct second of the day
-    is formatted once and the two are joined by index.
+    Each distinct day and each distinct second of the day is formatted once
+    and the two are joined by index: a block of an hourly file spans a few
+    hundred days and 24 times of day.
     """
     days = stamps.astype("datetime64[D]")
     day, day_of = np.unique(days, return_inverse=True)
-    if 2 * day.size > stamps.size:  # as with outage events: little to share
-        return np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
     second, second_of = np.unique((stamps - days) // _SECOND, return_inverse=True)
     day_text = np.datetime_as_string(day).astype(object)
     time_text = np.array([f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}Z"
@@ -424,10 +422,11 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     positions = (stamps - stamps[0]) // HOUR
     n = int(positions[-1]) + 1
     grid = stamps[0] + np.arange(n) * HOUR
+    every_hour_in_order = n == raw.n_rows and np.array_equal(positions, np.arange(n))
 
     filled: dict[str, np.ndarray] = {}
     for name, values in raw.factors.items():
-        if n == raw.n_rows and np.isfinite(values).all():
+        if every_hour_in_order and np.isfinite(values).all():
             filled[name] = values
             continue
         col = np.full(n, np.nan)

@@ -495,6 +495,10 @@ class TestInterpolate:
             RawWeatherTable(hours(0, 1, 3), {"x": [-0.0, 1e308, -1e308]}))
         assert gappy.factors["x"].tobytes() == np.interp(
             [0, 1, 2, 3], [0, 1, 3], [-0.0, 1e308, -1e308]).tobytes()
+        # every hour present but out of order: still scattered onto the grid
+        shuffled = ingest.interpolate_missing(
+            RawWeatherTable(hours(0, 2, 1, 3), {"x": [0.0, 2.0, 1.0, 3.0]}))
+        assert list(shuffled.factors["x"]) == [0.0, 1.0, 2.0, 3.0]
 
     def test_misaligned_timestamp_rejected(self):
         raw = RawWeatherTable(hours(0) + np.array([0, 90], dtype="m8[m]"),
