@@ -14,9 +14,13 @@ on a uniform one-hour grid once they pass through
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import os
 import re
+import signal
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -26,7 +30,6 @@ import numpy as np
 
 TIME_DTYPE = np.dtype("datetime64[us]")
 HOUR = np.timedelta64(1, "h")
-_SECOND = np.timedelta64(1, "s")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 # Rows that write_text_columns formats and writes at a time. Formatting a
@@ -150,21 +153,29 @@ def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime
 
 
 def format_timestamps(stamps: np.ndarray) -> list[str]:
-    """The ISO text ``YYYY-MM-DDTHH:MM:SSZ`` of every entry of a timeline,
-    cut to the second.
+    """The ISO text ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` of every entry of a
+    timeline, with the six-digit fraction only where a stamp has one.
 
-    The text is ``np.datetime_as_string(stamps, unit="s", timezone="UTC")``'s.
-    Each distinct day and each distinct second of the day is formatted once
-    and the two are joined by index: a block of an hourly file spans a few
-    hundred days and 24 times of day.
+    A whole-second stamp's text is ``np.datetime_as_string(stamps, unit="s",
+    timezone="UTC")``'s, any other's that with ``unit="us"``; either is
+    what :func:`parse_timestamp` reads back. Each distinct day and each
+    distinct time of day is formatted once and the two are joined by
+    index: a block of an hourly file spans a few hundred days and 24 times
+    of day.
     """
     days = stamps.astype("datetime64[D]")
     day, day_of = np.unique(days, return_inverse=True)
-    second, second_of = np.unique((stamps - days) // _SECOND, return_inverse=True)
+    time_us, time_of = np.unique((stamps - days) // np.timedelta64(1, "us"),
+                                 return_inverse=True)
     day_text = np.datetime_as_string(day).astype(object)
-    time_text = np.array([f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}Z"
-                          for s in second.tolist()], dtype=object)
-    return (day_text[day_of] + time_text[second_of]).tolist()
+    time_text = np.array([_time_of_day_text(*divmod(us, 1_000_000))
+                          for us in time_us.tolist()], dtype=object)
+    return (day_text[day_of] + time_text[time_of]).tolist()
+
+
+def _time_of_day_text(s: int, us: int) -> str:
+    fraction = f".{us:06d}" if us else ""
+    return f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}{fraction}Z"
 
 
 def _parse_cell(text: str) -> float | None:
@@ -232,41 +243,155 @@ _NAN = np.frombuffer(b"nan", dtype=np.uint8)
 # about 20% slower), few enough that its scratch arrays stay a small part
 # of the file (1 MiB lifted the gappy parse's tracemalloc peak by 1.8 MiB).
 _SCAN_BLOCK = 1 << 18
+# A file's data lines are split into one part per usable CPU, but into no
+# more than one per _MIN_PART_BYTES and no more than _MAX_PARTS: a part
+# costs one fork, and the gathered columns wait for the slowest part.
+_MIN_PART_BYTES = 1 << 20
+_MAX_PARTS = 8
 
 
 def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                         col_idx: list[int]) -> RawWeatherTable | None:
-    """The whole file through one ``np.loadtxt`` call, or ``None`` to fall back.
+    """The file through ``np.loadtxt``, one line-aligned part per usable
+    CPU, or ``None`` to fall back.
 
     Accepts only files whose every cell the per-cell reader would read the
     same way: ASCII with no quote, NUL or lone CR; at least one data line;
     every timestamp in the fixed layout ``YYYY-MM-DDTHH:MM:SSZ`` and unique;
-    every other cell a number numpy parses or a missing cell. numpy and
-    ``float`` share CPython's string-to-double routine and its whitespace
-    rules; numpy rejects what else ``float`` takes (``1_000``).
+    every other cell a number numpy parses or a missing cell. Each part
+    runs these checks on its own lines (:func:`_parse_part`); the sort, the
+    duplicate check and the rewrite of non-finite values to ``NaN`` run
+    here, once, on the gathered columns. Part 0 is
+    parsed in this process and every other part in a forked worker
+    (:func:`_fork_part`); a part that falls back, or a worker that dies,
+    sends the whole file to the per-cell reader. No worker outlives this
+    call, whatever it raises.
+    """
+    with open(p, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n") or b"\r" in header[:-2]:
+            return None  # no data line, or a lone CR in the header
+        ranges = _part_ranges(fh, len(header), os.fstat(fh.fileno()).st_size)
+    dtype = np.dtype([(f"f{k}", f"S{_STAMP_LAYOUT.size}" if k == ts_idx else "f8")
+                      for k in range(n_fields)])
+    part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
+                             col_idx=col_idx)
+    workers: list[tuple[int, io.BufferedReader]] = []
+    try:
+        for start, stop in ranges[1:]:
+            try:
+                workers.append(_fork_part(part, start, stop))
+            except OSError:  # no process to spare: the rest is parsed here
+                break
+        local = [part(*r) for r in [ranges[0], *ranges[1 + len(workers):]]]
+        if any(arrays is None for arrays in local):
+            return None
+        counts = [arrays[0].size for arrays in local]
+        for _, pipe in workers:
+            head = pipe.read(8)
+            count = np.frombuffer(head, dtype=np.int64)[0] if len(head) == 8 else -1
+            if count < 0:
+                return None  # the part falls back, or its worker died
+            counts.append(int(count))
+        if not sum(counts):
+            return None  # no data rows
+        # one column at a time: the parts parsed here, then each worker's
+        # part read straight into place
+        gathered = []
+        for j in range(len(local[0])):
+            out = np.empty(sum(counts), dtype=local[0][j].dtype)
+            at = 0
+            for arrays in local:
+                out[at:at + arrays[j].size] = arrays[j]
+                at += arrays[j].size
+                arrays[j] = None
+            for (_, pipe), n in zip(workers, counts[len(local):]):
+                if pipe.readinto(out[at:at + n].view(np.uint8)) != 8 * n:
+                    return None  # the worker died
+                at += n
+            gathered.append(out)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    stamps = gathered.pop(0)
+    if np.all(stamps[1:] > stamps[:-1]):
+        order = None
+    else:
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        if np.any(stamps[1:] == stamps[:-1]):
+            return None  # the per-cell reader reports the row
+    factors = {}
+    for c in columns:
+        values = gathered.pop(0)
+        values[~np.isfinite(values)] = np.nan
+        factors[c] = values if order is None else values[order]
+    return RawWeatherTable(stamps, factors)
+
+
+def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
+    """The byte ranges of a file's parts, which split its data lines at line
+    ends.
+
+    There are as many parts as usable CPUs, but no more than one per
+    :data:`_MIN_PART_BYTES` of data lines and no more than
+    :data:`_MAX_PARTS`; one where ``os.fork`` is missing. Part 0 starts at
+    the header. Every other part starts at the LF that ends the line before
+    its first one, which the previous part also ends with, so that every
+    part's first line, the header or an empty one, is skipped alike.
+    """
+    n = min(_usable_cpus(), (size - body) // _MIN_PART_BYTES, _MAX_PARTS) \
+        if hasattr(os, "fork") else 1
+    starts = [0]
+    for k in range(1, n):
+        fh.seek(max(body + (size - body) * k // n, starts[-1] + 1))
+        if not fh.readline().endswith(b"\n"):
+            break  # the cut falls in the last line
+        starts.append(fh.tell() - 1)
+    return list(zip(starts, [s + 1 for s in starts[1:]] + [size]))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
+                col_idx: list[int]) -> list[np.ndarray] | None:
+    """One part of a weather file (:func:`_part_ranges`) through one
+    structured ``np.loadtxt`` call: its timestamps, then views of the
+    columns ``col_idx`` as numpy read them, in file order, or ``None`` to
+    fall back.
 
     numpy reads LF and CRLF line ends alike, so the bytes go to it as they
     are, but for two rewrites to ``nan``. ``N/A`` becomes ``nan`` wherever
     it occurs: as a whole field, signed or padded, it is then a NaN, as
     ``_parse_cell`` reads it; inside any other text (``xN/A``, ``N/AN/A``)
     numpy refuses the field, and the file falls back. An empty data field
-    gets ``nan`` written into it (:func:`_fill_empty_fields`). A file with
-    neither is not copied.
+    gets ``nan`` written into it (:func:`_fill_empty_fields`). A part with
+    neither is not copied. numpy and ``float`` share CPython's
+    string-to-double routine and its whitespace rules; numpy rejects what
+    else ``float`` takes (``1_000``).
     """
-    data = p.read_bytes()
+    with open(p, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
     # C code on either side may end a text at a NUL
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
     body = data.find(b"\n") + 1
-    if not body or _DATA_BYTE.search(data, body) is None:
-        return None  # no data rows
+    if _DATA_BYTE.search(data, body) is None:
+        # blank lines only: loadtxt would warn of an empty input
+        return [np.empty(0, dtype=TIME_DTYPE), *(np.empty(0) for _ in col_idx)]
     data = data.replace(b"N/A", b"nan")
     data = _fill_empty_fields(data, body)
     if data is None:
         return None  # a lone CR, which csv reads as a line end
-    dtype = np.dtype([(f"f{k}", f"S{_STAMP_LAYOUT.size}" if k == ts_idx else "f8")
-                      for k in range(n_fields)])
-    # BytesIO shares a bytes object but copies an array; the file's own
+    # BytesIO shares a bytes object but copies an array; the part's own
     # bytes went when data took the array, so two copies are the most held
     stream = io.BytesIO(data)
     del data
@@ -287,30 +412,54 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
         return None
     if stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
         return None
-    order = np.argsort(stamps, kind="stable")
-    stamps = stamps[order]
-    if np.any(stamps[1:] == stamps[:-1]):
-        return None  # the per-cell reader reports the row
-    factors = {}
-    for c, k in zip(columns, col_idx):
-        values = rows[f"f{k}"][order]
-        values[~np.isfinite(values)] = np.nan
-        factors[c] = values
-    return RawWeatherTable(stamps, factors)
+    return [stamps, *(rows[f"f{k}"] for k in col_idx)]
+
+
+def _fork_part(part, start: int, stop: int) -> tuple[int, io.BufferedReader]:
+    """Run ``part(start, stop)`` in a forked worker: its pid, and the pipe it
+    sends back the part's row count (-1 to fall back) and then each of its
+    arrays' bytes, all of 8-byte items.
+
+    Fork, not spawn: the worker needs the parent's imported numpy and
+    nothing else, and runs only the reader and a pipe write.
+    """
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of fork in a process with threads, such as
+            # BLAS's idle pool, which the worker never calls
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            arrays = part(start, stop)
+            with open(w, "wb") as pipe:
+                pipe.write(np.int64(-1 if arrays is None else arrays[0].size).tobytes())
+                for a in arrays or ():
+                    pipe.write(np.ascontiguousarray(a).view(np.uint8))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _fill_empty_fields(data: bytes, body: int) -> bytes | np.ndarray | None:
     """``data`` with ``nan`` in each empty field of its data lines, or ``None``
-    if it holds a lone CR.
+    if they hold a lone CR.
 
     ``body`` is the offset of the first data line. ``data`` itself comes
     back when no field is empty; otherwise a new uint8 array, built one
     block at a time, so that ``data`` and the result are the only copies of
-    the file held: :func:`_empty_field_spots` runs once to count the fields
+    the part held: :func:`_empty_field_spots` runs once to count the fields
     and once more to place them.
     """
-    if data.find(b"\r", 0, body - 2) >= 0:
-        return None  # in the header, whose line ends at body - 1
     buf = np.frombuffer(data, dtype=np.uint8)
     blocks = range(body, buf.size, _SCAN_BLOCK)
     n_empty = 0
@@ -407,9 +556,11 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     Whole missing hours become rows first, then each factor is filled by
     linear interpolation against time; runs at either edge take the nearest
     observed value. A column observed nowhere raises
-    :class:`UnrecoverableColumnError`. Labels start at zero. When no hour is
-    missing, a column observed at every hour is ``raw``'s own array, not a
-    copy: ``np.interp`` would give back each sample exactly.
+    :class:`UnrecoverableColumnError`, and a timeline that is not strictly
+    increasing or not on whole hours a ``ValueError`` that names the first
+    offending stamp. Labels start at zero. When no hour is missing, the
+    timeline and each column observed at every hour are ``raw``'s own
+    arrays, not copies: ``np.interp`` would give back each sample exactly.
     """
     if raw.n_rows == 0:
         raise ValueError("cannot interpolate an empty table")
@@ -419,22 +570,28 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
         k = misaligned[0]
         raise ValueError(f"weather timestamp {format_timestamps(stamps[k:k + 1])[0]}"
                          " is not hour-aligned")
-    positions = (stamps - stamps[0]) // HOUR
-    n = int(positions[-1]) + 1
-    grid = stamps[0] + np.arange(n) * HOUR
-    every_hour_in_order = n == raw.n_rows and np.array_equal(positions, np.arange(n))
+    unordered = np.flatnonzero(stamps[1:] <= stamps[:-1])
+    if unordered.size:
+        k = unordered[0]
+        before, stamp = format_timestamps(stamps[k:k + 2])
+        raise ValueError(f"weather timestamp {stamp} does not come after {before}:"
+                         " the timeline must strictly increase")
+    n = int((stamps[-1] - stamps[0]) // HOUR) + 1
+    # strictly increasing whole hours with none missing are the grid itself
+    complete = n == raw.n_rows
+    grid = stamps if complete else stamps[0] + np.arange(n) * HOUR
+    hours = np.arange(n, dtype=np.float64)
+    positions = hours if complete else (stamps - stamps[0]) // HOUR
 
     filled: dict[str, np.ndarray] = {}
     for name, values in raw.factors.items():
-        if every_hour_in_order and np.isfinite(values).all():
+        observed = np.isfinite(values)
+        if complete and observed.all():
             filled[name] = values
-            continue
-        col = np.full(n, np.nan)
-        col[positions] = values
-        observed = np.flatnonzero(np.isfinite(col))
-        if observed.size == 0:
+        elif observed.any():
+            filled[name] = np.interp(hours, positions[observed], values[observed])
+        else:
             raise UnrecoverableColumnError(name)
-        filled[name] = np.interp(np.arange(n), observed, col[observed])
     return TimeSeriesTable(grid, filled, np.zeros(n, dtype=np.int64))
 
 

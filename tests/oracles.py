@@ -291,7 +291,7 @@ def weather_per_cell(path, schema=None) -> tuple:
     rows.sort(key=lambda r: r[0])
     for (prev, _, _), (ts, lineno, _) in zip(rows, rows[1:]):
         if ts == prev:
-            text = ts.replace(microsecond=0, tzinfo=None).isoformat()
+            text = ts.replace(tzinfo=None).isoformat()
             raise ParseError(f"duplicate timestamp {text}Z",
                              path=path, row=lineno, column="timestamp")
     stamps = np.array([np.datetime64(ts.replace(tzinfo=None), "us") for ts, _, _ in rows],

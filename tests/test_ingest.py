@@ -1,6 +1,9 @@
 """Ingestion: parsing, hourly alignment, interpolation, label attachment."""
 
+import contextlib
 import csv
+import errno
+import os
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -144,7 +147,7 @@ class TestParseWeather:
 
     def test_sub_second_timestamps_keep_their_order(self, tmp_path):
         # rows 0.4 s apart are two rows, sorted at full precision; the
-        # grid then rejects them with the timestamp cut to whole seconds
+        # grid then rejects them, naming the stamp to the microsecond
         p = write(tmp_path, "w.csv",
                   "timestamp,x\n"
                   "2021-03-01T00:00:00.7Z,1\n"
@@ -156,7 +159,7 @@ class TestParseWeather:
         with pytest.raises(ValueError) as err:
             ingest.interpolate_missing(raw)
         assert str(err.value) == \
-            "weather timestamp 2021-03-01T00:00:00Z is not hour-aligned"
+            "weather timestamp 2021-03-01T00:00:00.300000Z is not hour-aligned"
 
     def test_duplicate_is_exact_to_the_microsecond(self, tmp_path):
         p = write(tmp_path, "w.csv",
@@ -166,7 +169,7 @@ class TestParseWeather:
                   "2021-03-01T00:00:00.250Z,3\n")
         with pytest.raises(ParseError) as err:
             ingest.parse_weather_csv(p)
-        assert str(err.value) == (f"duplicate timestamp 2021-03-01T00:00:00Z "
+        assert str(err.value) == (f"duplicate timestamp 2021-03-01T00:00:00.250000Z "
                                   f"({p}, row 4, column 'timestamp')")
 
 
@@ -428,6 +431,152 @@ def test_parse_matches_per_cell_reader(tmp_path_factory, case):
         assert_matches_per_cell(p, schema)
 
 
+@contextlib.contextmanager
+def split_parse(cpus, min_part_bytes=1):
+    """parse_weather_csv on a host with ``cpus`` usable CPUs, splitting files
+    into parts of ``min_part_bytes`` of data lines or more."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                           create=True), \
+            mock.patch.object(ingest, "_MIN_PART_BYTES", min_part_bytes):
+        yield
+
+
+def part_texts(p):
+    """The bytes of each part that parse_weather_csv splits ``p`` into."""
+    data = p.read_bytes()
+    with open(p, "rb") as fh:
+        body = len(fh.readline())
+        return [data[a:b] for a, b in ingest._part_ranges(fh, body, len(data))]
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weather_files(), st.integers(1, 4), st.integers(1, 48))
+def test_split_parse_matches_per_cell_reader(tmp_path_factory, case, cpus,
+                                             min_part_bytes):
+    # small parts cut the files at arbitrary line ends
+    data, schema, fast = case
+    p = tmp_path_factory.getbasetemp() / "split.csv"
+    p.write_bytes(data)
+    with split_parse(cpus, min_part_bytes):
+        if fast:
+            with mock.patch.object(ingest, "_parse_weather_rows", refuse):
+                assert_matches_per_cell(p, schema)
+        else:
+            assert_matches_per_cell(p, schema)
+    assert_no_child()
+
+
+class TestSplitParse:
+    """A file read in several parts gives the table or the error it gives
+    read in one, and leaves no worker process behind."""
+
+    def test_gen_and_gappy_files_in_four_parts(self, tmp_path):
+        stock = gen_weather(tmp_path)
+        gappy = gappy_copy(stock, tmp_path / "gappy.csv")
+        with split_parse(4, 1000):
+            assert len(part_texts(stock)) == len(part_texts(gappy)) == 4
+            with mock.patch.object(ingest, "_parse_weather_rows", refuse):
+                assert_matches_per_cell(stock)
+                assert_matches_per_cell(gappy, ["F3", "F1"])
+        assert_no_child()
+
+    @pytest.mark.parametrize("last, message", [
+        ("2021-03-02T16:00:00Z,junk", None),
+        ("2021-03-02T16:00:00Z,1\r2021-03-02T17:00:00Z,2", None),
+        ("2021-03-01T00:00:00Z,9", "duplicate timestamp 2021-03-01T00:00:00Z ({p}, "
+                                   "row 42, column 'timestamp')")])
+    def test_defect_in_the_last_part_only(self, tmp_path, last, message):
+        lines = [f"{(T0 + timedelta(hours=h)):%Y-%m-%dT%H:%M:%S}Z,{h}" for h in range(40)]
+        p = write(tmp_path, "w.csv", "\n".join(["timestamp,x", *lines, last]) + "\n")
+        with split_parse(2, 64):
+            *head, tail = part_texts(p)
+            assert head and last.encode() in tail
+            with mock.patch.object(ingest, "_parse_weather_rows",
+                                   wraps=ingest._parse_weather_rows) as per_cell:
+                result = assert_matches_per_cell(p)
+        assert per_cell.called
+        if message is not None:
+            assert str(result) == message.format(p=p)
+        assert_no_child()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_part_of_blank_lines_only(self, tmp_path, eol):
+        p = tmp_path / "w.csv"
+        p.write_bytes(eol.join(["timestamp,x", "2021-03-01T01:00:00Z,1", *[""] * 300,
+                                "2021-03-01T00:00:00Z,"]).encode())
+        with split_parse(3), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parts = part_texts(p)
+            assert len(parts) == 3 and parts[1].strip() == b""
+            with mock.patch.object(ingest, "_parse_weather_rows", refuse):
+                raw = assert_matches_per_cell(p)
+        assert same(raw.factors["x"], [np.nan, 1.0])
+        assert_no_child()
+
+    def test_one_cpu_or_no_fork_parses_in_process(self, tmp_path, monkeypatch):
+        stock = gen_weather(tmp_path)
+        expected = oracles.weather_per_cell(stock)
+        monkeypatch.setattr(os, "fork", refuse)
+        with split_parse(1):
+            assert len(part_texts(stock)) == 1
+            assert_matches_per_cell(stock)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert len(part_texts(stock)) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        with mock.patch.object(ingest, "_MIN_PART_BYTES", 1):
+            assert len(part_texts(stock)) == 1
+            raw = ingest.parse_weather_csv(stock)
+        assert np.array_equal(raw.timestamps, expected[0])
+
+    def test_failed_fork_parses_the_rest_in_process(self, tmp_path, monkeypatch):
+        def no_process(*args):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        stock = gen_weather(tmp_path)
+        monkeypatch.setattr(os, "fork", no_process)
+        with split_parse(4, 1000), \
+                mock.patch.object(ingest, "_parse_weather_rows", refuse):
+            assert_matches_per_cell(stock)
+
+    def test_dead_worker_sends_the_file_to_the_per_cell_reader(self, tmp_path):
+        stock = gen_weather(tmp_path)
+        parent, real = os.getpid(), ingest._parse_part
+
+        def dies_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        with split_parse(2, 1000), \
+                mock.patch.object(ingest, "_parse_part", dies_in_worker), \
+                mock.patch.object(ingest, "_parse_weather_rows",
+                                  wraps=ingest._parse_weather_rows) as per_cell:
+            assert_matches_per_cell(stock)
+        assert per_cell.called
+        assert_no_child()
+
+    def test_interrupt_reaps_every_worker(self, tmp_path):
+        stock = gen_weather(tmp_path)
+        real = ingest._parse_part
+
+        def interrupted(p, start, stop, **kwargs):
+            if start == 0:
+                raise KeyboardInterrupt
+            return real(p, start, stop, **kwargs)
+
+        with split_parse(4, 1000), \
+                mock.patch.object(ingest, "_parse_part", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            ingest.parse_weather_csv(stock)
+        assert_no_child()
+
+
 class TestInterpolate:
     def test_affine_gap_fill(self):
         # a line sampled at the ends must be reproduced exactly in between
@@ -495,10 +644,22 @@ class TestInterpolate:
             RawWeatherTable(hours(0, 1, 3), {"x": [-0.0, 1e308, -1e308]}))
         assert gappy.factors["x"].tobytes() == np.interp(
             [0, 1, 2, 3], [0, 1, 3], [-0.0, 1e308, -1e308]).tobytes()
-        # every hour present but out of order: still scattered onto the grid
-        shuffled = ingest.interpolate_missing(
-            RawWeatherTable(hours(0, 2, 1, 3), {"x": [0.0, 2.0, 1.0, 3.0]}))
-        assert list(shuffled.factors["x"]) == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("ks, message", [
+        # every hour present but out of order, which once indexed past the
+        # grid's end
+        ((0, 2, 1, 3), "weather timestamp 2021-03-01T01:00:00Z does not come after "
+                       "2021-03-01T02:00:00Z: the timeline must strictly increase"),
+        # which once gave a grid from 01:00 that dropped 00:00
+        ((1, 0, 2), "weather timestamp 2021-03-01T00:00:00Z does not come after "
+                    "2021-03-01T01:00:00Z: the timeline must strictly increase"),
+        ((0, 1, 1, 2), "weather timestamp 2021-03-01T01:00:00Z does not come after "
+                       "2021-03-01T01:00:00Z: the timeline must strictly increase")])
+    def test_unordered_or_repeated_hours_rejected(self, ks, message):
+        raw = RawWeatherTable(hours(*ks), {"x": np.arange(len(ks), dtype=float)})
+        with pytest.raises(ValueError) as err:
+            ingest.interpolate_missing(raw)
+        assert str(err.value) == message
 
     def test_misaligned_timestamp_rejected(self):
         raw = RawWeatherTable(hours(0) + np.array([0, 90], dtype="m8[m]"),
@@ -664,9 +825,9 @@ class TestRoundTrip:
         expect = [ts.replace(tzinfo=None)
                   for ts in sorted(ingest.parse_timestamp(t) for t in texts)]
         assert stamps.tolist() == expect
-        # whole seconds, the year zero-padded to four digits
-        assert ingest.format_timestamps(stamps) == \
-            [ts.replace(microsecond=0).isoformat() + "Z" for ts in expect]
+        # the year zero-padded to four digits, six fraction digits where
+        # a stamp has a fraction, as datetime.isoformat writes them
+        assert ingest.format_timestamps(stamps) == [ts.isoformat() + "Z" for ts in expect]
         assert ingest.format_timestamps(stamps[:0]) == []
 
     def test_distinct_value_column_writes_per_value_bytes(self, tmp_path):
@@ -738,8 +899,9 @@ class TestRoundTrip:
             micros += data.draw(st.lists(st.sampled_from(micros), max_size=10))
             micros = data.draw(st.permutations(micros))
         stamps = np.array(micros, dtype=np.int64).view(ingest.TIME_DTYPE)
-        assert ingest.format_timestamps(stamps) == \
-            np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
+        assert ingest.format_timestamps(stamps) == [
+            np.datetime_as_string(t, unit="us" if m % 1_000_000 else "s", timezone="UTC")
+            for t, m in zip(stamps, micros)]
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_block_writes_match_row_by_row(self, tmp_path, extra):
@@ -759,6 +921,20 @@ class TestRoundTrip:
                  for t, x, y in zip(stamps, a, b)]
         assert p.read_bytes() == "\r\n".join(
             ["timestamp,a,b", *lines, ""]).encode()
+
+    def test_sub_second_stamps_round_trip(self, tmp_path):
+        # a fraction is written only where a stamp has one, so the two rows
+        # 0.5 s apart stay two rows and read back to the microsecond
+        stamps = hours(0, 0, 1) + np.array([250_000, 750_000, 0], dtype="m8[us]")
+        raw = RawWeatherTable(stamps, {"a": [1.0, 2.0, 3.0]})
+        p = tmp_path / "w.csv"
+        ingest.write_weather_csv(raw, p)
+        assert p.read_bytes().split(b"\r\n")[1:4] == [
+            b"2021-03-01T00:00:00.250000Z,1.0", b"2021-03-01T00:00:00.750000Z,2.0",
+            b"2021-03-01T01:00:00Z,3.0"]
+        back = assert_matches_per_cell(p)
+        assert same(back.timestamps, stamps)
+        assert same(back.factors["a"], raw.factors["a"])
 
     def test_outage_round_trip(self, tmp_path):
         events = ingest.OutageEvents(hours(2, 7) + np.array([48, 0], dtype="m8[m]"),
