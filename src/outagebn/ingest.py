@@ -19,14 +19,14 @@ import io
 import math
 import os
 import re
-import signal
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from . import workers
 
 TIME_DTYPE = np.dtype("datetime64[us]")
 HOUR = np.timedelta64(1, "h")
@@ -37,6 +37,10 @@ _MICROSECOND = timedelta(microseconds=1)
 # `predict` from 282 to 467 MB. A block of 4,096 rows adds 1-2 MB; 16,384
 # added 5-8 MB at 65k-100k rows and wrote no faster.
 WRITE_BLOCK_ROWS = 4_096
+# A write that formats rows in Python splits them into parts of at least
+# _MIN_PART_ROWS rows: one float column of 16,384 rows took 28.5 ms in one
+# part and 24.1 ms in two, 8,192 rows 14.2 and 21.6 ms.
+_MIN_PART_ROWS = 8_192
 
 TIMESTAMP_COLUMN = "timestamp"
 OUTAGE_FLAG_COLUMN = "weather_related"
@@ -243,11 +247,9 @@ _NAN = np.frombuffer(b"nan", dtype=np.uint8)
 # about 20% slower), few enough that its scratch arrays stay a small part
 # of the file (1 MiB lifted the gappy parse's tracemalloc peak by 1.8 MiB).
 _SCAN_BLOCK = 1 << 18
-# A file's data lines are split into one part per usable CPU, but into no
-# more than one per _MIN_PART_BYTES and no more than _MAX_PARTS: a part
-# costs one fork, and the gathered columns wait for the slowest part.
+# A file's data lines are split into parts of at least _MIN_PART_BYTES
+# (see workers.part_count).
 _MIN_PART_BYTES = 1 << 20
-_MAX_PARTS = 8
 
 
 def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
@@ -263,7 +265,7 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
     duplicate check and the rewrite of non-finite values to ``NaN`` run
     here, once, on the gathered columns. Part 0 is
     parsed in this process and every other part in a forked worker
-    (:func:`_fork_part`); a part that falls back, or a worker that dies,
+    (:func:`workers.forked`); a part that falls back, or a worker that dies,
     sends the whole file to the per-cell reader. No worker outlives this
     call, whatever it raises.
     """
@@ -276,18 +278,12 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                       for k in range(n_fields)])
     part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
                              col_idx=col_idx)
-    workers: list[tuple[int, io.BufferedReader]] = []
-    try:
-        for start, stop in ranges[1:]:
-            try:
-                workers.append(_fork_part(part, start, stop))
-            except OSError:  # no process to spare: the rest is parsed here
-                break
-        local = [part(*r) for r in [ranges[0], *ranges[1 + len(workers):]]]
+    with workers.forked(functools.partial(_send_arrays, part), ranges[1:]) as forked:
+        local = [part(*r) for r in [ranges[0], *ranges[1 + len(forked):]]]
         if any(arrays is None for arrays in local):
             return None
         counts = [arrays[0].size for arrays in local]
-        for _, pipe in workers:
+        for _, pipe in forked:
             head = pipe.read(8)
             count = np.frombuffer(head, dtype=np.int64)[0] if len(head) == 8 else -1
             if count < 0:
@@ -305,16 +301,11 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                 out[at:at + arrays[j].size] = arrays[j]
                 at += arrays[j].size
                 arrays[j] = None
-            for (_, pipe), n in zip(workers, counts[len(local):]):
+            for (_, pipe), n in zip(forked, counts[len(local):]):
                 if pipe.readinto(out[at:at + n].view(np.uint8)) != 8 * n:
                     return None  # the worker died
                 at += n
             gathered.append(out)
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
     stamps = gathered.pop(0)
     if np.all(stamps[1:] > stamps[:-1]):
         order = None
@@ -335,15 +326,13 @@ def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
     """The byte ranges of a file's parts, which split its data lines at line
     ends.
 
-    There are as many parts as usable CPUs, but no more than one per
-    :data:`_MIN_PART_BYTES` of data lines and no more than
-    :data:`_MAX_PARTS`; one where ``os.fork`` is missing. Part 0 starts at
+    There are :func:`workers.part_count` parts, of at least
+    :data:`_MIN_PART_BYTES` of data lines each. Part 0 starts at
     the header. Every other part starts at the LF that ends the line before
     its first one, which the previous part also ends with, so that every
     part's first line, the header or an empty one, is skipped alike.
     """
-    n = min(_usable_cpus(), (size - body) // _MIN_PART_BYTES, _MAX_PARTS) \
-        if hasattr(os, "fork") else 1
+    n = workers.part_count(size - body, _MIN_PART_BYTES)
     starts = [0]
     for k in range(1, n):
         fh.seek(max(body + (size - body) * k // n, starts[-1] + 1))
@@ -351,13 +340,6 @@ def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
             break  # the cut falls in the last line
         starts.append(fh.tell() - 1)
     return list(zip(starts, [s + 1 for s in starts[1:]] + [size]))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
@@ -415,39 +397,13 @@ def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
     return [stamps, *(rows[f"f{k}"] for k in col_idx)]
 
 
-def _fork_part(part, start: int, stop: int) -> tuple[int, io.BufferedReader]:
-    """Run ``part(start, stop)`` in a forked worker: its pid, and the pipe it
-    sends back the part's row count (-1 to fall back) and then each of its
-    arrays' bytes, all of 8-byte items.
-
-    Fork, not spawn: the worker needs the parent's imported numpy and
-    nothing else, and runs only the reader and a pipe write.
-    """
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of fork in a process with threads, such as
-            # BLAS's idle pool, which the worker never calls
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            arrays = part(start, stop)
-            with open(w, "wb") as pipe:
-                pipe.write(np.int64(-1 if arrays is None else arrays[0].size).tobytes())
-                for a in arrays or ():
-                    pipe.write(np.ascontiguousarray(a).view(np.uint8))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, open(r, "rb")
+def _send_arrays(part, pipe, start: int, stop: int) -> None:
+    """A parse worker's reply: the row count of ``part(start, stop)`` (-1 to
+    fall back), then each of its arrays' bytes, all of 8-byte items."""
+    arrays = part(start, stop)
+    pipe.write(np.int64(-1 if arrays is None else arrays[0].size).tobytes())
+    for a in arrays or ():
+        pipe.write(np.ascontiguousarray(a).view(np.uint8))
 
 
 def _fill_empty_fields(data: bytes, body: int) -> bytes | np.ndarray | None:
@@ -683,6 +639,15 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
     CRLF line ends, as they never need quoting. Rows are formatted and
     written :data:`WRITE_BLOCK_ROWS` at a time, so the texts held in memory
     stay one block long, beside those of the paired columns' ``values``.
+
+    When some column is a float array, formatted per row, the rows are
+    split into one range per usable CPU (:func:`_row_ranges`). This process
+    writes the first range; a forked worker formats each other one, and
+    its text is copied over when this process reaches it in the file
+    (:func:`workers.send_payload`). The range of a worker that dies, or
+    that could not be forked, is formatted here, so the bytes never depend
+    on the split, and no worker outlives this call. A write of paired
+    columns only, or to a pipe, stays in this process.
     """
     # each column as the texts of its values, or None to format per row,
     # beside the array a block slices
@@ -694,14 +659,49 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
                                    dtype=object), np.asarray(index)))
         else:
             parts.append((None, np.asarray(c, dtype=np.float64)))
+    blocks = functools.partial(_text_blocks, timestamps, parts)
+    n = len(timestamps)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(timestamps), WRITE_BLOCK_ROWS):
-            block = slice(start, start + WRITE_BLOCK_ROWS)
-            cells = [format_timestamps(timestamps[block]),
-                     *(_format_column(c[block]) if texts is None
-                       else texts[c[block]].tolist() for texts, c in parts)]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        fh.flush()
+        out = fh.buffer
+        # a dead worker's range is cut off by seeking back, which a pipe
+        # cannot do
+        split = out.seekable() and any(texts is None for texts, _ in parts)
+        ranges = _row_ranges(n) if split else [(0, n)]
+        with workers.forked(functools.partial(workers.send_payload, blocks),
+                            ranges[1:]) as forked:
+            out.writelines(blocks(*ranges[0]))
+            for k, (start, stop) in enumerate(ranges[1:]):
+                if k < len(forked):
+                    at = out.tell()
+                    if workers.copy_payload(forked[k][1], out):
+                        continue
+                    out.seek(at)  # the worker died: its range is formatted here
+                    out.truncate()
+                out.writelines(blocks(start, stop))
+
+
+def _text_blocks(timestamps: np.ndarray, parts, start: int, stop: int):
+    """The text of rows ``start:stop``, as ASCII bytes, one block of
+    :data:`WRITE_BLOCK_ROWS` rows from ``start`` at a time."""
+    for b in range(start, stop, WRITE_BLOCK_ROWS):
+        block = slice(b, min(b + WRITE_BLOCK_ROWS, stop))
+        cells = [format_timestamps(timestamps[block]),
+                 *(_format_column(c[block]) if texts is None
+                   else texts[c[block]].tolist() for texts, c in parts)]
+        yield ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode("ascii")
+
+
+def _row_ranges(n: int) -> list[tuple[int, int]]:
+    """The row ranges of a write's parts (:func:`workers.part_count`, with
+    parts of at least :data:`_MIN_PART_ROWS` rows), each a run of whole
+    blocks but for the last, so that every block's rows, and text, are
+    those of a write in one part."""
+    blocks = -(-n // WRITE_BLOCK_ROWS)
+    parts = min(workers.part_count(n, _MIN_PART_ROWS), max(blocks, 1))
+    starts = [blocks * k // parts * WRITE_BLOCK_ROWS for k in range(parts)]
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def write_weather_csv(table: RawWeatherTable | TimeSeriesTable, path) -> None:

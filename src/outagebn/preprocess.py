@@ -181,11 +181,11 @@ def attach_label_column(ds: DiscreteDataset, name: str = "outage") -> DiscreteDa
     )
 
 
-def _class_split(labels: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _class_split(labels: np.ndarray) -> tuple[int, np.ndarray]:
+    """The minority label and the positions of its rows."""
     counts = np.bincount(labels, minlength=2)
     minority = 1 if counts[1] <= counts[0] else 0
-    return minority, np.flatnonzero(labels == minority), \
-        np.flatnonzero(labels != minority)
+    return minority, np.flatnonzero(labels == minority)
 
 
 def downsample_majority(ds: DiscreteDataset, ratio: float, seed: int) -> DiscreteDataset:
@@ -200,10 +200,15 @@ def downsample_majority(ds: DiscreteDataset, ratio: float, seed: int) -> Discret
     counts = np.bincount(ds.labels, minlength=2)
     if counts[0] == 0 or counts[1] == 0:
         raise ImbalanceError("down-sampling needs both classes present")
-    _, min_idx, maj_idx = _class_split(ds.labels)
-    want = min(len(maj_idx), math.ceil(ratio * len(min_idx)))
+    _, min_idx = _class_split(ds.labels)
+    n_min = len(min_idx)
+    n_maj = len(ds.labels) - n_min
+    want = min(n_maj, math.ceil(ratio * n_min))
     rng = np.random.default_rng(seed)
-    chosen = maj_idx[np.sort(rng.choice(len(maj_idx), size=want, replace=False))]
+    ranks = np.sort(rng.choice(n_maj, size=want, replace=False))
+    # the majority row of rank r follows every minority row with at most
+    # r majority rows before it
+    chosen = ranks + np.searchsorted(min_idx - np.arange(n_min), ranks, side="right")
     keep = np.sort(np.concatenate([min_idx, chosen]))
     return replace(ds, rows=ds.rows[keep], labels=ds.labels[keep])
 
@@ -221,7 +226,7 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    minority, min_idx, _ = _class_split(ds.labels)
+    minority, min_idx = _class_split(ds.labels)
     n_min = len(min_idx)
     if n_min < 2:
         raise SynthesisError("need at least two minority rows to synthesize")
@@ -243,13 +248,17 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
 
     upper = np.asarray(ds.cardinalities, dtype=np.int64) - 1
     rng = np.random.default_rng(seed)
-    synth = np.empty((need, ds.rows.shape[1]), dtype=np.int64)
-    for s in range(need):
+    # scalar draws, in this order: array draws would give other numbers
+    picks, mates, steps = [], [], []
+    for _ in range(need):
         i = int(rng.integers(n_min))
-        z = int(neighbors[i, rng.integers(k_eff)])
-        u = rng.random()
-        row = np.rint(base[i] + u * (base[z] - base[i])).astype(np.int64)
-        synth[s] = np.clip(row, 0, upper)
+        picks.append(i)
+        mates.append(int(neighbors[i, rng.integers(k_eff)]))
+        steps.append(rng.random())
+    i, z = np.array(picks), np.array(mates)
+    # element-wise, so each row's bytes are those of its own scalar sum
+    synth = np.clip(np.rint(base[i] + np.array(steps)[:, None] * (base[z] - base[i]))
+                    .astype(np.int64), 0, upper)
 
     rows = np.vstack([ds.rows, synth])
     labels = np.concatenate([ds.labels,

@@ -336,3 +336,44 @@ def calibrate_offset_reference(scores, slope: float, rate: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def downsample_rows_reference(labels, ratio: float, seed: int) -> np.ndarray:
+    """Positions ``downsample_majority`` keeps: every minority row, and the
+    majority rows at the ranks ``rng.choice`` draws, found by indexing a
+    list of every majority row's position."""
+    labels = np.asarray(labels)
+    minority = 1 if np.sum(labels == 1) <= np.sum(labels == 0) else 0
+    minority_rows = [k for k, v in enumerate(labels) if v == minority]
+    majority_rows = [k for k, v in enumerate(labels) if v != minority]
+    want = min(len(majority_rows), math.ceil(ratio * len(minority_rows)))
+    rng = np.random.default_rng(seed)
+    ranks = sorted(rng.choice(len(majority_rows), size=want, replace=False).tolist())
+    return np.array(sorted(minority_rows + [majority_rows[r] for r in ranks]),
+                    dtype=np.int64)
+
+
+def smote_rows_reference(rows, labels, cards, target: int, k: int,
+                         seed: int) -> np.ndarray:
+    """``smote_upsample``'s synthetic rows, one row at a time: neighbours by
+    sorting every other minority row on (squared distance, position), then
+    per row the draws ``integers(n_min)``, ``integers(k)``, ``random()``
+    and ``clip(rint(a + u * (b - a)))``."""
+    rows, labels = np.asarray(rows), np.asarray(labels)
+    minority = 1 if np.sum(labels == 1) <= np.sum(labels == 0) else 0
+    base = rows[labels == minority].astype(float)
+    n_min = len(base)
+    k_eff = min(k, n_min - 1)
+    neighbors = [sorted((j for j in range(n_min) if j != i),
+                        key=lambda j: (float(np.sum((base[i] - base[j]) ** 2)), j))[:k_eff]
+                 for i in range(n_min)]
+    upper = np.asarray(cards, dtype=np.int64) - 1
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(target - n_min):
+        i = int(rng.integers(n_min))
+        z = neighbors[i][int(rng.integers(k_eff))]
+        u = rng.random()
+        out.append(np.clip(np.rint(base[i] + u * (base[z] - base[i])).astype(np.int64),
+                           0, upper))
+    return np.array(out, dtype=np.int64).reshape(-1, rows.shape[1])

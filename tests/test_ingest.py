@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import os
+import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import cli, ingest
+from outagebn import cli, ingest, workers
 from outagebn.ingest import (EventOutOfRangeError, ParseError,
                              RawWeatherTable, UnrecoverableColumnError)
 
@@ -574,6 +575,199 @@ class TestSplitParse:
                 mock.patch.object(ingest, "_parse_part", interrupted), \
                 pytest.raises(KeyboardInterrupt):
             ingest.parse_weather_csv(stock)
+        assert_no_child()
+
+
+@contextlib.contextmanager
+def split_write(cpus, min_part_rows=1, block_rows=None):
+    """write_text_columns on a host with ``cpus`` usable CPUs, splitting rows
+    into parts of ``min_part_rows`` rows or more, in blocks of
+    ``block_rows`` rows (the default block when ``None``)."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                           create=True), \
+            mock.patch.object(ingest, "_MIN_PART_ROWS", min_part_rows), \
+            mock.patch.object(ingest, "WRITE_BLOCK_ROWS",
+                              block_rows or ingest.WRITE_BLOCK_ROWS):
+        yield
+
+
+def write_bytes(p, stamps, columns):
+    """The file write_text_columns makes of ``columns``, named c0, c1, ..."""
+    ingest.write_text_columns(p, ["timestamp", *(f"c{k}" for k in range(len(columns)))],
+                              stamps, columns)
+    return p.read_bytes()
+
+
+WRITE_CELLS = [np.nan, 0.0, -0.0, 0.1, 1e-320, -1e300, np.inf, 2.5, 17.0]
+
+
+@st.composite
+def text_tables(draw):
+    """(timestamps, columns) of a write: 0-30 rows, some stamps between whole
+    seconds; plain float columns, at least one, and ``(values, index)``
+    pairs."""
+    n = draw(st.integers(0, 30))
+    stamps = hours(*range(n)) + np.array(
+        draw(st.lists(st.sampled_from([0, 0, 0, 1, 250_000, 999_999]),
+                      min_size=n, max_size=n)), dtype="m8[us]")
+    cells = st.one_of(st.sampled_from(WRITE_CELLS), st.floats())
+    columns = []
+    for paired in [False, *draw(st.lists(st.booleans(), max_size=2))]:
+        if paired:
+            values = np.array(draw(st.lists(cells, min_size=1, max_size=4)))
+            columns.append((values, np.array(draw(st.lists(
+                st.integers(0, values.size - 1), min_size=n, max_size=n)), dtype=np.int64)))
+        else:
+            columns.append(np.array(draw(st.lists(cells, min_size=n, max_size=n)),
+                                    dtype=np.float64))
+    return stamps, draw(st.permutations(columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_tables(), st.integers(1, 4), st.integers(1, 8), st.integers(1, 5))
+def test_split_write_matches_one_part(tmp_path_factory, table, cpus, min_part_rows,
+                                      block_rows):
+    # small blocks and parts put their edges on, before and after every row
+    stamps, columns = table
+    d = tmp_path_factory.getbasetemp()
+    with split_write(1, block_rows=block_rows):
+        one = write_bytes(d / "one.csv", stamps, columns)
+    with split_write(cpus, min_part_rows, block_rows):
+        ranges = ingest._row_ranges(len(stamps))
+        split = write_bytes(d / "split.csv", stamps, columns)
+    assert split == one
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(stamps)
+    assert all(a % block_rows == 0 and a < b for a, b in ranges[1:])
+    assert_no_child()
+
+
+class TestSplitWrite:
+    """A write in several parts makes the bytes of a write in one, and
+    leaves no worker process behind."""
+
+    def test_gen_file_in_four_parts(self, tmp_path):
+        stock = gen_weather(tmp_path)
+        raw = ingest.parse_weather_csv(stock)
+        with split_write(4, 64, 32):
+            assert len(ingest._row_ranges(raw.n_rows)) == 4
+            ingest.write_weather_csv(raw, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == stock.read_bytes()
+        assert_no_child()
+
+    @pytest.mark.parametrize("sent", [None, 0.0, 0.5])
+    def test_dead_worker_range_formatted_in_process(self, tmp_path, sent):
+        # the worker dies before its length, or after part of its text: the
+        # copied part is cut off and the range written again here
+        stock = gen_weather(tmp_path)
+        raw = ingest.parse_weather_csv(stock)
+
+        def dies(blocks, pipe, start, stop):
+            if sent is not None:
+                text = b"".join(blocks(start, stop))
+                pipe.write(len(text).to_bytes(8, sys.byteorder))
+                pipe.write(text[:int(len(text) * sent)])
+                pipe.flush()
+            os._exit(3)
+
+        with split_write(3, 64, 32), mock.patch.object(workers, "send_payload", dies):
+            ingest.write_weather_csv(raw, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == stock.read_bytes()
+        assert_no_child()
+
+    def test_failed_fork_formats_the_rest_in_process(self, tmp_path, monkeypatch):
+        # the first fork succeeds and the second fails with EAGAIN: part 1
+        # is copied from its worker, parts 2 and 3 formatted here
+        stock = gen_weather(tmp_path)
+        raw = ingest.parse_weather_csv(stock)
+        real, forks = os.fork, []
+
+        def one_process(*args):
+            forks.append(1)
+            if len(forks) > 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", one_process)
+        with split_write(4, 64, 32):
+            ingest.write_weather_csv(raw, tmp_path / "again.csv")
+        assert len(forks) == 2
+        assert (tmp_path / "again.csv").read_bytes() == stock.read_bytes()
+        assert_no_child()
+
+    def test_one_cpu_or_no_fork_writes_in_process(self, tmp_path, monkeypatch):
+        stock = gen_weather(tmp_path)
+        raw = ingest.parse_weather_csv(stock)
+        monkeypatch.setattr(os, "fork", refuse)
+        with split_write(1, 1, 32):
+            assert len(ingest._row_ranges(raw.n_rows)) == 1
+            ingest.write_weather_csv(raw, tmp_path / "one_cpu.csv")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert len(ingest._row_ranges(10**6)) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        with mock.patch.object(ingest, "_MIN_PART_ROWS", 1):
+            assert len(ingest._row_ranges(10**6)) == 1
+            ingest.write_weather_csv(raw, tmp_path / "no_fork.csv")
+        assert (tmp_path / "one_cpu.csv").read_bytes() == stock.read_bytes()
+        assert (tmp_path / "no_fork.csv").read_bytes() == stock.read_bytes()
+
+    def test_paired_columns_only_never_fork(self, tmp_path, monkeypatch):
+        # predict's write: distinct values plus an index per row
+        n = 1000
+        rng = np.random.default_rng(2)
+        values = rng.random(7)
+        index = rng.integers(values.size, size=n)
+        stamps = hours(*range(n))
+        plain = write_bytes(tmp_path / "plain.csv", stamps, [values[index]])
+        monkeypatch.setattr(os, "fork", refuse)
+        with split_write(4, 1, 16):
+            assert write_bytes(tmp_path / "paired.csv", stamps,
+                               [(values, index)]) == plain
+
+    def test_pipe_written_in_process(self, tmp_path, monkeypatch):
+        # a pipe cannot seek back over a dead worker's part
+        stock = gen_weather(tmp_path)
+        raw = ingest.parse_weather_csv(stock)
+        monkeypatch.setattr(os, "fork", refuse)
+        r, w = os.pipe()
+        with open(r, "rb") as reader, split_write(4, 64, 32):
+            ingest.write_weather_csv(raw, f"/dev/fd/{w}")
+            os.close(w)
+            assert reader.read() == stock.read_bytes()
+
+    def test_interrupt_reaps_every_worker(self, tmp_path):
+        raw = ingest.parse_weather_csv(gen_weather(tmp_path))
+        parent, real = os.getpid(), ingest._text_blocks
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        with split_write(4, 64, 32), \
+                mock.patch.object(ingest, "_text_blocks", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            ingest.write_weather_csv(raw, tmp_path / "again.csv")
+        assert_no_child()
+
+    def test_parent_holds_one_block_of_texts(self, tmp_path):
+        # as for a paired column: the worker's half of the file passes
+        # through this process a pipe's worth at a time, never whole
+        n = 100_000
+        col = np.random.default_rng(9).random(n)
+        stamps = np.datetime64("2000-01-01T00", "us") + np.arange(n) * ingest.HOUR
+        with split_write(2, ingest._MIN_PART_ROWS):
+            assert len(ingest._row_ranges(n)) == 2
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                ingest.write_text_columns(tmp_path / "p.csv", ["timestamp", "p"],
+                                          stamps, [col])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert peak < (tmp_path / "p.csv").stat().st_size / 2
         assert_no_child()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from outagebn import preprocess
 from outagebn.ingest import TimeSeriesTable
 from outagebn.preprocess import (DiscreteDataset, ImbalanceError,
@@ -264,6 +265,43 @@ class TestSmote:
         a = smote_upsample(ds, 30, seed=13)
         b = smote_upsample(ds, 30, seed=13)
         assert np.array_equal(a.rows, b.rows)
+
+
+@st.composite
+def labelled_rows(draw):
+    """A dataset of 2-60 rows over 1-3 columns with both classes present,
+    and a seed."""
+    n = draw(st.integers(2, 60))
+    cards = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    rows = [[draw(st.integers(0, c - 1)) for c in cards] for _ in range(n)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  .filter(lambda v: 0 < sum(v) < n))
+    return make_ds(np.array(rows).reshape(n, len(cards)), labels, cards), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_rows(), st.sampled_from([0.3, 1.0, 2.5, 100.0]))
+def test_downsample_matches_reference(case, ratio):
+    ds, seed = case
+    keep = oracles.downsample_rows_reference(ds.labels, ratio, seed)
+    out = downsample_majority(ds, ratio, seed)
+    assert np.array_equal(out.rows, ds.rows[keep])
+    assert np.array_equal(out.labels, ds.labels[keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_rows(), st.integers(0, 40), st.integers(1, 6))
+def test_smote_matches_reference(case, extra, k):
+    ds, seed = case
+    n_min = int(min(np.sum(ds.labels == 1), np.sum(ds.labels == 0)))
+    if n_min < 2:
+        return
+    out = smote_upsample(ds, n_min + extra, k=k, seed=seed)
+    expect = oracles.smote_rows_reference(ds.rows, ds.labels, ds.cardinalities,
+                                          n_min + extra, k, seed)
+    assert np.array_equal(out.rows[:ds.n_rows], ds.rows)
+    assert out.rows[ds.n_rows:].tobytes() == expect.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
