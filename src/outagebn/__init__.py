@@ -10,7 +10,7 @@ scenario generation. The ``outagebn`` console script exposes the pipeline as
 
 __version__ = "0.1.0"
 
-from .bayesnet import BayesianNetwork, Cpt, NaiveBayesModel
+from .bayesnet import BayesianNetwork, Cpt
 from .evalmetrics import ConfusionCounts, EvalReport
 from .ingest import RawWeatherTable, TimeSeriesTable
 from .pcalg import LearnedDag, PartialGraph
@@ -24,7 +24,6 @@ __all__ = [
     "DiscreteDataset",
     "EvalReport",
     "LearnedDag",
-    "NaiveBayesModel",
     "PartialGraph",
     "RawWeatherTable",
     "ScenarioSpec",

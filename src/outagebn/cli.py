@@ -168,10 +168,10 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
         fit_ds = preprocess.attach_label_column(ds, cfg.target) if cfg.fit_on_raw \
             else augmented
         bn = bayesnet.fit_cpts(dag, fit_ds, cfg.laplace)
-        nb = bayesnet.fit_naive_bayes(balanced if not cfg.fit_on_raw else ds,
-                                      cfg.laplace)
+        baseline = bayesnet.fit_cpts(pcalg.naive_bayes_dag(fit_ds.columns, cfg.target),
+                                     fit_ds, cfg.laplace)
     with _stage("write"):
-        bayesnet.save_model(bn, model_path, naive_bayes=nb)
+        bayesnet.save_model(bn, model_path, baseline=baseline)
         if dot_path is not None:
             with open(dot_path, "w") as fh:
                 fh.write(pcalg.to_dot(dag))
@@ -217,9 +217,12 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
              report_path, baseline_report_path=None) -> int:
     seed = cfg.require_seed()
     with _stage("load-model"):
-        bn, nb = bayesnet.load_model(model_path)
+        bn, baseline = bayesnet.load_model(model_path)
         if bn.target is None:
             raise ValueError("model has no target node")
+        if baseline is None and baseline_report_path is not None:
+            raise ValueError(f"model file {model_path} holds no baseline network "
+                             "for --baseline-report")
         factor_cols = [n for n in bn.dag.nodes if n != bn.target]
     with _stage("ingest"):
         table = _ingest_labeled(weather_path, outage_path, schema=factor_cols)
@@ -240,14 +243,13 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
     with _stage("sweep"):
         report = evalmetrics.sweep_best_f1(probs, val.labels, cfg.threshold_grid)
         nb_report = None
-        if nb is not None:
-            order = [val.columns.index(c) for c in nb.columns]
-            nb_probs = bayesnet.nb_predict_rows(nb, val.rows[:, order])[:, 1]
+        if baseline is not None:
+            nb_probs = bayesnet.predict_rows(baseline, val.rows, val.columns)[:, 1]
             nb_report = evalmetrics.sweep_best_f1(nb_probs, val.labels,
                                                   cfg.threshold_grid)
     with _stage("write"):
         evalmetrics.write_report_csv(report, report_path)
-        if nb_report is not None and baseline_report_path is not None:
+        if baseline_report_path is not None:
             evalmetrics.write_report_csv(nb_report, baseline_report_path)
     precision, recall, f1 = evalmetrics.prf1(report.best)
     print(f"validation rows: {val.n_rows} ({int(val.labels.sum())} positive)")

@@ -333,6 +333,12 @@ def learn_structure(ci: CiCallable, nodes: Sequence[str], target: str) -> Learne
     return complete_to_dag(oriented, target)
 
 
+def naive_bayes_dag(nodes: Sequence[str], target: str) -> LearnedDag:
+    """The star network of naive Bayes: the target is every other node's only parent."""
+    return LearnedDag(nodes=list(nodes), target=target,
+                      parents={n: [] if n == target else [target] for n in nodes})
+
+
 def to_dot(dag: LearnedDag, name: str = "learned") -> str:
     """Graphviz text form; edges added by target augmentation are dashed."""
     lines = [f"digraph {name} {{"]

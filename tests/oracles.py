@@ -244,6 +244,25 @@ def laplace_table(rows, parent_cols, node_col, parent_cards, card, alpha) -> lis
     return table
 
 
+def naive_bayes_posterior(rows, labels, cards, alpha, row) -> list:
+    """Naive Bayes class posterior of one feature row, fitted on (rows, labels).
+
+    The textbook arithmetic with no graph: the smoothed class prior times
+    each column's smoothed class-conditional entry, in column order, then
+    normalised. Every count is taken by hand.
+    """
+    n_class = [sum(1 for y in labels if y == k) for k in (0, 1)]
+    scores = []
+    for k in (0, 1):
+        p = (n_class[k] + alpha) / (len(labels) + 2 * alpha)
+        for j, card in enumerate(cards):
+            hits = sum(1 for r, y in zip(rows, labels) if y == k and r[j] == row[j])
+            p *= (hits + alpha) / (n_class[k] + alpha * card)
+        scores.append(p)
+    norm = scores[0] + scores[1]
+    return [s / norm for s in scores]
+
+
 def rational_prf1(tp: int, fp: int, fn: int) -> tuple:
     """Precision, recall, F1 as exact rationals with the zero conventions."""
     precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)

@@ -1,4 +1,4 @@
-"""CPT fitting, exact inference, naive Bayes baseline, model persistence."""
+"""CPT fitting, exact inference, the naive Bayes star network, model persistence."""
 
 import json
 import math
@@ -9,11 +9,10 @@ import pytest
 
 import oracles
 from outagebn import bayesnet, synthgen
-from outagebn.bayesnet import (fit_cpts, fit_naive_bayes, joint_probability,
-                               load_model, nb_posterior, nb_predict_rows,
+from outagebn.bayesnet import (fit_cpts, joint_probability, load_model,
                                posterior_target, predict_rows, save_model)
-from outagebn.pcalg import LearnedDag
-from outagebn.preprocess import DiscreteDataset
+from outagebn.pcalg import LearnedDag, naive_bayes_dag
+from outagebn.preprocess import DiscreteDataset, attach_label_column
 
 
 def make_ds(columns, rows, labels=None, cards=None):
@@ -279,56 +278,41 @@ class TestJointAndPosterior:
                 assert np.max(np.abs(batch[r] - single)) <= 1e-12
 
 
+def fit_star(ds, alpha=1.0):
+    aug = attach_label_column(ds, "t")
+    return fit_cpts(naive_bayes_dag(aug.columns, "t"), aug, laplace_alpha=alpha)
+
+
 class TestNaiveBayes:
     def test_same_smoothing_as_network(self):
         rng = np.random.default_rng(7)
         rows = rng.integers(0, 3, size=(50, 2))
         labels = rng.integers(0, 2, size=50)
-        ds = make_ds(["a", "b"], rows, labels, cards=[3, 3])
-        nb = fit_naive_bayes(ds, laplace_alpha=1.0)
+        star = fit_star(make_ds(["a", "b"], rows, labels, cards=[3, 3]))
         counts = np.bincount(labels, minlength=2)
-        want0 = (np.bincount(rows[labels == 0, 0], minlength=3) + 1.0) \
-            / (counts[0] + 3.0)
-        assert np.allclose(nb.conditionals[0][0], want0, atol=1e-15)
-        assert np.allclose(nb.class_priors,
+        assert np.allclose(star.cpts["t"].row([]),
                            (counts + 1.0) / (50 + 2.0), atol=1e-15)
+        for j, name in enumerate(["a", "b"]):
+            for k in (0, 1):
+                want = (np.bincount(rows[labels == k, j], minlength=3) + 1.0) \
+                    / (counts[k] + 3.0)
+                assert np.allclose(star.cpts[name].row([k]), want, atol=1e-15)
 
     def test_star_graph_equivalence(self):
         # naive Bayes is exactly the network whose only edges go
         # target -> factor, when both use the same smoothing
-        rng = np.random.default_rng(9)
-        rows = rng.integers(0, 4, size=(80, 3))
-        labels = rng.integers(0, 2, size=80)
-        ds = make_ds(["a", "b", "c"], rows, labels, cards=[4, 4, 4])
-        nb = fit_naive_bayes(ds, laplace_alpha=1.0)
-
-        from outagebn.preprocess import attach_label_column
-        aug = attach_label_column(ds, "t")
-        dag = LearnedDag(nodes=["a", "b", "c", "t"],
-                         parents={"a": ["t"], "b": ["t"], "c": ["t"], "t": []},
-                         target="t")
-        bn = fit_cpts(dag, aug, laplace_alpha=1.0)
-        for r in range(20):
-            row = rows[r]
-            got = nb_posterior(nb, row)
-            want = posterior_target(bn, dict(zip(["a", "b", "c"],
-                                                 (int(v) for v in row))))
-            assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_nb_predict_rows_matches_single(self):
-        rng = np.random.default_rng(10)
-        rows = rng.integers(0, 3, size=(40, 4))
-        labels = rng.integers(0, 2, size=40)
-        ds = make_ds(list("abcd"), rows, labels, cards=[3] * 4)
-        nb = fit_naive_bayes(ds)
-        batch = nb_predict_rows(nb, rows)
-        for r in range(40):
-            assert np.allclose(batch[r], nb_posterior(nb, rows[r]), atol=1e-14)
-
-    def test_single_class_error(self):
-        ds = make_ds(["a"], [[0], [1]], [1, 1], cards=[2])
-        with pytest.raises(ValueError, match="both classes"):
-            fit_naive_bayes(ds)
+        for seed, n, k, card in ((9, 80, 3, 4), (10, 40, 4, 3)):
+            rng = np.random.default_rng(seed)
+            rows = rng.integers(0, card, size=(n, k))
+            labels = rng.integers(0, 2, size=n)
+            columns = list("abcd"[:k])
+            star = fit_star(make_ds(columns, rows, labels, cards=[card] * k))
+            assert star.dag.parents == {**{c: ["t"] for c in columns}, "t": []}
+            got = predict_rows(star, rows, columns)
+            for r in range(n):
+                want = oracles.naive_bayes_posterior(rows.tolist(), labels.tolist(),
+                                                     [card] * k, 1.0, rows[r].tolist())
+                assert got[r].tobytes() == np.array(want).tobytes()
 
 
 class TestModelFile:
@@ -344,15 +328,12 @@ class TestModelFile:
                                      ("b", "t"): "target-augmented"},
                          target="t")
         bn = fit_cpts(dag, ds, laplace_alpha=1.0)
-        nb = fit_naive_bayes(make_ds(["a", "b"],
-                                     [r[:2] for r in ds_rows], labels,
-                                     cards=[3, 2]))
-        return bn, nb
+        return bn, fit_cpts(naive_bayes_dag(ds.columns, "t"), ds, laplace_alpha=1.0)
 
     def test_round_trip_preserves_everything(self, tmp_path):
         bn, nb = self.build()
         path = tmp_path / "m.json"
-        save_model(bn, path, naive_bayes=nb)
+        save_model(bn, path, baseline=nb)
         bn2, nb2 = load_model(path)
         assert bn2.dag.nodes == bn.dag.nodes
         assert bn2.dag.parents == bn.dag.parents
@@ -364,12 +345,19 @@ class TestModelFile:
                 assert np.array_equal(getattr(bn2.cpts[node], part),
                                       getattr(bn.cpts[node], part))
             assert bn2.bin_edges[node] == bn.bin_edges[node]
-        assert np.array_equal(nb2.class_priors, nb.class_priors)
-        for t1, t2 in zip(nb.conditionals, nb2.conditionals):
-            assert np.array_equal(t1, t2)
+        # parents are stored once, in each table's entry
+        assert "parents" not in json.loads(path.read_text())
+        assert nb2.dag.nodes == bn.dag.nodes
+        assert nb2.dag.parents == {"a": ["t"], "b": ["t"], "t": []}
+        assert nb2.target == "t" and nb2.bin_edges == bn.bin_edges
+        for node in nb.dag.nodes:
+            for part in ("configs", "rows", "default"):
+                assert np.array_equal(getattr(nb2.cpts[node], part),
+                                      getattr(nb.cpts[node], part))
         grid = np.array([[a, b] for a in range(3) for b in range(2)])
-        assert predict_rows(bn2, grid, ["a", "b"]).tobytes() == \
-            predict_rows(bn, grid, ["a", "b"]).tobytes()
+        for net, net2 in ((bn, bn2), (nb, nb2)):
+            assert predict_rows(net2, grid, ["a", "b"]).tobytes() == \
+                predict_rows(net, grid, ["a", "b"]).tobytes()
         for evidence in ({}, {"a": 2}, {"b": 1}, {"a": 2, "b": 0}, {"a": 1, "b": 1}):
             assert posterior_target(bn2, evidence).tobytes() == \
                 posterior_target(bn, evidence).tobytes()
@@ -378,17 +366,26 @@ class TestModelFile:
         bn, nb = self.build()
         p1 = tmp_path / "m1.json"
         p2 = tmp_path / "m2.json"
-        save_model(bn, p1, naive_bayes=nb)
+        save_model(bn, p1, baseline=nb)
         bn2, nb2 = load_model(p1)
-        save_model(bn2, p2, naive_bayes=nb2)
+        save_model(bn2, p2, baseline=nb2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_baseline_must_share_the_network_metadata(self, tmp_path):
+        # the file keeps one set of nodes, cardinalities and bin edges for both
+        bn, _ = self.build()
+        other = fit_star(make_ds(["a", "b"], [[0, 1], [1, 0], [2, 1]], [0, 1, 1],
+                                 cards=[4, 2]))
+        with pytest.raises(ValueError, match="must share"):
+            save_model(bn, tmp_path / "m.json", baseline=other)
 
     def test_rejects_other_versions(self, tmp_path):
         bn, _ = self.build()
         path = tmp_path / "m.json"
         save_model(bn, path)
         doc = json.loads(path.read_text())
-        for version in (bayesnet.MODEL_VERSION - 1, bayesnet.MODEL_VERSION + 1, None):
+        # version 2 kept a top-level parent map and a naive Bayes model of its own
+        for version in (2, bayesnet.MODEL_VERSION + 1, None):
             doc["version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="re-run `learn`"):

@@ -239,6 +239,26 @@ class TestPredict:
         assert np.all((probs >= 0) & (probs <= 1))
         assert rows[0]["timestamp"].endswith("Z")
 
+    def test_baseline_report_needs_a_baseline(self, scenario_dir, tmp_path, capsys):
+        # a truth model from gen carries no baseline network; eval refuses
+        # before it reads the weather and writes neither report
+        truth = tmp_path / "truth.json"
+        assert main(["gen", "--seed", "3", "--hours", "2000", "--factors", "4",
+                     "--parents", "F1,F2", "--out-weather", str(tmp_path / "w.csv"),
+                     "--out-outages", str(tmp_path / "o.csv"),
+                     "--out-truth", str(truth)]) == 0
+        capsys.readouterr()
+        report, baseline = tmp_path / "r.csv", tmp_path / "tb.csv"
+        rc = main(["eval", "--seed", "5", "--model", str(truth),
+                   "--weather", str(scenario_dir / "weather.csv"),
+                   "--outages", str(scenario_dir / "outages.csv"),
+                   "--report", str(report), "--baseline-report", str(baseline)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error during load-model" in err
+        assert f"model file {truth} holds no baseline" in err
+        assert not report.exists() and not baseline.exists()
+
     def test_deterministic_bytes(self, scenario_dir, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
