@@ -6,16 +6,27 @@ testing, constraint-based structure learning, conditional probability table
 estimation with exact inference, threshold-sweep evaluation, and synthetic
 scenario generation. The ``outagebn`` console script exposes the pipeline as
 ``gen`` / ``learn`` / ``predict`` / ``eval`` subcommands.
+
+The names below are imported from their modules on first use (PEP 562), so
+importing one module, such as ``outagebn.cli``, loads only what it needs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .bayesnet import BayesianNetwork, Cpt
-from .evalmetrics import ConfusionCounts, EvalReport
-from .ingest import RawWeatherTable, TimeSeriesTable
-from .pcalg import LearnedDag, PartialGraph
-from .preprocess import DiscreteDataset
-from .synthgen import ScenarioSpec
+_EXPORTS = {
+    "BayesianNetwork": "bayesnet",
+    "ConfusionCounts": "evalmetrics",
+    "Cpt": "bayesnet",
+    "DiscreteDataset": "preprocess",
+    "EvalReport": "evalmetrics",
+    "LearnedDag": "pcalg",
+    "PartialGraph": "pcalg",
+    "RawWeatherTable": "ingest",
+    "ScenarioSpec": "synthgen",
+    "TimeSeriesTable": "ingest",
+}
 
 __all__ = [
     "BayesianNetwork",
@@ -30,3 +41,15 @@ __all__ = [
     "TimeSeriesTable",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -4,10 +4,11 @@ The data-driven test compares observed cell counts against the
 independence-factorized expectation inside every configuration of the
 conditioning variables, summing a likelihood-ratio statistic whose null
 distribution is chi-square. It reads an integer matrix by column position
-with declared cardinalities, and tabulates every observed (configuration,
-x, y) cell in one pass; :func:`dataset_ci` maps a dataset's column names
-to positions. The graph-side oracle answers the same question
-structurally for a known DAG.
+with declared cardinalities, and tabulates only the (configuration, x, y)
+cells that carry a term, so a test costs time in proportion to its rows;
+:func:`dataset_ci` maps a dataset's column names to positions and codes
+each conditioning set once. The graph-side oracle answers the same
+question structurally for a known DAG.
 """
 
 from __future__ import annotations
@@ -15,17 +16,22 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .pcalg import CiCallable
 from .preprocess import DiscreteDataset, code_space, config_codes
 
 # Below this many samples per degree of freedom the asymptotic null is
 # unreliable; the test then abstains by reporting independence.
 MIN_SAMPLES_PER_DOF = 10.0
 
-CiCallable = Callable[[str, str, frozenset], bool]
+# A code space (conditioning configurations, or a test's cells) with at
+# most this many codes per data row is tabulated by one bincount over the
+# whole space; a larger one by sorting the rows' codes. The two cost about
+# the same at 2.
+_DENSE_CODES_PER_ROW = 2
 
 # chi2_upper_tail: a term or factor within _EPS of its limit ends a sum;
 # _TINY stands in for a zero Lentz denominator; _MAX_TERMS bounds the loops,
@@ -111,21 +117,60 @@ def _log_gamma_density(a: float, x: float) -> float:
     return -a * bd + 0.5 * math.log(a) - _HALF_LOG_2PI - s
 
 
+def _check_states(column: np.ndarray, card: int, owner: str) -> None:
+    """Refuse a column holding a value outside ``range(card)``, naming ``owner``."""
+    if column.size:
+        lo, hi = int(column.min()), int(column.max())
+        if lo < 0 or hi >= card:
+            raise ValueError(f"{owner} holds state {lo if lo < 0 else hi} "
+                             f"outside range({card})")
+
+
+def condition_configs(rows: np.ndarray, given: Sequence[int],
+                      cardinalities: Sequence[int]) -> np.ndarray:
+    """Each row's configuration of the ``given`` columns, as an index.
+
+    The configurations that occur are numbered 0, 1, ... in ascending
+    mixed-radix code order (first column most significant); no columns is
+    the single configuration 0. The index has the smallest unsigned type
+    that holds it, 32 bits at most for any table that fits in memory, so
+    the sets :func:`dataset_ci` keeps stay small. The columns' values are
+    not range-checked.
+    """
+    n = rows.shape[0]
+    cond = [int(c) for c in given]
+    cards = [cardinalities[c] for c in cond]
+    space = code_space(cards, f"conditioning columns {cond}")
+    code = config_codes([rows[:, c].astype(np.int64) for c in cond], cards, n)
+    if space <= _DENSE_CODES_PER_ROW * n:
+        rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
+        return rank.astype(np.min_scalar_type(rank[-1]))[code]
+    index = np.unique(code, return_inverse=True)[1]
+    return index.astype(np.min_scalar_type(index.max(initial=0)))
+
+
 def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
               alpha: float = 0.05, *, cardinalities: Sequence[int],
               method: str = "g2",
-              min_samples_per_dof: float = MIN_SAMPLES_PER_DOF) -> CITestResult:
+              min_samples_per_dof: float = MIN_SAMPLES_PER_DOF,
+              configs: np.ndarray | None = None) -> CITestResult:
     """Test column ``i`` independent of ``j`` given the ``given`` columns.
 
     ``rows`` is an integer matrix whose column ``c`` takes values in
     ``range(cardinalities[c])``; ``i``, ``j`` and ``given`` are column
-    positions. The statistic sums per-configuration likelihood-ratio terms
-    2 * sum(O * ln(O / E)) over observed cells (``method="pearson"`` swaps
-    in sum((O - E)^2 / E)); the p-value is the chi-square upper tail.
+    positions, and a value out of range is refused. The statistic sums
+    per-configuration likelihood-ratio terms 2 * sum(O * ln(O / E)) over
+    observed cells (``method="pearson"`` swaps in sum((O - E)^2 / E) over
+    the cells with E > 0); the p-value is the chi-square upper tail.
     When the sample is too sparse for the asymptotics
     (n < min_samples_per_dof * dof) the test abstains: it keeps the
     computed statistic and dof but reports p_value 1.0 and independence,
     which preserves the ``independent == (p_value > alpha)`` contract.
+
+    ``configs``, if given, is ``condition_configs(rows, given,
+    cardinalities)`` computed earlier, by a caller that has range-checked
+    every column the test reads (:func:`dataset_ci` keeps one per
+    conditioning set); the test then neither codes nor checks.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -143,45 +188,78 @@ def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
     n = rows.shape[0]
     if n == 0:
         raise ValueError("cannot test on an empty dataset")
+    if configs is None:
+        for c in (i, j, *cond):
+            _check_states(rows[:, c], cardinalities[c], f"column {c}")
+        configs = condition_configs(rows, cond, cardinalities)
+    elif configs.shape != (n,):
+        raise ValueError(f"{configs.shape} configuration index for {n} rows")
     # Symmetric by construction: always tabulate the lower column index
     # against the higher one.
     i, j = min(i, j), max(i, j)
     ci, cj = cardinalities[i], cardinalities[j]
 
-    # One (configuration, x, y) table over the observed configurations
-    # only, in ascending configuration-code order; no conditioning set is
-    # the single configuration 0.
-    cond_cards = [cardinalities[c] for c in cond]
-    code_space(cond_cards, f"conditioning columns {cond}")
-    code = config_codes([rows[:, c].astype(np.int64) for c in cond], cond_cards, n)
-    _, config = np.unique(code, return_inverse=True)
+    # Counts of the observed (configuration, x, y) cells, in ascending cell
+    # order: a bincount over the whole table where it has few cells per
+    # data row, else a sort of the rows' cell codes.
+    config = configs.astype(np.int64)
     m = int(config.max()) + 1
     cell = (config * ci + rows[:, i]) * cj + rows[:, j]
-    table = np.bincount(cell, minlength=m * ci * cj).reshape(m, ci, cj).astype(float)
-    row_sums = table.sum(axis=2)
-    col_sums = table.sum(axis=1)
+    if m * ci * cj <= _DENSE_CODES_PER_ROW * n:
+        counts = np.bincount(cell, minlength=m * ci * cj)
+        cells = counts.nonzero()[0]
+        observed = counts[cells]
+    else:
+        cells, observed = np.unique(cell, return_counts=True)
+    observed = observed.astype(float)
+    # Each configuration's row (x) and column (y) sums and total, keyed
+    # config * ci + x, config * cj + y and config; as floats they are the
+    # exact counts.
+    row = cells // cj
+    col = row // ci * cj + cells % cj
+    row_sums = np.bincount(row, observed, m * ci)
+    col_sums = np.bincount(col, observed, m * cj)
+    totals = np.bincount(row // ci, observed, m)
     # A configuration counts only the rows/columns that actually appear,
     # (nonzero_rows - 1) * (nonzero_cols - 1); one collapsing to a single
     # row or column factorizes trivially and contributes nothing.
-    dofs = np.maximum(np.count_nonzero(row_sums, axis=1) - 1, 0) * \
-        np.maximum(np.count_nonzero(col_sums, axis=1) - 1, 0)
-    expected = row_sums[:, :, None] * col_sums[:, None, :] / \
-        row_sums.sum(axis=1)[:, None, None]
+    rows_seen = row_sums.nonzero()[0]
+    cols_seen = col_sums.nonzero()[0]
+    row_config = rows_seen // ci
+    n_cols = np.bincount(cols_seen // cj, minlength=m)
+    dofs = (np.bincount(row_config, minlength=m) - 1) * (n_cols - 1)
+
+    # Only the cells that carry a term, in cell order: for g2 the observed
+    # cells; for pearson every cell with E > 0, that is each seen row of a
+    # configuration against that configuration's seen columns.
+    if method == "pearson":
+        reps = n_cols[row_config]
+        first_col = np.cumsum(n_cols) - n_cols
+        within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        col = cols_seen[np.repeat(first_col[row_config], reps) + within]
+        row = np.repeat(rows_seen, reps)
+        seen = observed
+        observed = np.zeros(row.size)
+        observed[np.searchsorted(row * cj + col % cj, cells)] = seen
+    config_of = row // ci
+    expected = row_sums[row] * col_sums[col] / totals[config_of]
     if method == "g2":
-        mask = table > 0
-        terms = table[mask] * np.log(table[mask] / expected[mask])
+        terms = observed * np.log(observed / expected)
     else:
-        mask = expected > 0
-        terms = (table[mask] - expected[mask]) ** 2 / expected[mask]
-    # Each configuration sums its own cells with np.sum and the sums add up
-    # in code order, as tabulating the configurations one at a time would;
-    # np.add.reduceat groups the additions differently and changes the
-    # last bits.
-    bounds = np.concatenate([[0], np.cumsum(mask.reshape(m, -1).sum(axis=1))])
-    statistic = 0.0
-    for c in np.flatnonzero(dofs):
-        part = float(terms[bounds[c]:bounds[c + 1]].sum())
-        statistic += 2.0 * part if method == "g2" else part
+        terms = (observed - expected) ** 2 / expected
+
+    # Each configuration's terms add up as np.sum adds them, and the sums
+    # add up in code order, as tabulating the configurations one at a time
+    # would. One np.add.reduceat does every configuration; it starts a run
+    # from its first element where np.sum starts from 0.0, so each run gets
+    # a 0.0 in front.
+    lead = np.searchsorted(config_of, np.arange(m)) + np.arange(m)
+    padded = np.zeros(terms.size + m)
+    padded[np.arange(terms.size) + config_of + 1] = terms
+    parts = np.add.reduceat(padded, lead)[dofs > 0]
+    if method == "g2":
+        parts *= 2.0
+    statistic = float(np.cumsum(np.concatenate(([0.0], parts)))[-1])
     dof = int(dofs.sum())
 
     # an abstaining test never needs the tail, which costs most at large dof
@@ -194,12 +272,25 @@ def dataset_ci(data: DiscreteDataset, alpha: float = 0.05,
                **test_kwargs) -> CiCallable:
     """Bind a dataset into a name-based conditional-independence callable.
 
-    The conditioning columns are tested in name order.
+    The conditioning columns are tested in name order. Every column is
+    range-checked here, once, and each conditioning set's configurations
+    are coded once and kept until a set of another size is asked for:
+    structure search visits sizes in increasing order.
     """
+    rows, cards = data.rows, data.cardinalities
+    for c, name in enumerate(data.columns):
+        _check_states(rows[:, c], cards[c], f"column {name!r}")
+    coded: dict[tuple[int, ...], np.ndarray] = {}
+
     def ci(x: str, y: str, given: frozenset) -> bool:
-        return g_test_ci(data.rows, data.column_index(x), data.column_index(y),
-                         [data.column_index(g) for g in sorted(given)], alpha,
-                         cardinalities=data.cardinalities,
+        cond = tuple(data.column_index(g) for g in sorted(given))
+        if coded and len(next(iter(coded))) != len(cond):
+            coded.clear()
+        configs = coded.get(cond)
+        if configs is None:
+            configs = coded[cond] = condition_configs(rows, cond, cards)
+        return g_test_ci(rows, data.column_index(x), data.column_index(y), cond,
+                         alpha, cardinalities=cards, configs=configs,
                          **test_kwargs).independent
     return ci
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import bayesnet, citest, evalmetrics, ingest, pcalg, preprocess, synthgen
+# citest, evalmetrics and synthgen are imported by the one command that
+# runs them
+from . import bayesnet, ingest, pcalg, preprocess
 
 
 @dataclass
@@ -153,6 +155,8 @@ def _rebalance(ds: preprocess.DiscreteDataset, cfg: PipelineConfig,
 
 def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
               dot_path=None) -> int:
+    from . import citest
+
     seed = cfg.require_seed()
     with _stage("ingest"):
         table = _ingest_labeled(weather_path, outage_path)
@@ -162,8 +166,10 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
         balanced = _rebalance(ds, cfg, seed)
     with _stage("structure"):
         augmented = preprocess.attach_label_column(balanced, cfg.target)
-        ci = citest.dataset_ci(augmented, cfg.alpha, method=cfg.ci_method)
-        dag = pcalg.learn_structure(ci, augmented.columns, cfg.target)
+        # the callable, with its coded conditioning sets, dies with the search
+        dag = pcalg.learn_structure(
+            citest.dataset_ci(augmented, cfg.alpha, method=cfg.ci_method),
+            augmented.columns, cfg.target)
     with _stage("fit"):
         fit_ds = preprocess.attach_label_column(ds, cfg.target) if cfg.fit_on_raw \
             else augmented
@@ -215,6 +221,8 @@ def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
 
 def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
              report_path, baseline_report_path=None) -> int:
+    from . import evalmetrics
+
     seed = cfg.require_seed()
     with _stage("load-model"):
         bn, baseline = bayesnet.load_model(model_path)
@@ -264,6 +272,8 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
 
 def cmd_gen(cfg: PipelineConfig, spec: synthgen.ScenarioSpec, out_weather,
             out_outages, out_truth=None) -> int:
+    from . import synthgen
+
     with _stage("generate"):
         table, truth = synthgen.weather_outage_scenario(spec)
     with _stage("write"):
@@ -363,6 +373,8 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         if args.command == "gen":
+            from . import synthgen
+
             spec = synthgen.ScenarioSpec(
                 n_factors=args.factors,
                 hours=args.hours,

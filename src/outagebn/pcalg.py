@@ -14,11 +14,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
-
-from .citest import CiCallable
+from typing import Callable, Sequence
 
 log = logging.getLogger(__name__)
+
+# ci(x, y, given) is True when x and y are independent given the node set
+CiCallable = Callable[[str, str, frozenset], bool]
 
 PROV_V_STRUCTURE = "v-structure"
 PROV_PROPAGATION = "propagation"

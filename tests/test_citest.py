@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import citest, synthgen
+from outagebn import citest, preprocess, synthgen
 from outagebn.citest import (CITestResult, chi2_upper_tail, d_separated,
                              g_test_ci, independence_oracle)
-from outagebn.pcalg import LearnedDag
+from outagebn.pcalg import LearnedDag, learn_skeleton
+from outagebn.preprocess import DiscreteDataset
 
 # Frozen from the rational/textbook computation in oracles.g2_two_by_two.
 G2_SPLIT_TABLE = 20.929925750581912
@@ -137,19 +138,8 @@ class TestGStatistic:
             g_test_ci(data, 0, 1, list(range(2, 21)), cardinalities=cards)
 
     def test_matches_per_configuration_oracle(self):
-        # bit-equal to tabulating each conditioning configuration on its
-        # own: 0-3 conditioning columns, declared levels that never occur,
-        # columns stuck at one value (tables collapsing to one row)
-        rng = np.random.default_rng(47)
-        for trial in range(400):
-            cards = rng.integers(1, 7, size=5)
-            seen = [int(rng.integers(1, c + 1)) for c in cards]
-            n = int(rng.integers(1, 500))
-            data = np.column_stack([rng.integers(0, s, size=n) for s in seen])
-            i, j, *given = (int(c) for c in
-                            rng.permutation(5)[:2 + int(rng.integers(0, 4))])
-            method = ("g2", "pearson")[trial % 2]
-            floor = (0.0, 10.0)[trial % 3 == 0]
+        # bit-equal to tabulating each conditioning configuration on its own
+        def check(data, i, j, given, cards, method, floor, trial):
             res = g_test_ci(data, i, j, given, cardinalities=cards,
                             method=method, min_samples_per_dof=floor)
             want = oracles.ci_per_configuration(data, i, j, given, cards,
@@ -161,6 +151,75 @@ class TestGStatistic:
             scipy_p = oracles.ci_per_configuration(data, i, j, given, cards,
                                                    method, floor)[2]
             assert res.independent == (res.p_value > 0.05) == (scipy_p > 0.05)
+
+        # 0-3 conditioning columns, declared levels that never occur,
+        # columns stuck at one value (tables collapsing to one row)
+        rng = np.random.default_rng(47)
+        for trial in range(400):
+            cards = rng.integers(1, 7, size=5)
+            seen = [int(rng.integers(1, c + 1)) for c in cards]
+            n = int(rng.integers(1, 500))
+            data = np.column_stack([rng.integers(0, s, size=n) for s in seen])
+            i, j, *given = (int(c) for c in
+                            rng.permutation(5)[:2 + int(rng.integers(0, 4))])
+            check(data, i, j, given, cards, ("g2", "pearson")[trial % 2],
+                  (0.0, 10.0)[trial % 3 == 0], trial)
+
+        # 8-13-state columns beside a 2-state one and 2k-5k rows, under both
+        # methods and both floors. Two trials in three condition on 2-5
+        # columns: tables of many more cells than rows (the sorted-code
+        # path). The third tests columns 1 and 3, 13 near-uniform states
+        # each, given at most the 2-state column: configurations holding
+        # more than 128 terms (numpy's pairwise-sum block).
+        rng = np.random.default_rng(53)
+        sparse_tables = big_configurations = 0
+        for trial in range(24):
+            cards = [2, 13, *(int(c) for c in rng.integers(8, 14, size=5))]
+            cards[3] = 13
+            n = int(rng.integers(2000, 5001))
+            # skewed even columns give both heavy and single-row
+            # configurations; y leans on x so the statistics are far from 0
+            data = np.column_stack([
+                rng.choice(c, size=n, p=rng.dirichlet(np.full(c, (0.4, 4.0)[k % 2])))
+                for k, c in enumerate(cards)])
+            if trial % 3:
+                i, j, *given = (int(c) for c in
+                                rng.permutation(7)[:4 + int(rng.integers(0, 4))])
+            else:
+                i, j = (int(c) for c in rng.permutation([1, 3]))
+                given = [0][:trial % 2]
+            lean = rng.random(n) < 0.3
+            data[lean, j] = data[lean, i] % cards[j]
+            check(data, i, j, given, cards, ("g2", "pearson")[trial % 2],
+                  (0.0, 10.0)[trial // 2 % 2], f"wide {trial}")
+            configs = np.unique(data[:, given], axis=0, return_inverse=True)[1]
+            sparse_tables += (configs.max() + 1) * cards[i] * cards[j] > 10 * n
+            cells = np.unique(np.column_stack([configs.ravel(), data[:, [i, j]]]),
+                              axis=0)
+            big_configurations += np.bincount(cells[:, 0]).max() > 128
+        assert sparse_tables >= 6 and big_configurations >= 6
+
+    def test_out_of_range_values_refused(self):
+        # a state equal to the cardinality once landed in the next
+        # configuration's cells or failed a reshape, and a negative one
+        # failed inside bincount; every one now names its column
+        rng = np.random.default_rng(61)
+        data = rng.integers(0, 2, size=(400, 3))
+        cards = [2, 2, 2]
+        g_test_ci(data, 0, 1, (2,), cardinalities=cards)
+        last = int(np.flatnonzero(data[:, 2] == 1)[0])
+        first = int(np.flatnonzero(data[:, 2] == 0)[0])
+        for column in range(3):
+            for row in (first, last):
+                for state in (2, -1):
+                    bad = data.copy()
+                    bad[row, column] = state
+                    with pytest.raises(ValueError, match=rf"^column {column} holds "
+                                       rf"state {state} outside range\(2\)$"):
+                        g_test_ci(bad, 0, 1, (2,), cardinalities=cards)
+                    with pytest.raises(ValueError, match=rf"^column '{'abc'[column]}' "
+                                       "holds state"):
+                        citest.dataset_ci(dataset(bad, cards))
 
     def test_abstaining_test_skips_the_tail(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -187,6 +246,83 @@ class TestGStatistic:
                              cardinalities=[2, 2]).independent:
                 rejections += 1
         assert 0.02 <= rejections / trials <= 0.08
+
+
+def dataset(rows, cards, names="abcdefghijklmnop"):
+    return DiscreteDataset(columns=list(names[:len(cards)]),
+                           cardinalities=list(cards), rows=rows,
+                           labels=np.zeros(len(rows), dtype=np.int64),
+                           bin_edges=[np.arange(c - 1, dtype=float) for c in cards])
+
+
+def fresh_result(ds, x, y, given, alpha=0.05, **kwargs):
+    """The test as one g_test_ci call, with no configuration index passed in."""
+    col = ds.column_index
+    return g_test_ci(ds.rows, col(x), col(y), [col(g) for g in sorted(given)],
+                     alpha, cardinalities=ds.cardinalities, **kwargs)
+
+
+class TestDatasetCi:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every CITestResult a dataset_ci callable gets, in call order."""
+        results = []
+
+        def record(*args, **kwargs):
+            results.append(g_test_ci(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(citest, "g_test_ci", record)
+        return results
+
+    def test_shuffled_queries_match_fresh_tests(self, recorded):
+        # queries that go back to smaller sets, repeat sets and reorder them
+        # each get the result of a test coded from scratch
+        results = recorded
+        rng = np.random.default_rng(71)
+        cards = [3, 10, 2, 7, 10, 4]
+        ds = dataset(np.column_stack([rng.integers(0, c, size=3000) for c in cards]),
+                     cards)
+        queries = []
+        for _ in range(150):
+            x, y, *given = rng.permutation(ds.columns)[:2 + int(rng.integers(0, 4))]
+            queries.append((str(x), str(y), frozenset(str(g) for g in given)))
+        for method in ("g2", "pearson"):
+            ci = citest.dataset_ci(ds, 0.05, method=method)
+            del results[:]
+            answers = [ci(*q) for q in queries]
+            fresh = [fresh_result(ds, *q, method=method) for q in queries]
+            assert results == fresh
+            assert answers == [r.independent for r in fresh]
+
+    def test_two_datasets_share_no_entries(self, recorded):
+        results = recorded
+        rng = np.random.default_rng(73)
+        cards = [4, 4, 4, 4]
+        one = dataset(rng.integers(0, 4, size=(800, 4)), cards)
+        two = dataset(np.where(rng.random((800, 4)) < 0.5, one.rows, 3 - one.rows), cards)
+        ci_one, ci_two = citest.dataset_ci(one), citest.dataset_ci(two)
+        for given in ({"c"}, {"c"}, {"c", "d"}, {"d"}, {"c", "d"}):
+            for ds, ci in ((one, ci_one), (two, ci_two)):
+                del results[:]
+                ci("a", "b", frozenset(given))
+                assert results == [fresh_result(ds, "a", "b", given)]
+
+    def test_skeleton_unchanged_by_the_coding(self):
+        # the cached callable gives the skeleton of one uncoded test per query
+        def uncached(ds, alpha):
+            return lambda x, y, given: fresh_result(ds, x, y, given, alpha).independent
+
+        from test_acceptance import _strong_binary_network
+        fixtures = [(synthgen.forward_sample(_strong_binary_network(), 20_000,
+                                             seed=seed), 0.01) for seed in range(3)]
+        table, _ = synthgen.weather_outage_scenario(
+            synthgen.ScenarioSpec(hours=20_000, seed=3))
+        fixtures.append((preprocess.attach_label_column(preprocess.discretize(table, 10)),
+                         0.05))
+        for ds, alpha in fixtures:
+            got = learn_skeleton(citest.dataset_ci(ds, alpha), ds.columns)
+            want = learn_skeleton(uncached(ds, alpha), ds.columns)
+            assert (got.undirected, got.sepsets) == (want.undirected, want.sepsets)
 
 
 def assert_matches_scipy(statistic, dof):

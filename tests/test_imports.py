@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the CLI
+loads only the modules its commands run.
 
 No linter ships with the project, so this reads each module's syntax tree
 with :mod:`ast`. A name counts as used when the module reads it (``np`` in
@@ -7,6 +8,9 @@ are directives, not names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,30 @@ def test_checker_flags_unused_and_keeps_used():
               "def f(x: Callable) -> None:\n"
               "    return np.asarray(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: Mapping"]
+
+
+def test_cli_import_loads_only_shared_modules():
+    # each command imports its own module (citest for learn, evalmetrics for
+    # eval, synthgen for gen); the package's names load on first use
+    probe = ("import sys\n"
+             "import outagebn.cli\n"
+             "print(sorted(m for m in ('outagebn.citest', 'outagebn.synthgen',\n"
+             "                         'outagebn.evalmetrics') if m in sys.modules))\n"
+             "from outagebn import ScenarioSpec, EvalReport, LearnedDag\n"
+             "print(ScenarioSpec.__module__, EvalReport.__module__, LearnedDag.__module__)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "outagebn.synthgen outagebn.evalmetrics outagebn.pcalg"]
+
+
+def test_package_names_resolve_lazily():
+    import outagebn
+    for name in outagebn.__all__:
+        assert getattr(outagebn, name) is not None
+        assert name in dir(outagebn)
+    with pytest.raises(AttributeError, match="no attribute 'citest_result'"):
+        outagebn.citest_result
