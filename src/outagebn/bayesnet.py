@@ -167,10 +167,19 @@ def _check_assignment(bn: BayesianNetwork, assignment: Mapping[str, int],
         raise ValueError(f"assignment misses nodes {missing}")
 
 
-def _joint(bn: BayesianNetwork, states: Mapping, n: int) -> np.ndarray:
-    """Joint probabilities of ``n`` states; each node maps to n ints or one shared int."""
+def _tables_reading(bn: BayesianNetwork, unknown: set) -> list[str]:
+    """The target, then in node order each other node whose table reads a node in ``unknown``.
+
+    A table that reads only evidence is a factor of every term and cancels.
+    """
+    return [bn.target] + [n for n in bn.dag.nodes if n != bn.target and (
+        n in unknown or not unknown.isdisjoint(bn.cpts[n].parents))]
+
+
+def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int) -> np.ndarray:
+    """Product of the ``nodes``' entries in order; each state is n ints or one shared int."""
     p = np.ones(n)
-    for node in bn.dag.nodes:
+    for node in nodes:
         cpt = bn.cpts[node]
         code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
             if cpt.parents else 0
@@ -182,18 +191,16 @@ def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> flo
     """Probability of one complete state (node -> state) under the factorized model."""
     assignment = {k: int(v) for k, v in assignment.items()}
     _check_assignment(bn, assignment, complete=True)
-    return float(_joint(bn, assignment, 1)[0])
+    return float(_joint(bn, bn.dag.nodes, assignment, 1)[0])
 
 
-def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int],
-                     max_states: int = ENUMERATION_CAP) -> np.ndarray:
+def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.ndarray:
     """Exact conditional distribution of the target given observed nodes.
 
-    When every parent of the target is observed and no node has the target
-    as a parent, the answer is just the target's table row. Otherwise the
-    unobserved nodes are summed out by full enumeration with compensated
-    summation, refusing queries whose completion count exceeds
-    ``max_states``.
+    The unobserved nodes are summed out by full enumeration with
+    compensated summation; each term multiplies only the tables that read
+    the target or an unobserved node. A query whose completion count
+    exceeds ``ENUMERATION_CAP`` is refused.
     """
     target = bn.target
     if target is None:
@@ -203,18 +210,14 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int],
     if target in evidence:
         raise ValueError("target node cannot appear in the evidence")
 
-    t_cpt = bn.cpts[target]
-    target_is_parent = any(target in bn.cpts[n].parents for n in bn.dag.nodes)
-    if not target_is_parent and all(p in evidence for p in t_cpt.parents):
-        return t_cpt.row([evidence[p] for p in t_cpt.parents]).copy()
-
     unobserved = [target] + [n for n in bn.dag.nodes
                              if n != target and n not in evidence]
+    tables = _tables_reading(bn, set(unobserved))
     dims = [bn.cardinalities[n] for n in unobserved]
     n_terms = math.prod(dims)
-    if n_terms > max_states:
+    if n_terms > ENUMERATION_CAP:
         raise ValueError(
-            f"enumeration needs {n_terms} terms, above the cap of {max_states}")
+            f"enumeration needs {n_terms} terms, above the cap of {ENUMERATION_CAP}")
 
     def blocks():
         # C order over ``dims``: each target state's terms form one run
@@ -223,7 +226,7 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int],
             states = dict(evidence)
             states.update(zip(unobserved,
                               np.unravel_index(np.arange(lo, hi), dims)))
-            yield _joint(bn, states, hi - lo).tolist()
+            yield _joint(bn, tables, states, hi - lo).tolist()
 
     terms = chain.from_iterable(blocks())
     per_state = n_terms // dims[0]
@@ -238,9 +241,8 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
                  columns: Sequence[str]) -> np.ndarray:
     """Target posterior for many fully observed rows at once.
 
-    Every non-target node must be present in ``columns``; the posterior
-    then only involves the target's own table and the tables of its
-    children, which this evaluates vectorized across rows.
+    Every non-target node needs a column of in-range states; the posterior
+    multiplies the tables that read the target, vectorized across rows.
     """
     target = bn.target
     if target is None:
@@ -253,14 +255,17 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
     n = rows.shape[0]
     states = {node: rows[:, col_of[node]] for node in bn.dag.nodes
               if node != target}
+    for node, col in states.items():
+        # as unsigned, a negative state is above every cardinality
+        bad = col.view(np.uint64) >= bn.cardinalities[node]
+        if bad.any():
+            raise ValueError(f"state {col[bad][0]} out of range for node {node!r}")
 
     t_cpt = bn.cpts[target]
     scores = t_cpt.lookup(config_codes([states[q] for q in t_cpt.parents],
                                        t_cpt.parent_cards, n))
-    for node in bn.dag.nodes:
+    for node in _tables_reading(bn, {target})[1:]:
         cpt = bn.cpts[node]
-        if node == target or target not in cpt.parents:
-            continue
         for t in range(bn.cardinalities[target]):
             states[target] = t
             code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)

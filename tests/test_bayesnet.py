@@ -177,16 +177,21 @@ class TestJointAndPosterior:
         got = posterior_target(bn, {"a": 1})
         assert np.allclose(got, want / want.sum(), atol=1e-15)
 
-    def test_fast_path_returns_cpt_row(self):
-        dag = LearnedDag(nodes=["a", "b", "e"],
-                         parents={"a": [], "b": [], "e": ["a", "b"]},
-                         target="e")
-        ds = make_ds(["a", "b", "e"],
-                     [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]] * 5,
-                     cards=[2, 2, 2])
+    def test_tables_reading_only_evidence_never_enter(self):
+        # a -> b, a -> t -> c: b's table reads only evidence in both queries
+        dag = LearnedDag(nodes=["a", "b", "t", "c"],
+                         parents={"a": [], "b": ["a"], "t": ["a"], "c": ["t"]},
+                         target="t")
+        ds = make_ds(["a", "b", "t", "c"],
+                     [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]],
+                     cards=[2, 2, 2, 2])
         bn = fit_cpts(dag, ds, laplace_alpha=1.0)
-        got = posterior_target(bn, {"a": 1, "b": 0})
-        assert np.array_equal(got, bn.cpts["e"].row([1, 0]))
+        bn.cpts["b"] = bayesnet.Cpt("b", ["a"], [2], 2, np.arange(2),
+                                    np.full((2, 2), np.nan), np.full(2, np.nan))
+        for evidence in ({"a": 1, "b": 0}, {"a": 1, "b": 0, "c": 1}):
+            got = posterior_target(bn, evidence)
+            assert np.all(np.isfinite(got))
+            assert abs(math.fsum(got.tolist()) - 1.0) <= 1e-15
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(44)
@@ -209,12 +214,17 @@ class TestJointAndPosterior:
         monkeypatch.setattr(bayesnet, "_BLOCK", 3)
         rng = np.random.default_rng(71)
 
-        def entry(bn):
-            # C-order reshape: first parent most significant
-            return lambda n, ps, s: float(bn.cpts[n].table.reshape(
-                *bn.cpts[n].parent_cards, bn.cpts[n].card)[(*ps, s)])
+        def entry(bn, unknown):
+            # a table that reads no unknown node is left out, i.e. multiplies
+            # by 1.0; C-order reshape: first parent most significant
+            def value(n, ps, s):
+                if n not in unknown and unknown.isdisjoint(bn.dag.parents[n]):
+                    return 1.0
+                return float(bn.cpts[n].table.reshape(
+                    *bn.cpts[n].parent_cards, bn.cpts[n].card)[(*ps, s)])
+            return value
 
-        multi_block = ragged = 0
+        multi_block = ragged = row_shaped = 0
         for trial in range(30):
             n = int(rng.integers(2, 7))
             card = int(rng.integers(2, 4))
@@ -227,18 +237,20 @@ class TestJointAndPosterior:
                 size = int(rng.integers(0, len(others) + 1))
                 chosen = list(rng.choice(others, size=size, replace=False))
                 evidence = {v: int(rng.integers(card)) for v in chosen}
-                if not has_child and all(p in evidence
-                                         for p in bn.dag.parents[target]):
-                    continue  # answered from the table row, not enumerated
+                unknown = {target, *(v for v in others if v not in evidence)}
                 got = posterior_target(bn, evidence)
+                # the engine multiplies the target's table first, then node order
                 want = oracles.fsum_posterior(
-                    bn.dag.nodes, bn.dag.parents, bn.cardinalities, entry(bn),
-                    target, evidence)
+                    [target, *others], bn.dag.parents, bn.cardinalities,
+                    entry(bn, unknown), target, evidence)
                 assert np.array_equal(got, np.array(want))
                 n_terms = card ** (len(others) - size + 1)
                 multi_block += n_terms > 3
                 ragged += n_terms > 3 and n_terms % 3 != 0
-        assert multi_block >= 20 and ragged >= 10
+                # a childless target with every parent observed: one table
+                row_shaped += not has_child and all(p in evidence
+                                                    for p in bn.dag.parents[target])
+        assert multi_block >= 20 and ragged >= 10 and row_shaped >= 20
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
@@ -249,10 +261,11 @@ class TestJointAndPosterior:
             post = posterior_target(bn, evidence)
             assert abs(math.fsum(float(v) for v in post) - 1.0) <= 1e-12
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "ENUMERATION_CAP", 4)
         bn = synthgen.random_network(8, 0.3, seed=1, target="X1")
-        with pytest.raises(ValueError, match="cap"):
-            posterior_target(bn, {}, max_states=4)
+        with pytest.raises(ValueError, match="above the cap of 4"):
+            posterior_target(bn, {})
 
     def test_evidence_validation(self):
         bn = synthgen.random_network(3, 0.5, seed=2, target="X1")
@@ -275,7 +288,24 @@ class TestJointAndPosterior:
             for r in range(rows.shape[0]):
                 evidence = dict(zip(others, (int(v) for v in rows[r])))
                 single = posterior_target(bn, evidence)
-                assert np.max(np.abs(batch[r] - single)) <= 1e-12
+                assert batch[r].tobytes() == single.tobytes()
+
+    def test_predict_rows_refuses_out_of_range_states(self):
+        # x and y at 3 states code t's row as 3x + y: (0, 3) would wrap to
+        # (1, 0)'s row, and (-1, 1) would miss every configuration and read
+        # the default row
+        ds = make_ds(["x", "y", "t"],
+                     [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [2, 2, 1]] * 3,
+                     cards=[3, 3, 2])
+        dag = LearnedDag(nodes=["x", "y", "t"],
+                         parents={"x": [], "y": [], "t": ["x", "y"]}, target="t")
+        bn = fit_cpts(dag, ds)
+        for row, message in (([0, 3], "state 3 out of range for node 'y'"),
+                             ([-1, 1], "state -1 out of range for node 'x'")):
+            for call in (lambda: predict_rows(bn, np.array([[1, 1], row]), ["x", "y"]),
+                         lambda: posterior_target(bn, dict(zip("xy", row)))):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 def fit_star(ds, alpha=1.0):
