@@ -1,7 +1,9 @@
-"""CPT fitting, exact inference, the naive Bayes star network, model persistence."""
+"""CPT fitting, table lookup, exact inference and its plans, the naive Bayes star, model files."""
 
+import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 
 import oracles
 from outagebn import bayesnet, synthgen
-from outagebn.bayesnet import (fit_cpts, joint_probability, load_model,
-                               posterior_target, predict_rows, save_model)
+from outagebn.bayesnet import (BayesianNetwork, Cpt, fit_cpts, joint_probability,
+                               load_model, posterior_target, predict_rows, save_model)
 from outagebn.pcalg import LearnedDag, naive_bayes_dag
 from outagebn.preprocess import DiscreteDataset, attach_label_column
 
@@ -32,6 +34,26 @@ def oracle_posterior(bn, target, evidence):
         bn.dag.nodes, bn.dag.parents, cards,
         lambda n, ps, s: float(bn.cpts[n].row(list(ps))[s]),
         target, evidence)
+
+
+def kept_entry(bn, unknown):
+    """Table entries as the engine multiplies them: 1.0 for a table that reads no unknown node."""
+    def value(n, ps, s):
+        if n not in unknown and unknown.isdisjoint(bn.dag.parents[n]):
+            return 1.0
+        cpt = bn.cpts[n]
+        return float(cpt.table.reshape(*cpt.parent_cards, cpt.card)[(*ps, s)])
+    return value
+
+
+def sparse_copy(bn, rng):
+    """The network with about half of each table's configurations on a uniform default row."""
+    cpts = {}
+    for node, cpt in bn.cpts.items():
+        keep = np.flatnonzero(rng.random(len(cpt.configs)) < 0.5)
+        cpts[node] = Cpt(node, cpt.parents, cpt.parent_cards, cpt.card, cpt.configs[keep],
+                         cpt.rows[keep], np.full(cpt.card, 1.0 / cpt.card))
+    return BayesianNetwork(bn.dag, cpts, bn.cardinalities, bn.bin_edges)
 
 
 class TestFitCpts:
@@ -140,6 +162,44 @@ class TestFitCpts:
         dag = LearnedDag(nodes=["x", "y"], parents={"x": [], "y": []})
         with pytest.raises(ValueError, match="no column"):
             fit_cpts(dag, ds)
+
+
+class TestCptLookup:
+    def test_indexed_searched_and_complete_tables_agree(self, monkeypatch):
+        # two 3-state parents: 9 configurations, 4 of them with their own row
+        rng = np.random.default_rng(31)
+        dense = rng.random((9, 2)) + 0.05
+        dense /= dense.sum(axis=1, keepdims=True)
+        configs = np.array([1, 4, 5, 8])
+        default = np.array([0.25, 0.75])
+
+        def sparse():
+            return Cpt("x", ["a", "b"], [3, 3], 2, configs, dense[configs], default)
+
+        indexed = sparse()
+        monkeypatch.setattr(bayesnet, "_INDEX_LIMIT", 8)
+        searched = sparse()
+        complete = Cpt.dense("x", ["a", "b"], [3, 3], 2, dense)
+        assert indexed._pos is not None and searched._pos is None and complete._complete
+        codes = np.arange(9)
+        missed = np.vstack([dense[c] if c in configs else default for c in codes])
+        for cpt, want in ((indexed, missed), (searched, missed), (complete, dense)):
+            assert cpt.lookup(codes).tobytes() == want.tobytes()
+            assert cpt.lookup(codes, codes % 2).tobytes() == want[codes, codes % 2].tobytes()
+            for c in codes.tolist():
+                for code in (c, np.int64(c)):
+                    assert cpt.lookup(code).tobytes() == want[c].tobytes()
+                    assert cpt.lookup(code, c % 2) == want[c, c % 2]
+                    assert cpt.lookup(code, codes[:3] % 2).tobytes() == \
+                        want[c, codes[:3] % 2].tobytes()
+
+    def test_refuses_bad_codes_with_and_without_an_index(self, monkeypatch):
+        for limit in (2**16, 8):
+            monkeypatch.setattr(bayesnet, "_INDEX_LIMIT", limit)
+            for bad in ([4, 1], [1, 1], [-1, 4], [4, 9]):
+                with pytest.raises(ValueError, match="sorted unique codes below 9"):
+                    Cpt("x", ["a", "b"], [3, 3], 2, np.array(bad), np.full((2, 2), 0.5),
+                        np.full(2, 0.5))
 
 
 class TestJointAndPosterior:
@@ -276,6 +336,23 @@ class TestJointAndPosterior:
         with pytest.raises(ValueError):
             posterior_target(bn, {"X2": 7})
 
+    def test_fractional_states_refused(self):
+        # a state is an integer: 1.7 used to answer as 1, and 0.9 as 0
+        bn = synthgen.random_network(3, 0.5, seed=2, card=3, target="X1")
+        full = {"X1": 0, "X2": 1, "X3": 2}
+        for bad in (1.7, 0.9, np.float64(2.0), "1"):
+            message = re.escape(f"state {bad!r} of node 'X2' is not an integer")
+            with pytest.raises(ValueError, match=message):
+                posterior_target(bn, {"X2": bad})
+            with pytest.raises(ValueError, match=message):
+                joint_probability(bn, {**full, "X2": bad})
+        # numpy ints and bools are integers
+        for state, same in ((np.int64(2), 2), (np.int32(0), 0), (True, 1)):
+            assert posterior_target(bn, {"X2": state}).tobytes() == \
+                posterior_target(bn, {"X2": same}).tobytes()
+            assert joint_probability(bn, {**full, "X2": state}) == \
+                joint_probability(bn, {**full, "X2": same})
+
     def test_predict_rows_matches_posterior(self):
         rng = np.random.default_rng(6)
         for trial in range(12):
@@ -306,6 +383,96 @@ class TestJointAndPosterior:
                          lambda: posterior_target(bn, dict(zip("xy", row)))):
                 with pytest.raises(ValueError, match=message):
                     call()
+
+
+class TestPlanCache:
+    def test_cached_plans_bit_exact_across_blocks(self, monkeypatch, tmp_path):
+        # blocks of at most 3 completions: leading unobserved nodes become
+        # scalars, and a 2-state block falls short of 3 completions; each
+        # network asks a few evidence patterns over and over
+        monkeypatch.setattr(bayesnet, "_BLOCK", 3)
+        rng = np.random.default_rng(83)
+        leading = short = reused = 0
+        for trial in range(20):
+            n = int(rng.integers(2, 7))
+            card = int(rng.integers(2, 4))
+            target = f"X{int(rng.integers(n)) + 1}"
+            bn = synthgen.random_network(n, 0.5, seed=trial + 500, card=card, target=target)
+            if trial % 2:
+                bn = sparse_copy(bn, rng)
+            path = tmp_path / f"m{trial}.json"
+            save_model(bn, path)
+            others = [v for v in bn.dag.nodes if v != target]
+            patterns = [list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
+                                        replace=False)) for _ in range(3)]
+            for _ in range(8):
+                hidden = patterns[int(rng.integers(3))]
+                evidence = {v: int(rng.integers(card)) for v in others if v not in hidden}
+                reused += frozenset(evidence) in bn._plans.plans
+                got = posterior_target(bn, evidence)
+                fresh, _ = load_model(path)
+                assert got.tobytes() == posterior_target(fresh, evidence).tobytes()
+                want = oracles.fsum_posterior(
+                    [target, *others], bn.dag.parents, bn.cardinalities,
+                    kept_entry(bn, {target, *hidden}), target, evidence)
+                assert got.tobytes() == np.array(want).tobytes()
+                plan = bn._plans.plans[frozenset(evidence)]
+                leading += bool(plan.lead)
+                short += len(next(iter(plan.block.values()))) < 3
+        assert leading >= 100 and short >= 80 and reused >= 100
+
+    def test_byte_bound_drops_the_oldest_plan(self, monkeypatch):
+        bn = synthgen.random_network(6, 0.5, seed=7, card=3, target="X1")
+        others = [v for v in bn.dag.nodes if v != "X1"]
+        patterns = [frozenset(others[:k]) for k in range(len(others) + 1)]
+        patterns += [frozenset(others[k:]) for k in range(1, len(others))]
+        size = {key: bayesnet._compile(bn, key).nbytes for key in patterns}
+        bound = sorted(size.values())[-1] + sorted(size.values())[-2]
+        monkeypatch.setattr(bayesnet, "_PLAN_CACHE_BYTES", bound)
+        kept = []
+        for key in patterns + patterns[::2]:
+            if kept:  # a hit leaves the order as it is
+                posterior_target(bn, {v: 0 for v in kept[0]})
+                assert list(bn._plans.plans) == kept
+            posterior_target(bn, {v: 1 for v in key})
+            if key not in kept:
+                kept.append(key)
+                while sum(size[k] for k in kept) > bound:
+                    kept.pop(0)
+            assert list(bn._plans.plans) == kept
+            assert bn._plans.nbytes == sum(size[k] for k in kept) <= bound
+        assert len(kept) < len(set(patterns))
+        # a plan larger than the whole bound is used and never kept
+        monkeypatch.setattr(bayesnet, "_PLAN_CACHE_BYTES", min(size.values()) - 1)
+        posterior_target(bn, {v: 1 for v in patterns[1]})
+        assert list(bn._plans.plans) == kept
+
+    def test_over_cap_pattern_is_never_cached(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "ENUMERATION_CAP", 4)
+        bn = synthgen.random_network(8, 0.3, seed=1, target="X1")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="above the cap of 4"):
+                posterior_target(bn, {})
+        assert not bn._plans.plans and bn._plans.nbytes == 0
+
+    def test_swapped_table_is_read_by_the_next_query(self):
+        # a -> b, a -> t -> c, as in test_tables_reading_only_evidence_never_enter
+        dag = LearnedDag(nodes=["a", "b", "t", "c"],
+                         parents={"a": [], "b": ["a"], "t": ["a"], "c": ["t"]},
+                         target="t")
+        ds = make_ds(["a", "b", "t", "c"],
+                     [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]],
+                     cards=[2, 2, 2, 2])
+        bn = fit_cpts(dag, ds, laplace_alpha=1.0)
+        evidence = {"a": 1, "c": 1}
+        before = posterior_target(bn, evidence)
+        bn.cpts["c"] = Cpt.dense("c", ["t"], [2], 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
+        got = posterior_target(bn, evidence)
+        fresh = BayesianNetwork(bn.dag, bn.cpts, bn.cardinalities, bn.bin_edges)
+        assert not fresh._plans.plans and len(bn._plans.plans) == 1
+        assert got.tobytes() == posterior_target(fresh, evidence).tobytes()
+        assert np.max(np.abs(got - np.array(oracle_posterior(bn, "t", evidence)))) <= 1e-15
+        assert np.max(np.abs(got - before)) > 0.1
 
 
 def fit_star(ds, alpha=1.0):
@@ -400,6 +567,16 @@ class TestModelFile:
         bn2, nb2 = load_model(p1)
         save_model(bn2, p2, baseline=nb2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_writes_the_bytes_of_json_dump(self, tmp_path):
+        # one write of the whole text, byte for byte what json.dump streams
+        bn, nb = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        streamed = io.StringIO()
+        json.dump(json.loads(path.read_text()), streamed, indent=2, sort_keys=True)
+        streamed.write("\n")
+        assert path.read_bytes() == streamed.getvalue().encode()
 
     def test_baseline_must_share_the_network_metadata(self, tmp_path):
         # the file keeps one set of nodes, cardinalities and bin edges for both
