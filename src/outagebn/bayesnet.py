@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -121,9 +121,6 @@ class BayesianNetwork:
     cpts: dict[str, Cpt]
     cardinalities: dict[str, int]
     bin_edges: dict[str, list[float]] = field(default_factory=dict)
-    # posterior_target's compiled evidence patterns
-    _plans: "_PlanCache" = field(default_factory=lambda: _PlanCache(), init=False,
-                                 repr=False, compare=False)
 
     @property
     def target(self) -> str | None:
@@ -201,89 +198,21 @@ def _tables_reading(bn: BayesianNetwork, unknown: set) -> list[str]:
         n in unknown or not unknown.isdisjoint(bn.cpts[n].parents))]
 
 
-def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> float:
-    """Probability of one complete state (node -> state) under the factorized model."""
-    assignment = _checked(bn, assignment, complete=True)
-    p = 1.0
-    for node in bn.dag.nodes:
+def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int) -> np.ndarray:
+    """Product of the ``nodes``' entries in order; each state is n ints or one shared int."""
+    p = np.ones(n)
+    for node in nodes:
         cpt = bn.cpts[node]
-        p *= float(cpt.row([assignment[q] for q in cpt.parents])[assignment[node]])
+        code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
+            if cpt.parents else 0
+        p *= cpt.lookup(code, states[node])
     return p
 
 
-# Compiled query plans kept per network. A plan is charged its arrays'
-# bytes plus _ENTRY_BYTES for the Python objects of each table and block
-# node (about 250 B each, traced on 20-factor plans). The largest plans of
-# a 0-3 hidden query mix at 10 bins took 159 KB at 6 factors, 254 KB at
-# 12 and 381 KB at 20, each on a naive Bayes star, whose every table reads
-# the target; so 16 MB holds at least 43 of the largest.
-_PLAN_CACHE_BYTES = 16 * 2**20
-_ENTRY_BYTES = 256
-
-
-@dataclass
-class _Plan:
-    """How the completions of one evidence pattern are enumerated.
-
-    The unobserved nodes, the target first and then node order, have
-    cardinalities ``dims`` and ``n_terms`` completions in C order. The
-    trailing nodes form ``block``, which maps each to its states over one
-    block of completions; each state combination of the leading nodes
-    ``lead`` is one block. ``tables`` lists, in product order, each table
-    read, with the part of its configuration code that the block's states
-    give and the ``(parent, stride)`` pairs of its other parents.
-    """
-
-    dims: list[int]
-    n_terms: int
-    lead: list[str]
-    block: dict[str, np.ndarray]
-    tables: list[tuple[str, np.ndarray | int, list[tuple[str, int]]]]
-    nbytes: int
-
-
-class _PlanCache:
-    """Plans by observed-node set; beyond ``_PLAN_CACHE_BYTES`` the oldest goes first."""
-
-    def __init__(self):
-        self.plans: dict[frozenset, _Plan] = {}
-        self.nbytes = 0
-
-    def add(self, key: frozenset, plan: _Plan) -> None:
-        if plan.nbytes > _PLAN_CACHE_BYTES:
-            return
-        while self.nbytes + plan.nbytes > _PLAN_CACHE_BYTES:
-            self.nbytes -= self.plans.pop(next(iter(self.plans))).nbytes
-        self.plans[key] = plan
-        self.nbytes += plan.nbytes
-
-
-def _compile(bn: BayesianNetwork, observed: frozenset) -> _Plan:
-    target = bn.target
-    unobserved = [target] + [n for n in bn.dag.nodes
-                             if n != target and n not in observed]
-    dims = [bn.cardinalities[n] for n in unobserved]
-    n_terms = math.prod(dims)
-    if n_terms > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration needs {n_terms} terms, above the cap of {ENUMERATION_CAP}")
-    # the longest suffix of at most _BLOCK completions, and at least the last node
-    k, size = len(dims) - 1, dims[-1]
-    while k and size * dims[k - 1] <= _BLOCK:
-        k -= 1
-        size *= dims[k]
-    block = dict(zip(unobserved[k:], np.unravel_index(np.arange(size), dims[k:])))
-    tables = []
-    for node in _tables_reading(bn, set(unobserved)):
-        cpt = bn.cpts[node]
-        strides = [math.prod(cpt.parent_cards[j + 1:]) for j in range(len(cpt.parents))]
-        pairs = list(zip(cpt.parents, strides))
-        offsets = sum(block[q] * s for q, s in pairs if q in block)  # 0 if none
-        tables.append((node, offsets, [(q, s) for q, s in pairs if q not in block]))
-    nbytes = sum(a.nbytes for a in block.values()) + sum(
-        o.nbytes for _, o, _ in tables if isinstance(o, np.ndarray))
-    return _Plan(dims, n_terms, unobserved[:k], block, tables,
-                 nbytes + _ENTRY_BYTES * (len(block) + len(tables)))
+def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> float:
+    """Probability of one complete state (node -> state) under the factorized model."""
+    assignment = _checked(bn, assignment, complete=True)
+    return float(_joint(bn, bn.dag.nodes, assignment, 1)[0])
 
 
 def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.ndarray:
@@ -291,15 +220,8 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.nda
 
     The unobserved nodes are summed out by full enumeration with
     compensated summation; each term multiplies only the tables that read
-    the target or an unobserved node, target first, then in node order. A
-    query whose completion count exceeds ``ENUMERATION_CAP`` is refused.
-
-    The first query with a given set of observed nodes compiles its
-    enumeration into a plan kept on ``bn``; later queries with the same
-    observed nodes reuse it and read the tables in ``bn.cpts`` afresh.
-    A table may be swapped for one with the same parents, but the graph,
-    the cardinalities and the target must not change after a query, and
-    threads that query one network at once need a lock around the calls.
+    the target or an unobserved node. A query whose completion count
+    exceeds ``ENUMERATION_CAP`` is refused.
     """
     target = bn.target
     if target is None:
@@ -307,28 +229,28 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.nda
     evidence = _checked(bn, evidence, complete=False)
     if target in evidence:
         raise ValueError("target node cannot appear in the evidence")
-    key = frozenset(evidence)
-    plan = bn._plans.plans.get(key)
-    if plan is None:
-        plan = _compile(bn, key)
-        bn._plans.add(key, plan)
+
+    unobserved = [target] + [n for n in bn.dag.nodes
+                             if n != target and n not in evidence]
+    tables = _tables_reading(bn, set(unobserved))
+    dims = [bn.cardinalities[n] for n in unobserved]
+    n_terms = math.prod(dims)
+    if n_terms > ENUMERATION_CAP:
+        raise ValueError(
+            f"enumeration needs {n_terms} terms, above the cap of {ENUMERATION_CAP}")
 
     def blocks():
         # C order over ``dims``: each target state's terms form one run
-        lead_dims = plan.dims[:len(plan.lead)]
-        size = plan.n_terms // math.prod(lead_dims)
-        states = {**evidence, **plan.block}
-        for combo in product(*map(range, lead_dims)):
-            states.update(zip(plan.lead, combo))
-            p = np.ones(size)
-            for node, offsets, rest in plan.tables:
-                code = sum(states[q] * s for q, s in rest) + offsets
-                p *= bn.cpts[node].lookup(code, states[node])
-            yield p.tolist()
+        for lo in range(0, n_terms, _BLOCK):
+            hi = min(lo + _BLOCK, n_terms)
+            states = dict(evidence)
+            states.update(zip(unobserved,
+                              np.unravel_index(np.arange(lo, hi), dims)))
+            yield _joint(bn, tables, states, hi - lo).tolist()
 
     terms = chain.from_iterable(blocks())
-    per_state = plan.n_terms // plan.dims[0]
-    totals = [math.fsum(islice(terms, per_state)) for _ in range(plan.dims[0])]
+    per_state = n_terms // dims[0]
+    totals = [math.fsum(islice(terms, per_state)) for _ in range(dims[0])]
     norm = math.fsum(totals)
     if norm <= 0:
         raise ValueError("evidence has zero probability under the model")
@@ -413,13 +335,8 @@ def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = Non
             raise ValueError("the baseline must share the network's nodes, target, "
                              "cardinalities and bin edges")
         doc["baseline"] = _cpt_doc(baseline)
-    # json.dump writes its encoder chunks one by one, about 12k on the stock
-    # model; joined 1024 at a time they write as fast as one json.dumps text
-    # without holding the whole text and its chunk list (0.8 MB)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
     with open(path, "w") as fh:
-        while text := "".join(islice(chunks, 1024)):
-            fh.write(text)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,6 +1,5 @@
 """CPT fitting, table lookup, exact inference and its plans, the naive Bayes star, model files."""
 
-import io
 import json
 import math
 import re
@@ -201,6 +200,40 @@ class TestCptLookup:
                     Cpt("x", ["a", "b"], [3, 3], 2, np.array(bad), np.full((2, 2), 0.5),
                         np.full(2, 0.5))
 
+    def test_queries_on_indexed_and_searched_tables_are_bit_exact(self, monkeypatch):
+        # about half of each table's configurations on a default row, blocks
+        # of 3 completions: whole queries give the same bytes whether the
+        # sparse tables are indexed or searched, and those are the oracle's
+        monkeypatch.setattr(bayesnet, "_BLOCK", 3)
+        rng = np.random.default_rng(83)
+        indexed_tables = 0
+        for trial in range(20):
+            n = int(rng.integers(2, 7))
+            card = int(rng.integers(2, 4))
+            target = f"X{int(rng.integers(n)) + 1}"
+            dense = synthgen.random_network(n, 0.5, seed=trial + 500, card=card, target=target)
+            indexed = sparse_copy(dense, np.random.default_rng(trial))
+            with monkeypatch.context() as m:
+                m.setattr(bayesnet, "_INDEX_LIMIT", 0)
+                searched = sparse_copy(dense, np.random.default_rng(trial))
+            assert all(c._pos is None for c in searched.cpts.values())
+            indexed_tables += sum(c._pos is not None for c in indexed.cpts.values())
+            others = [v for v in dense.dag.nodes if v != target]
+            for _ in range(8):
+                hidden = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
+                                         replace=False))
+                evidence = {v: int(rng.integers(card)) for v in others if v not in hidden}
+                got = posterior_target(indexed, evidence)
+                assert got.tobytes() == posterior_target(searched, evidence).tobytes()
+                want = oracles.fsum_posterior(
+                    [target, *others], indexed.dag.parents, indexed.cardinalities,
+                    kept_entry(indexed, {target, *hidden}), target, evidence)
+                assert got.tobytes() == np.array(want).tobytes()
+            rows = rng.integers(card, size=(50, len(others)))
+            assert predict_rows(indexed, rows, others).tobytes() == \
+                predict_rows(searched, rows, others).tobytes()
+        assert indexed_tables >= 40
+
 
 class TestJointAndPosterior:
     def test_joint_is_product_of_rows(self):
@@ -385,96 +418,6 @@ class TestJointAndPosterior:
                     call()
 
 
-class TestPlanCache:
-    def test_cached_plans_bit_exact_across_blocks(self, monkeypatch, tmp_path):
-        # blocks of at most 3 completions: leading unobserved nodes become
-        # scalars, and a 2-state block falls short of 3 completions; each
-        # network asks a few evidence patterns over and over
-        monkeypatch.setattr(bayesnet, "_BLOCK", 3)
-        rng = np.random.default_rng(83)
-        leading = short = reused = 0
-        for trial in range(20):
-            n = int(rng.integers(2, 7))
-            card = int(rng.integers(2, 4))
-            target = f"X{int(rng.integers(n)) + 1}"
-            bn = synthgen.random_network(n, 0.5, seed=trial + 500, card=card, target=target)
-            if trial % 2:
-                bn = sparse_copy(bn, rng)
-            path = tmp_path / f"m{trial}.json"
-            save_model(bn, path)
-            others = [v for v in bn.dag.nodes if v != target]
-            patterns = [list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
-                                        replace=False)) for _ in range(3)]
-            for _ in range(8):
-                hidden = patterns[int(rng.integers(3))]
-                evidence = {v: int(rng.integers(card)) for v in others if v not in hidden}
-                reused += frozenset(evidence) in bn._plans.plans
-                got = posterior_target(bn, evidence)
-                fresh, _ = load_model(path)
-                assert got.tobytes() == posterior_target(fresh, evidence).tobytes()
-                want = oracles.fsum_posterior(
-                    [target, *others], bn.dag.parents, bn.cardinalities,
-                    kept_entry(bn, {target, *hidden}), target, evidence)
-                assert got.tobytes() == np.array(want).tobytes()
-                plan = bn._plans.plans[frozenset(evidence)]
-                leading += bool(plan.lead)
-                short += len(next(iter(plan.block.values()))) < 3
-        assert leading >= 100 and short >= 80 and reused >= 100
-
-    def test_byte_bound_drops_the_oldest_plan(self, monkeypatch):
-        bn = synthgen.random_network(6, 0.5, seed=7, card=3, target="X1")
-        others = [v for v in bn.dag.nodes if v != "X1"]
-        patterns = [frozenset(others[:k]) for k in range(len(others) + 1)]
-        patterns += [frozenset(others[k:]) for k in range(1, len(others))]
-        size = {key: bayesnet._compile(bn, key).nbytes for key in patterns}
-        bound = sorted(size.values())[-1] + sorted(size.values())[-2]
-        monkeypatch.setattr(bayesnet, "_PLAN_CACHE_BYTES", bound)
-        kept = []
-        for key in patterns + patterns[::2]:
-            if kept:  # a hit leaves the order as it is
-                posterior_target(bn, {v: 0 for v in kept[0]})
-                assert list(bn._plans.plans) == kept
-            posterior_target(bn, {v: 1 for v in key})
-            if key not in kept:
-                kept.append(key)
-                while sum(size[k] for k in kept) > bound:
-                    kept.pop(0)
-            assert list(bn._plans.plans) == kept
-            assert bn._plans.nbytes == sum(size[k] for k in kept) <= bound
-        assert len(kept) < len(set(patterns))
-        # a plan larger than the whole bound is used and never kept
-        monkeypatch.setattr(bayesnet, "_PLAN_CACHE_BYTES", min(size.values()) - 1)
-        posterior_target(bn, {v: 1 for v in patterns[1]})
-        assert list(bn._plans.plans) == kept
-
-    def test_over_cap_pattern_is_never_cached(self, monkeypatch):
-        monkeypatch.setattr(bayesnet, "ENUMERATION_CAP", 4)
-        bn = synthgen.random_network(8, 0.3, seed=1, target="X1")
-        for _ in range(3):
-            with pytest.raises(ValueError, match="above the cap of 4"):
-                posterior_target(bn, {})
-        assert not bn._plans.plans and bn._plans.nbytes == 0
-
-    def test_swapped_table_is_read_by_the_next_query(self):
-        # a -> b, a -> t -> c, as in test_tables_reading_only_evidence_never_enter
-        dag = LearnedDag(nodes=["a", "b", "t", "c"],
-                         parents={"a": [], "b": ["a"], "t": ["a"], "c": ["t"]},
-                         target="t")
-        ds = make_ds(["a", "b", "t", "c"],
-                     [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0]],
-                     cards=[2, 2, 2, 2])
-        bn = fit_cpts(dag, ds, laplace_alpha=1.0)
-        evidence = {"a": 1, "c": 1}
-        before = posterior_target(bn, evidence)
-        bn.cpts["c"] = Cpt.dense("c", ["t"], [2], 2, np.array([[0.9, 0.1], [0.2, 0.8]]))
-        got = posterior_target(bn, evidence)
-        fresh = BayesianNetwork(bn.dag, bn.cpts, bn.cardinalities, bn.bin_edges)
-        assert not fresh._plans.plans and len(bn._plans.plans) == 1
-        assert got.tobytes() == posterior_target(fresh, evidence).tobytes()
-        assert np.max(np.abs(got - np.array(oracle_posterior(bn, "t", evidence)))) <= 1e-15
-        assert np.max(np.abs(got - before)) > 0.1
-
-
 def fit_star(ds, alpha=1.0):
     aug = attach_label_column(ds, "t")
     return fit_cpts(naive_bayes_dag(aug.columns, "t"), aug, laplace_alpha=alpha)
@@ -567,16 +510,6 @@ class TestModelFile:
         bn2, nb2 = load_model(p1)
         save_model(bn2, p2, baseline=nb2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_save_writes_the_bytes_of_json_dump(self, tmp_path):
-        # one write of the whole text, byte for byte what json.dump streams
-        bn, nb = self.build()
-        path = tmp_path / "m.json"
-        save_model(bn, path, baseline=nb)
-        streamed = io.StringIO()
-        json.dump(json.loads(path.read_text()), streamed, indent=2, sort_keys=True)
-        streamed.write("\n")
-        assert path.read_bytes() == streamed.getvalue().encode()
 
     def test_baseline_must_share_the_network_metadata(self, tmp_path):
         # the file keeps one set of nodes, cardinalities and bin edges for both
