@@ -106,10 +106,12 @@ class Cpt:
     def config_index(self, parent_states: Sequence[int]) -> int:
         if len(parent_states) != len(self.parents):
             raise ValueError(f"{self.node}: expected {len(self.parents)} parent states")
-        for s, c in zip(parent_states, self.parent_cards):
+        # Python ints: a numpy uint8 state would code in uint8 and wrap
+        states = [operator.index(s) for s in parent_states]
+        for s, c in zip(states, self.parent_cards):
             if not 0 <= s < c:
                 raise ValueError(f"{self.node}: parent state {s} out of range")
-        return config_codes(parent_states, self.parent_cards, 1) if self.parents else 0
+        return config_codes(states, self.parent_cards, 1) if self.parents else 0
 
     def row(self, parent_states: Sequence[int]) -> np.ndarray:
         return self.lookup(self.config_index(parent_states))
@@ -129,7 +131,7 @@ class BayesianNetwork:
 
 def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
              laplace_alpha: float = 1.0) -> BayesianNetwork:
-    """Estimate every node's table from integer-coded data.
+    """Estimate every node's table from integer-coded data of any integer dtype.
 
     Each cell gets (count + alpha) / (config_total + alpha * card). Only
     configurations seen in ``ds`` get a row; every other one shares the
@@ -145,18 +147,17 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
     n = ds.n_rows
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    rows = ds.rows.astype(np.int64, copy=False)
 
     cpts: dict[str, Cpt] = {}
     for node in dag.nodes:
         card = ds.cardinalities[col_of[node]]
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
-        codes = config_codes([rows[:, col_of[p]] for p in parents], parent_cards, n)
+        codes = config_codes([ds.rows[:, col_of[p]] for p in parents], parent_cards, n)
         configs, config_of_row = np.unique(codes, return_inverse=True)
         # one count row per observed configuration, then a zero row whose
         # smoothed value is the default for every unobserved configuration
-        counts = np.bincount(config_of_row * card + rows[:, col_of[node]],
+        counts = np.bincount(config_of_row * card + ds.rows[:, col_of[node]],
                              minlength=(len(configs) + 1) * card).astype(float)
         counts = counts.reshape(len(configs) + 1, card)
         totals = counts.sum(axis=1, keepdims=True)
@@ -261,8 +262,11 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
                  columns: Sequence[str]) -> np.ndarray:
     """Target posterior for many fully observed rows at once.
 
-    Every non-target node needs a column of in-range states; the posterior
-    multiplies the tables that read the target, vectorized across rows.
+    Every non-target node needs a column of in-range states, of any integer
+    dtype; the matrix is read in place, never widened as a whole. As in
+    :func:`posterior_target`, a float state is not an integer, even 1.0.
+    The posterior multiplies the tables that read the target, vectorized
+    across rows.
     """
     target = bn.target
     if target is None:
@@ -271,15 +275,22 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
     for node in bn.dag.nodes:
         if node != target and node not in col_of:
             raise ValueError(f"missing column for node {node!r}")
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
+    if rows.dtype == np.bool_:
+        rows = rows.view(np.uint8)  # True is state 1, as in posterior_target
+    elif not rows.size:
+        rows = rows.astype(np.int64)  # no state, so none to refuse
     n = rows.shape[0]
     states = {node: rows[:, col_of[node]] for node in bn.dag.nodes
               if node != target}
     for node, col in states.items():
-        # as unsigned, a negative state is above every cardinality
-        bad = col.view(np.uint64) >= bn.cardinalities[node]
-        if bad.any():
-            raise ValueError(f"state {col[bad][0]} out of range for node {node!r}")
+        if col.dtype.kind not in "iu":
+            raise ValueError(f"state {col[0].item()!r} of node {node!r} is not an integer")
+        card = bn.cardinalities[node]
+        # the initial 0 takes part in both reductions and keeps an empty column legal
+        if not 0 <= int(col.min(initial=0)) <= int(col.max(initial=0)) < card:
+            bad = col[(col < 0) | (col >= card)][0]
+            raise ValueError(f"state {bad} out of range for node {node!r}")
 
     t_cpt = bn.cpts[target]
     scores = t_cpt.lookup(config_codes([states[q] for q in t_cpt.parents],
@@ -290,7 +301,8 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
             states[target] = t
             code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
             scores[:, t] *= cpt.lookup(code, states[node])
-    return scores / scores.sum(axis=1, keepdims=True)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 # Exists only for the span list of the benchmark's traced run, which wraps

@@ -141,7 +141,7 @@ def condition_configs(rows: np.ndarray, given: Sequence[int],
     cond = [int(c) for c in given]
     cards = [cardinalities[c] for c in cond]
     space = code_space(cards, f"conditioning columns {cond}")
-    code = config_codes([rows[:, c].astype(np.int64) for c in cond], cards, n)
+    code = config_codes([rows[:, c] for c in cond], cards, n)
     if space <= _DENSE_CODES_PER_ROW * n:
         rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
         return rank.astype(np.min_scalar_type(rank[-1]))[code]
@@ -156,9 +156,9 @@ def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
               configs: np.ndarray | None = None) -> CITestResult:
     """Test column ``i`` independent of ``j`` given the ``given`` columns.
 
-    ``rows`` is an integer matrix whose column ``c`` takes values in
-    ``range(cardinalities[c])``; ``i``, ``j`` and ``given`` are column
-    positions, and a value out of range is refused. The statistic sums
+    ``rows`` is a matrix of any integer dtype whose column ``c`` takes
+    values in ``range(cardinalities[c])``; ``i``, ``j`` and ``given`` are
+    column positions, and a value out of range is refused. The statistic sums
     per-configuration likelihood-ratio terms 2 * sum(O * ln(O / E)) over
     observed cells (``method="pearson"`` swaps in sum((O - E)^2 / E) over
     the cells with E > 0); the p-value is the chi-square upper tail.

@@ -132,12 +132,23 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _ingest_labeled(weather_path, outage_path, schema=None) -> ingest.TimeSeriesTable:
-    raw = ingest.parse_weather_csv(weather_path, schema)
-    table = ingest.interpolate_missing(raw)
-    events = ingest.parse_outage_csv(outage_path)
-    return ingest.attach_outage_labels(table,
-                                       events.timestamps[events.weather_related])
+def _binned_hours(weather_path, bin_table, outage_path=None, schema=None):
+    """The hourly timeline of a weather file and ``bin_table`` of its filled table.
+
+    Parses the file (its ``schema`` columns), fills it onto the hourly grid
+    and, given an outage file, labels its hours, all in stage ``ingest``;
+    then ``bin_table(table)`` runs in stage ``discretize``. The float table
+    dies on return, so no later stage holds it beside the codes.
+    """
+    with _stage("ingest"):
+        # nested, so a gappy file's parsed columns die once filled
+        table = ingest.interpolate_missing(ingest.parse_weather_csv(weather_path, schema))
+        if outage_path is not None:
+            events = ingest.parse_outage_csv(outage_path)
+            table = ingest.attach_outage_labels(
+                table, events.timestamps[events.weather_related])
+    with _stage("discretize"):
+        return table.timestamps, bin_table(table)
 
 
 def _rebalance(ds: preprocess.DiscreteDataset, cfg: PipelineConfig,
@@ -158,10 +169,8 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
     from . import citest
 
     seed = cfg.require_seed()
-    with _stage("ingest"):
-        table = _ingest_labeled(weather_path, outage_path)
-    with _stage("discretize"):
-        ds = preprocess.discretize(table, cfg.bins)
+    _, ds = _binned_hours(weather_path, lambda table: preprocess.discretize(table, cfg.bins),
+                          outage_path)
     with _stage("rebalance"):
         balanced = _rebalance(ds, cfg, seed)
     with _stage("structure"):
@@ -203,18 +212,16 @@ def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
         if bn.target is None:
             raise ValueError("model has no target node")
         factor_cols = [n for n in bn.dag.nodes if n != bn.target]
-    with _stage("ingest"):
-        raw = ingest.parse_weather_csv(weather_path, schema=factor_cols)
-        table = ingest.interpolate_missing(raw)
+    timestamps, (rows, cols) = _binned_hours(
+        weather_path, lambda table: _binned_evidence(bn, table), schema=factor_cols)
     with _stage("predict"):
-        rows, cols = _binned_evidence(bn, table)
         probs = bayesnet.predict_rows(bn, rows, cols)[:, 1]
     with _stage("write"):
         # hours share few distinct probabilities, so each is formatted once;
         # distinct bit patterns keep -0.0 and 0.0 apart
         bits, index = np.unique(probs.view(np.uint64), return_inverse=True)
         ingest.write_text_columns(out_path, [ingest.TIMESTAMP_COLUMN, "p_outage"],
-                                  table.timestamps, [(bits.view(np.float64), index)])
+                                  timestamps, [(bits.view(np.float64), index)])
     print(f"wrote {len(probs)} hourly probabilities to {out_path}")
     return 0
 
@@ -232,17 +239,18 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
             raise ValueError(f"model file {model_path} holds no baseline network "
                              "for --baseline-report")
         factor_cols = [n for n in bn.dag.nodes if n != bn.target]
-    with _stage("ingest"):
-        table = _ingest_labeled(weather_path, outage_path, schema=factor_cols)
-    with _stage("discretize"):
+
+    def labeled_evidence(table: ingest.TimeSeriesTable) -> preprocess.DiscreteDataset:
         rows, cols = _binned_evidence(bn, table)
-        ds = preprocess.DiscreteDataset(
+        return preprocess.DiscreteDataset(
             columns=cols,
             cardinalities=[bn.cardinalities[c] for c in cols],
             rows=rows,
             labels=np.asarray(table.label, dtype=np.int64),
             bin_edges=[np.asarray(bn.bin_edges[c], dtype=float) for c in cols],
         )
+
+    _, ds = _binned_hours(weather_path, labeled_evidence, outage_path, schema=factor_cols)
     with _stage("split"):
         _, val = evalmetrics.split_validation(ds, cfg.validation_fraction,
                                               seed=_derived_seed(seed, 1))

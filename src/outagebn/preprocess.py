@@ -18,6 +18,10 @@ from .ingest import TimeSeriesTable
 # Rows coded per np.digitize call in apply_bins; bounds its scratch to
 # 512 KB beside the code matrix.
 _BIN_BLOCK_ROWS = 1 << 16
+# Minority rows whose distances smote_upsample sorts at once: its scratch
+# is 16 bytes per block row and minority row, not per pair of minority
+# rows (2,000 minority rows at 1M hours would take 64 MB).
+_NEIGHBOR_BLOCK_ROWS = 256
 
 
 class ImbalanceError(ValueError):
@@ -33,9 +37,10 @@ class DiscreteDataset:
     """Integer-coded dataset: one column per variable, one 0/1 label per row.
 
     ``rows[r, c]`` is the bin index of column ``c`` in row ``r`` and always
-    lies in ``range(cardinalities[c])``. ``bin_edges[c]`` holds the interior
-    cut points that produced the column, so new raw values can be coded
-    identically later.
+    lies in ``range(cardinalities[c])``. ``rows`` may have any integer
+    dtype; the package makes it in :func:`code_dtype`. ``bin_edges[c]``
+    holds the interior cut points that produced the column, so new raw
+    values can be coded identically later.
     """
 
     columns: list[str]
@@ -81,19 +86,40 @@ def code_space(cards: Sequence[int], owner: str) -> int:
     return space
 
 
+def code_dtype(cards: Sequence[int]) -> np.dtype:
+    """The smallest unsigned type that holds every state of columns with cardinalities ``cards``.
+
+    Codes are made in this type: ``uint8`` up to 256 states, ``uint16``
+    up to 65,536.
+    """
+    return np.min_scalar_type(max(cards, default=1) - 1)
+
+
 def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     """Mixed-radix code per row, first column most significant (the CPT row order).
 
-    Each column is an int64 array of length ``n`` or one int shared by all
-    rows. When every column is an int, so is the code; with no columns it
-    is ``n`` zeros. The codes wrap silently unless
+    Each column is an integer array of length ``n`` or one Python int
+    shared by all rows. The first array is copied as int64 and the code
+    accumulates in that copy, in place, so a narrow column never wraps and
+    is widened a buffer at a time (numpy refuses a later uint64 column,
+    which the package never makes). When every column is an int, so is the
+    code; with no columns it is ``n`` zeros. The codes wrap silently unless
     ``code_space(cards, ...)`` holds.
     """
     if not len(columns):
         return np.zeros(n, dtype=np.int64)
     code = 0
-    for col, card in zip(columns, cards):
+    rest = iter(zip(columns, cards))
+    for col, card in rest:
+        if isinstance(col, np.ndarray):
+            lead, code = code * card, col.astype(np.int64)
+            if lead:
+                code += lead
+            break
         code = code * card + col
+    for col, card in rest:
+        code *= card
+        code += col
     return code
 
 
@@ -124,8 +150,9 @@ def apply_bins(bin_edges: Sequence[np.ndarray],
 
     Values past either end clamp into the first or last bin, which is
     exactly what ``np.digitize`` against the interior edges produces. The
-    codes fill one int64 matrix, row block by row block, so besides the
-    codes only one block's digitize result is held at a time.
+    codes fill one matrix of :func:`code_dtype` over the columns' bin
+    counts (``uint8`` up to 256 bins), row block by row block, so besides
+    the codes only one block's digitize result is held at a time.
     """
     cols = [np.asarray(col, dtype=float) for col in columns]
     if len(cols) != len(bin_edges):
@@ -138,7 +165,7 @@ def apply_bins(bin_edges: Sequence[np.ndarray],
     n = len(cols[0])
     if any(len(col) != n for col in cols):
         raise ValueError("columns differ in length")
-    out = np.empty((n, len(cols)), dtype=np.int64)
+    out = np.empty((n, len(cols)), dtype=code_dtype([len(e) + 1 for e in bin_edges]))
     for start in range(0, n, _BIN_BLOCK_ROWS):
         stop = start + _BIN_BLOCK_ROWS
         for j, (col, edges) in enumerate(zip(cols, bin_edges)):
@@ -171,10 +198,13 @@ def attach_label_column(ds: DiscreteDataset, name: str = "outage") -> DiscreteDa
     """Append the label as a binary data column (for structure learning)."""
     if name in ds.columns:
         raise ValueError(f"column {name!r} already exists")
-    rows = np.column_stack([ds.rows, ds.labels.astype(np.int64)])
+    cards = [*ds.cardinalities, 2]
+    rows = np.empty((ds.n_rows, len(cards)), dtype=code_dtype(cards))
+    rows[:, :-1] = ds.rows
+    rows[:, -1] = ds.labels
     return DiscreteDataset(
         columns=[*ds.columns, name],
-        cardinalities=[*ds.cardinalities, 2],
+        cardinalities=cards,
         rows=rows,
         labels=ds.labels.copy(),
         bin_edges=[*ds.bin_edges, np.array([0.5])],
@@ -221,8 +251,9 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
     k nearest minority neighbors (Euclidean distance in bin space, distance
     ties broken by row position), rounding back to integer bins and
     clamping to each column's valid range. Synthetic rows append after all
-    original rows. k truncates to ``minority_count - 1`` when the class is
-    small. A target at or below the current count is a no-op.
+    original rows, in one matrix of :func:`code_dtype`. k truncates to
+    ``minority_count - 1`` when the class is small. A target at or below
+    the current count is a no-op.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -236,17 +267,20 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
 
     base = ds.rows[min_idx].astype(float)
     k_eff = min(k, n_min - 1)
-    # Squared distances |a|^2 + |b|^2 - 2 a.b, built in place in one n x n
-    # array; exact because the rows are small integer bins.
+    # Squared distances |a|^2 + |b|^2 - 2 a.b, built in place one block of
+    # rows at a time; exact because the rows are small integer bins.
     sq = np.einsum("ij,ij->i", base, base)
-    d2 = base @ base.T
-    d2 *= -2.0
-    d2 += sq[:, None]
-    d2 += sq[None, :]
-    np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    neighbors = np.empty((n_min, k_eff), dtype=np.intp)
+    for lo in range(0, n_min, _NEIGHBOR_BLOCK_ROWS):
+        hi = min(lo + _NEIGHBOR_BLOCK_ROWS, n_min)
+        d2 = base[lo:hi] @ base.T
+        d2 *= -2.0
+        d2 += sq[lo:hi, None]
+        d2 += sq[None, :]
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        neighbors[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
 
-    upper = np.asarray(ds.cardinalities, dtype=np.int64) - 1
+    upper = np.asarray(ds.cardinalities, dtype=float) - 1
     rng = np.random.default_rng(seed)
     # scalar draws, in this order: array draws would give other numbers
     picks, mates, steps = [], [], []
@@ -257,10 +291,13 @@ def smote_upsample(ds: DiscreteDataset, target_minority_count: int,
         steps.append(rng.random())
     i, z = np.array(picks), np.array(mates)
     # element-wise, so each row's bytes are those of its own scalar sum
-    synth = np.clip(np.rint(base[i] + np.array(steps)[:, None] * (base[z] - base[i]))
-                    .astype(np.int64), 0, upper)
+    synth = np.clip(np.rint(base[i] + np.array(steps)[:, None] * (base[z] - base[i])),
+                    0, upper)
 
-    rows = np.vstack([ds.rows, synth])
+    rows = np.empty((ds.n_rows + need, len(ds.cardinalities)),
+                    dtype=code_dtype(ds.cardinalities))
+    rows[:ds.n_rows] = ds.rows
+    rows[ds.n_rows:] = synth
     labels = np.concatenate([ds.labels,
                              np.full(need, minority, dtype=ds.labels.dtype)])
     return replace(ds, rows=rows, labels=labels)

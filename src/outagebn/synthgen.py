@@ -18,7 +18,7 @@ from .bayesnet import BayesianNetwork, Cpt, fit_cpts
 from .ingest import HOUR, TIME_DTYPE, TimeSeriesTable
 from .pcalg import LearnedDag
 from .preprocess import (DiscreteDataset, apply_bins, attach_label_column,
-                         config_codes, discretize, equal_width_edges)
+                         code_dtype, config_codes, discretize, equal_width_edges)
 
 
 class ScenarioError(ValueError):
@@ -94,12 +94,14 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed: int) -> DiscreteDatas
     target = bn.target
     as_label = target is not None and bn.cardinalities[target] == 2
     columns = [n for n in bn.dag.nodes if not (as_label and n == target)]
-    rows = np.column_stack([states[c] for c in columns]) if columns \
-        else np.empty((n_rows, 0), dtype=np.int64)
+    cards = [bn.cardinalities[c] for c in columns]
+    rows = np.empty((n_rows, len(columns)), dtype=code_dtype(cards))
+    for k, c in enumerate(columns):
+        rows[:, k] = states[c]
     labels = states[target].copy() if as_label else np.zeros(n_rows, dtype=np.int64)
     return DiscreteDataset(
         columns=columns,
-        cardinalities=[bn.cardinalities[c] for c in columns],
+        cardinalities=cards,
         rows=rows,
         labels=labels,
         bin_edges=[np.arange(1, bn.cardinalities[c]) - 0.5 for c in columns],
@@ -271,7 +273,8 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
         ds = attach_label_column(discretize(table, spec.bins), spec.target)
     else:
         ds = DiscreteDataset(columns=[spec.target], cardinalities=[2],
-                             rows=labels.reshape(-1, 1), labels=labels.copy(),
+                             rows=labels.astype(code_dtype([2])).reshape(-1, 1),
+                             labels=labels.copy(),
                              bin_edges=[np.array([0.5])])
     truth = fit_cpts(dag, ds, laplace_alpha=1e-9)
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from outagebn import bayesnet, synthgen
 from outagebn.bayesnet import (BayesianNetwork, Cpt, fit_cpts, joint_probability,
                                load_model, posterior_target, predict_rows, save_model)
 from outagebn.pcalg import LearnedDag, naive_bayes_dag
-from outagebn.preprocess import DiscreteDataset, attach_label_column
+from outagebn.preprocess import DiscreteDataset, attach_label_column, code_dtype
 
 
 def make_ds(columns, rows, labels=None, cards=None):
@@ -132,6 +133,9 @@ class TestFitCpts:
         assert cpt.configs.tolist() == want
         assert cpt.row(rows[7, :18].tolist()).tolist() == \
             cpt.rows[want.index(int("".join(map(str, rows[7, :18]))))].tolist()
+        # numpy uint8 states code as Python ints, not as wrapping uint8
+        assert cpt.row(list(rows[7, :18].astype(np.uint8))).tolist() == \
+            cpt.row(rows[7, :18].tolist()).tolist()
 
     def test_nineteen_ten_state_parents_refused(self):
         # 10**19 configurations overflow the int64 code
@@ -416,6 +420,13 @@ class TestJointAndPosterior:
                          lambda: posterior_target(bn, dict(zip("xy", row)))):
                 with pytest.raises(ValueError, match=message):
                     call()
+        # narrow columns, read strided out of a wider matrix
+        for dtype, row, message in (
+                (np.uint8, [0, 3, 0], "state 3 out of range for node 'y'"),
+                (np.uint16, [0, 300, 0], "state 300 out of range for node 'y'"),
+                (np.int8, [-1, 1, 0], "state -1 out of range for node 'x'")):
+            with pytest.raises(ValueError, match=message):
+                predict_rows(bn, np.array([[1, 1, 0], row], dtype=dtype), ["x", "y", "t"])
 
 
 def fit_star(ds, alpha=1.0):
@@ -566,3 +577,59 @@ class TestSparseScale:
             tracemalloc.stop()
         assert peak < limit
         assert path.stat().st_size < 2 ** 20
+
+
+class TestNarrowCodes:
+    def test_fit_and_predict_match_int64(self):
+        # the target's 3 ten-state parents and its child's 4 code past 255
+        truth = synthgen.random_network(5, 0.8, seed=2, card=10, target="X1")
+        ds = synthgen.forward_sample(truth, 3000, seed=5)
+        assert ds.rows.dtype == code_dtype(ds.cardinalities) == np.uint8
+        fits, posteriors = set(), set()
+        for dtype in (np.uint8, np.uint16, np.int64):
+            data = replace(ds, rows=ds.rows.astype(dtype))
+            bn = fit_cpts(truth.dag, data)
+            fits.add(tuple((c.configs.tobytes(), c.rows.tobytes(), c.default.tobytes())
+                           for c in bn.cpts.values()))
+            # strided columns; the target's own column is not read
+            posteriors.add(predict_rows(bn, data.rows, data.columns).tobytes())
+        assert len(fits) == 1 and len(posteriors) == 1
+
+    def test_predict_rows_refuses_fractional_states(self):
+        # 1.7 used to answer as 1, and 0.9 as 0
+        bn = synthgen.random_network(3, 0.6, seed=2, card=3, target="X1")
+        for rows, message in (([[1.7, 0.9]], "state 1.7 of node 'X2' is not an integer"),
+                              ([[2, 0.5]], "state 2.0 of node 'X2' is not an integer"),
+                              (np.ones((4, 2)), "state 1.0 of node 'X2' is not an integer")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict_rows(bn, rows, ["X2", "X3"])
+            with pytest.raises(ValueError, match=re.escape(message)):
+                posterior_target(bn, dict(zip(["X2", "X3"], np.asarray(rows)[0].tolist())))
+        # bools are integers, as in posterior_target; no rows is no state
+        assert predict_rows(bn, np.array([[True, False]]), ["X2", "X3"]).tobytes() == \
+            predict_rows(bn, [[1, 0]], ["X2", "X3"]).tobytes()
+        assert predict_rows(bn, np.empty((0, 2)), ["X2", "X3"]).shape == (0, 3)
+
+    def test_peak_memory_holds_no_widened_matrix(self):
+        # a widened int64 copy of six byte columns alone is 48 bytes a row
+        n = 100_000
+        rng = np.random.default_rng(22)
+        factors = [f"F{k}" for k in range(1, 7)]
+        rows = rng.integers(0, 10, size=(n, 6)).astype(np.uint8)
+        ds = attach_label_column(DiscreteDataset(
+            columns=factors, cardinalities=[10] * 6, rows=rows,
+            labels=(rng.random(n) < 0.3).astype(np.int64),
+            bin_edges=[np.arange(1, 10) - 0.5] * 6), "t")
+        two_parents = LearnedDag(nodes=ds.columns,
+                                 parents={**{f: [] for f in factors}, "t": ["F1", "F2"]},
+                                 target="t")
+        for dag in (two_parents, naive_bayes_dag(ds.columns, "t")):
+            bn = fit_cpts(dag, ds)
+            tracemalloc.start()
+            try:
+                scores = predict_rows(bn, rows, factors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the two score columns plus two int64 columns
+            assert peak < scores.nbytes + 2 * n * np.dtype(np.int64).itemsize

@@ -307,6 +307,26 @@ class TestDatasetCi:
                 ci("a", "b", frozenset(given))
                 assert results == [fresh_result(ds, "a", "b", given)]
 
+    def test_narrow_codes_match_int64(self, recorded):
+        # three ten-state conditioning columns code past 255; a uint8 code
+        # would wrap there
+        results = recorded
+        rng = np.random.default_rng(75)
+        cards = [10, 10, 2, 10, 10, 4]
+        wide = np.column_stack([rng.integers(0, c, size=4000) for c in cards])
+        wide[:, 2] = (wide[:, 0] + wide[:, 1] + rng.integers(0, 3, size=4000)) % 2
+        queries = [("a", "b", frozenset()), ("c", "f", frozenset("abd")),
+                   ("a", "c", frozenset("bde")), ("e", "f", frozenset("abcd"))]
+        seen = set()
+        for dtype in (np.uint8, np.uint16, np.int64):
+            ds = dataset(wide.astype(dtype), cards)
+            del results[:]
+            answers = [citest.dataset_ci(ds)(*q) for q in queries]
+            fresh = [fresh_result(ds, *q) for q in queries]
+            assert results == fresh
+            seen.add((tuple(answers), tuple((r.statistic, r.dof, r.p_value) for r in fresh)))
+        assert len(seen) == 1
+
     def test_skeleton_unchanged_by_the_coding(self):
         # the cached callable gives the skeleton of one uncoded test per query
         def uncached(ds, alpha):

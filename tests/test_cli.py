@@ -418,6 +418,6 @@ class TestBinnedEvidence:
         finally:
             if started:
                 tracemalloc.stop()
-        assert rows.shape == (hours, 6) and rows.dtype == np.int64
+        assert rows.shape == (hours, 6) and rows.dtype == np.uint8
         one_float_column = hours * np.dtype(np.float64).itemsize
         assert peak - before < rows.nbytes + one_float_column

@@ -97,7 +97,7 @@ class TestEdgesAndBins:
         cols = [rng.normal(size=150_001) * s for s in (1.0, 5.0, 0.1)]
         edges = [equal_width_edges(c, b) for c, b in zip(cols, (10, 4, 7))]
         coded = apply_bins(edges, cols)
-        assert coded.dtype == np.int64 and coded.flags.c_contiguous
+        assert coded.dtype == np.uint8 and coded.flags.c_contiguous
         assert np.array_equal(coded, np.column_stack(
             [np.digitize(c, e) for c, e in zip(cols, edges)]))
 
@@ -143,6 +143,70 @@ class TestConfigCodes:
             preprocess.code_space([2] * 63, "t")
         assert preprocess.code_space([2] * 62 + [1], "t") == 2 ** 62
         assert preprocess.code_space([], "t") == 1
+
+    def test_narrow_columns_do_not_wrap(self):
+        # under NEP 50, 0 * 10 + a uint8 column is uint8, and 3 ten-state
+        # columns reach 999
+        rng = np.random.default_rng(8)
+        cards = [10, 10, 10, 10]
+        wide = np.column_stack([rng.integers(10, size=500) for _ in cards])
+        want = np.ravel_multi_index(wide.T, cards)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int8, np.int64):
+            rows = wide.astype(dtype)
+            before = rows.copy()
+            got = preprocess.config_codes([rows[:, c] for c in range(4)], cards, 500)
+            assert got.dtype == np.int64 and np.array_equal(got, want), dtype
+            assert np.array_equal(rows, before)  # the columns are read, never written
+            # a shared int between strided columns
+            got = preprocess.config_codes([rows[:, 0], 7, rows[:, 2]], [10, 10, 10], 500)
+            assert np.array_equal(got, np.ravel_multi_index(
+                (wide[:, 0], np.full(500, 7), wide[:, 2]), [10, 10, 10]))
+
+    def test_code_dtype_holds_every_state(self):
+        assert preprocess.code_dtype([10, 4, 2]) == np.uint8
+        assert preprocess.code_dtype([256]) == np.uint8
+        assert preprocess.code_dtype([257, 2]) == np.uint16
+        assert preprocess.code_dtype([300]) == np.uint16
+        assert preprocess.code_dtype([65_537]) == np.uint32
+
+
+class TestNarrowCodes:
+    def test_every_maker_codes_in_the_narrowest_type(self):
+        rng = np.random.default_rng(12)
+        labels = (rng.random(600) < 0.1).astype(np.int64)
+        table = make_table({"a": rng.normal(size=600), "b": rng.normal(size=600)}, labels)
+        for bins, dtype in ((10, np.uint8), (256, np.uint8), (300, np.uint16)):
+            ds = discretize(table, bins)
+            assert ds.rows.dtype == dtype
+            assert np.array_equal(ds.rows, np.column_stack(
+                [np.digitize(table.factors[c], e) for c, e in zip("ab", ds.bin_edges)]))
+            aug = attach_label_column(ds)
+            assert aug.rows.dtype == dtype
+            assert np.array_equal(aug.rows[:, :-1], ds.rows)
+            assert np.array_equal(aug.rows[:, -1], labels)
+            grown = smote_upsample(ds, 300, seed=1)
+            assert grown.rows.dtype == dtype and grown.n_rows > ds.n_rows
+            grown.validate()
+        # a label column alone takes a byte
+        wide = make_ds([[0], [1], [1]], [0, 1, 0])
+        assert attach_label_column(wide).rows.dtype == np.uint8
+
+    def test_rebalancing_gives_the_same_rows_in_every_dtype(self):
+        rng = np.random.default_rng(13)
+        cards = [10, 7, 4]
+        wide = np.column_stack([rng.integers(c, size=400) for c in cards])
+        labels = (rng.random(400) < 0.15).astype(np.int64)
+        down, up = set(), set()
+        for dtype in (np.uint8, np.uint16, np.int64):
+            ds = make_ds(wide, labels, cards)
+            ds.rows = wide.astype(dtype)
+            out = downsample_majority(ds, 2.0, seed=3)
+            assert out.rows.dtype == dtype  # selects rows, makes no code
+            down.add((out.rows.astype(np.int64).tobytes(), out.labels.tobytes()))
+            out = smote_upsample(ds, 200, seed=4)
+            assert out.rows.dtype == np.uint8
+            up.add((out.rows.tobytes(), out.labels.tobytes()))
+        assert len(down) == 1 and len(up) == 1
 
 
 class TestLabelColumn:
@@ -202,6 +266,17 @@ class TestDownsample:
 
 
 class TestSmote:
+    def test_neighbors_found_block_by_block(self, monkeypatch):
+        # 7 minority rows a block, the last block partial; many distance ties
+        monkeypatch.setattr(preprocess, "_NEIGHBOR_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(14)
+        rows = rng.integers(0, 4, size=(90, 3))
+        labels = (np.arange(90) % 2).astype(np.int64)
+        ds = make_ds(rows, labels, cards=[4] * 3)
+        out = smote_upsample(ds, 120, k=5, seed=9)
+        expect = oracles.smote_rows_reference(rows, labels, [4] * 3, 120, 5, 9)
+        assert out.rows[90:].astype(np.int64).tobytes() == expect.tobytes()
+
     def test_reaches_target_exactly(self):
         rng = np.random.default_rng(1)
         rows = rng.integers(0, 10, size=(60, 4))
@@ -301,7 +376,8 @@ def test_smote_matches_reference(case, extra, k):
     expect = oracles.smote_rows_reference(ds.rows, ds.labels, ds.cardinalities,
                                           n_min + extra, k, seed)
     assert np.array_equal(out.rows[:ds.n_rows], ds.rows)
-    assert out.rows[ds.n_rows:].tobytes() == expect.tobytes()
+    # synthetic codes are made in the narrowest type; the oracle's are int64
+    assert out.rows[ds.n_rows:].astype(np.int64).tobytes() == expect.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
