@@ -13,6 +13,7 @@ on a uniform one-hour grid once they pass through
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -210,27 +211,52 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
     reader, which is also the only source of row-level errors. Both give
     the same table, bit for bit.
     """
+    with _open_csv(path, "weather", [TIMESTAMP_COLUMN, *(schema or ())]) \
+            as (p, header, rows):
+        columns = [c for c in header if c != TIMESTAMP_COLUMN] if schema is None \
+            else list(schema)
+        col_idx = [header.index(c) for c in columns]
+        table = _parse_weather_fast(p, len(header), header.index(TIMESTAMP_COLUMN),
+                                    columns, col_idx)
+        if table is None:
+            table = _parse_weather_rows(p, rows, columns, col_idx)
+    return table
+
+
+@contextlib.contextmanager
+def _open_csv(path, kind: str, required: Sequence[str]):
+    """Open the ``kind`` CSV at ``path``: yields its path, its header names,
+    stripped, and its rows (:func:`_stamped_rows`). Refuses, in this order, a
+    file that is not there, an empty one and a header short of ``required``."""
     p = Path(path)
     if not p.is_file():
-        raise ParseError("weather file not found", path=p)
+        raise ParseError(f"{kind} file not found", path=p)
     with open(p, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(csv.reader(fh))]
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
-            raise ParseError("empty weather file", path=p) from None
-    if TIMESTAMP_COLUMN not in header:
-        raise ParseError("missing required column", path=p, column=TIMESTAMP_COLUMN)
-    columns = [c for c in header if c != TIMESTAMP_COLUMN] if schema is None \
-        else list(schema)
-    for col in columns:
-        if col not in header:
-            raise ParseError("missing required column", path=p, column=col)
+            raise ParseError(f"empty {kind} file", path=p) from None
+        for col in required:
+            if col not in header:
+                raise ParseError("missing required column", path=p, column=col)
+        yield p, header, _stamped_rows(p, header, reader)
+
+
+def _stamped_rows(p: Path, header: list[str], reader):
+    """``(microseconds since the epoch, line number, record)`` of each
+    non-blank row that ``reader`` has left, the line number counting the
+    header and blank rows. A row needs one field per header name and a
+    timestamp that :func:`parse_timestamp` reads."""
     ts_idx = header.index(TIMESTAMP_COLUMN)
-    col_idx = [header.index(c) for c in columns]
-    table = _parse_weather_fast(p, len(header), ts_idx, columns, col_idx)
-    if table is None:
-        table = _parse_weather_rows(p, len(header), ts_idx, columns, col_idx)
-    return table
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(record)}",
+                             path=p, row=lineno)
+        ts = parse_timestamp(record[ts_idx], path=p, row=lineno)
+        yield (ts - _EPOCH) // _MICROSECOND, lineno, record
 
 
 # The one timestamp layout the fast path reads, "YYYY-MM-DDTHH:MM:SSZ",
@@ -241,7 +267,6 @@ _STAMP_DIGITS = _STAMP_LAYOUT == ord("0")
 _DATA_BYTE = re.compile(rb"[^\r\n]")
 _YEAR_1 = np.datetime64("0001-01-01", "us")
 _COMMA, _LF, _CR = b",\n\r"
-_NAN = np.frombuffer(b"nan", dtype=np.uint8)
 # Bytes that the empty-field scan takes per numpy call: enough that
 # per-call overhead vanishes (64 KiB scanned the 65k- and 100k-hour files
 # about 20% slower), few enough that its scratch arrays stay a small part
@@ -278,17 +303,18 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                       for k in range(n_fields)])
     part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
                              col_idx=col_idx)
-    with workers.forked(functools.partial(_send_arrays, part), ranges[1:]) as forked:
+    with workers.forked(functools.partial(workers.send_payload,
+                                          functools.partial(_part_bytes, part)),
+                        ranges[1:]) as forked:
         local = [part(*r) for r in [ranges[0], *ranges[1 + len(forked):]]]
         if any(arrays is None for arrays in local):
             return None
         counts = [arrays[0].size for arrays in local]
         for _, pipe in forked:
-            head = pipe.read(8)
-            count = np.frombuffer(head, dtype=np.int64)[0] if len(head) == 8 else -1
-            if count < 0:
+            size = workers.payload_size(pipe)
+            if size is None:
                 return None  # the part falls back, or its worker died
-            counts.append(int(count))
+            counts.append(size // 8 // len(local[0]))  # 8 bytes a row per array
         if not sum(counts):
             return None  # no data rows
         # one column at a time: the parts parsed here, then each worker's
@@ -373,8 +399,9 @@ def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
     data = _fill_empty_fields(data, body)
     if data is None:
         return None  # a lone CR, which csv reads as a line end
-    # BytesIO shares a bytes object but copies an array; the part's own
-    # bytes went when data took the array, so two copies are the most held
+    # BytesIO shares the bytes object that each rewrite returns, and each
+    # rewrite's input went when data took its result, so two copies of the
+    # part are the most held
     stream = io.BytesIO(data)
     del data
     try:
@@ -397,66 +424,43 @@ def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
     return [stamps, *(rows[f"f{k}"] for k in col_idx)]
 
 
-def _send_arrays(part, pipe, start: int, stop: int) -> None:
-    """A parse worker's reply: the row count of ``part(start, stop)`` (-1 to
-    fall back), then each of its arrays' bytes, all of 8-byte items."""
+def _part_bytes(part, start: int, stop: int) -> list[np.ndarray] | None:
+    """A parse worker's payload (:func:`workers.send_payload`): the bytes of
+    each of ``part(start, stop)``'s arrays, all of 8-byte items, or ``None``
+    to send nothing when the part falls back."""
     arrays = part(start, stop)
-    pipe.write(np.int64(-1 if arrays is None else arrays[0].size).tobytes())
-    for a in arrays or ():
-        pipe.write(np.ascontiguousarray(a).view(np.uint8))
+    return None if arrays is None else [np.ascontiguousarray(a).view(np.uint8)
+                                        for a in arrays]
 
 
-def _fill_empty_fields(data: bytes, body: int) -> bytes | np.ndarray | None:
+def _fill_empty_fields(data: bytes, body: int) -> bytes | None:
     """``data`` with ``nan`` in each empty field of its data lines, or ``None``
     if they hold a lone CR.
 
-    ``body`` is the offset of the first data line. ``data`` itself comes
-    back when no field is empty; otherwise a new uint8 array, built one
-    block at a time, so that ``data`` and the result are the only copies of
-    the part held: :func:`_empty_field_spots` runs once to count the fields
-    and once more to place them.
+    ``body`` is the offset of the first data line, and the lines are scanned
+    :data:`_SCAN_BLOCK` bytes at a time. ``data`` itself comes back when no
+    field is empty; otherwise ``nan`` joins views of the text between the
+    empty fields, so ``data`` and the result are the only copies held.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    blocks = range(body, buf.size, _SCAN_BLOCK)
-    n_empty = 0
-    for start in blocks:
-        cr = np.flatnonzero(buf[start:start + _SCAN_BLOCK] == _CR) + start
+    cuts = [0]
+    for start in range(body, buf.size, _SCAN_BLOCK):
+        block = buf[start:start + _SCAN_BLOCK]
+        cr = np.flatnonzero(block == _CR) + start
         if np.any(_next_byte(buf, cr) != _LF):
             return None
-        n_empty += _empty_field_spots(buf, start).size
-    if not n_empty:
+        # a comma after LF starts a line with an empty field, and a comma
+        # before a comma, CR, LF or the end of the file ends one; a blank
+        # line holds no field
+        comma = np.flatnonzero(block == _COMMA) + start
+        ahead = _next_byte(buf, comma)
+        cuts += np.sort(np.concatenate([
+            comma[buf[comma - 1] == _LF],
+            comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1])).tolist()
+    if len(cuts) == 1:
         return data
-    out = np.empty(buf.size + _NAN.size * n_empty, dtype=np.uint8)
-    out[:body] = buf[:body]
-    at = body
-    for start in blocks:
-        block = buf[start:start + _SCAN_BLOCK]
-        spots = _empty_field_spots(buf, start) - start
-        region = out[at:at + block.size + _NAN.size * spots.size]
-        # where each nan text lands in region
-        slots = (spots + _NAN.size * np.arange(spots.size))[:, None] \
-            + np.arange(_NAN.size)
-        keep = np.ones(region.size, dtype=bool)
-        keep[slots] = False
-        region[keep] = block
-        region[slots] = _NAN
-        at += region.size
-    return out
-
-
-def _empty_field_spots(buf: np.ndarray, start: int) -> np.ndarray:
-    """Sorted offsets of the empty fields next to the commas of one scan block.
-
-    A comma after LF starts a line with an empty field; a comma before a
-    comma, CR, LF or the end of the file ends one. A blank line holds no
-    field. A field's offset is where ``nan`` goes in, so a comma that ends
-    the block may give the offset just past it.
-    """
-    comma = np.flatnonzero(buf[start:start + _SCAN_BLOCK] == _COMMA) + start
-    ahead = _next_byte(buf, comma)
-    return np.sort(np.concatenate([
-        comma[buf[comma - 1] == _LF],
-        comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1]))
+    text = memoryview(data)
+    return b"nan".join([text[a:b] for a, b in zip(cuts, [*cuts[1:], len(data)])])
 
 
 def _next_byte(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -466,26 +470,15 @@ def _next_byte(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
     return buf[np.minimum(at + 1, buf.size - 1)]
 
 
-def _parse_weather_rows(p: Path, n_fields: int, ts_idx: int, columns: list[str],
+def _parse_weather_rows(p: Path, rows, columns: list[str],
                         col_idx: list[int]) -> RawWeatherTable:
-    """The per-cell reader: ``parse_timestamp`` and ``_parse_cell`` on each row."""
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header
-        micros: list[int] = []
-        linenos: list[int] = []
-        records: list[list[str]] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != n_fields:
-                raise ParseError(f"expected {n_fields} fields, got {len(record)}",
-                                 path=p, row=lineno)
-            ts = parse_timestamp(record[ts_idx], path=p, row=lineno)
-            micros.append((ts - _EPOCH) // _MICROSECOND)
-            linenos.append(lineno)
-            records.append(record)
-
+    """The per-cell reader: ``parse_timestamp`` and ``_parse_cell`` on each
+    of ``rows`` (:func:`_stamped_rows`)."""
+    micros, linenos, records = [], [], []
+    for us, lineno, record in rows:
+        micros.append(us)
+        linenos.append(lineno)
+        records.append(record)
     if not records:
         raise ParseError("weather file has no data rows", path=p)
     # a stable sort keeps equal timestamps in file order, so a duplicate is
@@ -582,35 +575,16 @@ class OutageEvents:
 
 def parse_outage_csv(path) -> OutageEvents:
     """Read an outage event CSV; flag values must be literal 0 or 1."""
-    p = Path(path)
-    if not p.is_file():
-        raise ParseError("outage file not found", path=p)
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty outage file", path=p) from None
-        for col in (TIMESTAMP_COLUMN, OUTAGE_FLAG_COLUMN):
-            if col not in header:
-                raise ParseError("missing required column", path=p, column=col)
-        ts_idx = header.index(TIMESTAMP_COLUMN)
+    with _open_csv(path, "outage", [TIMESTAMP_COLUMN, OUTAGE_FLAG_COLUMN]) \
+            as (p, header, rows):
         flag_idx = header.index(OUTAGE_FLAG_COLUMN)
-        micros: list[int] = []
-        flags: list[bool] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(record)}",
-                    path=p, row=lineno)
-            ts = parse_timestamp(record[ts_idx], path=p, row=lineno)
+        micros, flags = [], []
+        for us, lineno, record in rows:
             flag = record[flag_idx].strip()
             if flag not in ("0", "1"):
                 raise ParseError(f"weather_related flag must be 0 or 1, got {flag!r}",
                                  path=p, row=lineno, column=OUTAGE_FLAG_COLUMN)
-            micros.append((ts - _EPOCH) // _MICROSECOND)
+            micros.append(us)
             flags.append(flag == "1")
     return OutageEvents(np.array(micros, dtype=np.int64).view(TIME_DTYPE),
                         np.array(flags, dtype=bool))

@@ -97,26 +97,35 @@ def _fork(send, start: int, stop: int) -> tuple[int, io.BufferedReader]:
 
 def send_payload(chunks_of, pipe, start: int, stop: int) -> None:
     """A worker's reply of ``chunks_of(start, stop)``, an iterable of bytes:
-    their total length as 8 bytes in native order, then the chunks.
+    their total length as 8 bytes in native order, then the chunks, or
+    nothing if ``chunks_of`` gives ``None``.
 
     Every chunk is made before the first byte goes out. The caller copies
     a worker's payload only once it has done what comes before it, and a
     pipe holds 64 KiB, so a worker that sent each chunk as it went would
     wait at its first one.
     """
-    chunks = list(chunks_of(start, stop))
-    pipe.write(sum(map(len, chunks)).to_bytes(8, sys.byteorder))
-    pipe.writelines(chunks)
+    chunks = chunks_of(start, stop)
+    if chunks is not None:
+        chunks = list(chunks)
+        pipe.write(sum(map(len, chunks)).to_bytes(8, sys.byteorder))
+        pipe.writelines(chunks)
+
+
+def payload_size(pipe: io.BufferedReader) -> int | None:
+    """The length of the payload that a worker's pipe (:func:`send_payload`)
+    carries next, or ``None`` if the worker sent none, or died first."""
+    head = pipe.read(8)
+    return int.from_bytes(head, sys.byteorder) if len(head) == 8 else None
 
 
 def copy_payload(pipe: io.BufferedReader, out) -> bool:
     """Copy a worker's payload (:func:`send_payload`) from its pipe to the
     binary file ``out``, :data:`COPY_BYTES` at a time, or ``False`` if the
     worker died before it sent all of it."""
-    head = pipe.read(8)
-    if len(head) != 8:
+    left = payload_size(pipe)
+    if left is None:
         return False
-    left = int.from_bytes(head, sys.byteorder)
     while left:
         chunk = pipe.read(min(left, COPY_BYTES))
         if not chunk:

@@ -455,15 +455,18 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-@settings(max_examples=200, deadline=None)
-@given(weather_files(), st.integers(1, 4), st.integers(1, 48))
+@settings(max_examples=400, deadline=None)
+@given(weather_files(), st.integers(1, 4), st.integers(1, 48),
+       st.one_of(st.just(ingest._SCAN_BLOCK), st.integers(1, 9)))
 def test_split_parse_matches_per_cell_reader(tmp_path_factory, case, cpus,
-                                             min_part_bytes):
-    # small parts cut the files at arbitrary line ends
+                                             min_part_bytes, scan_block):
+    # small parts cut the files at arbitrary line ends, and scan blocks of a
+    # few bytes put the empty-field scan's block edges on commas, CRs and LFs
     data, schema, fast = case
     p = tmp_path_factory.getbasetemp() / "split.csv"
     p.write_bytes(data)
-    with split_parse(cpus, min_part_bytes):
+    with split_parse(cpus, min_part_bytes), \
+            mock.patch.object(ingest, "_SCAN_BLOCK", scan_block):
         if fast:
             with mock.patch.object(ingest, "_parse_weather_rows", refuse):
                 assert_matches_per_cell(p, schema)
@@ -556,6 +559,41 @@ class TestSplitParse:
 
         with split_parse(2, 1000), \
                 mock.patch.object(ingest, "_parse_part", dies_in_worker), \
+                mock.patch.object(ingest, "_parse_weather_rows",
+                                  wraps=ingest._parse_weather_rows) as per_cell:
+            assert_matches_per_cell(stock)
+        assert per_cell.called
+        assert_no_child()
+
+    @pytest.mark.parametrize("sent", [0, 12, 2000])
+    def test_worker_dead_after_its_length_sends_the_file_to_the_per_cell_reader(
+            self, tmp_path, sent):
+        # the worker dies once it has sent its 8-byte length and ``sent``
+        # bytes of its arrays: in its timestamps, or in its first column
+        stock = gen_weather(tmp_path)
+        real = workers.forked
+
+        class ShortPipe:
+            def __init__(self, pipe):
+                self.pipe, self.left = pipe, 8 + sent
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.pipe.write(data[:self.left])
+                if len(data) >= self.left:
+                    self.pipe.flush()
+                    os._exit(3)
+                self.left -= len(data)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+        def cut_short(send, ranges):
+            return real(lambda pipe, start, stop: send(ShortPipe(pipe), start, stop),
+                        ranges)
+
+        with split_parse(2, 1000), mock.patch.object(workers, "forked", cut_short), \
                 mock.patch.object(ingest, "_parse_weather_rows",
                                   wraps=ingest._parse_weather_rows) as per_cell:
             assert_matches_per_cell(stock)
@@ -987,6 +1025,25 @@ class TestOutageCsv:
         p = write(tmp_path, "o.csv", "timestamp\n2021-03-01T00:00:00Z\n")
         with pytest.raises(ParseError, match="missing required column"):
             ingest.parse_outage_csv(p)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "outage file not found ({p})"),
+        ("", "empty outage file ({p})"),
+        ("timestamp,weather_related\n2021-03-01T00:00:00Z,1\n2021-03-01T01:00:00Z,1,0\n",
+         "expected 2 fields, got 3 ({p}, row 3)"),
+        ("timestamp,weather_related\n2021-03-01T00:00:00Z,1\nnot-a-time,1\n",
+         "unparseable timestamp 'not-a-time' ({p}, row 3, column 'timestamp')"),
+        # the blank line counts in the row number
+        ("timestamp,weather_related\n\n2021-03-01T00:00:00Z,yes\n",
+         "weather_related flag must be 0 or 1, got 'yes' ({p}, row 3, "
+         "column 'weather_related')")])
+    def test_error_texts(self, tmp_path, text, message):
+        p = tmp_path / "o.csv"
+        if text is not None:
+            p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            ingest.parse_outage_csv(p)
+        assert str(err.value) == message.format(p=p)
 
 
 class TestRoundTrip:
