@@ -311,23 +311,33 @@ nb_predict_rows = predict_rows
 
 
 MODEL_FORMAT = "outagebn-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 def _cpt_doc(bn: BayesianNetwork) -> dict:
-    return {n: {"parents": c.parents,
-                "configs": c.configs.tolist(),
-                "rows": c.rows.tolist(),
-                "default": c.default.tolist()}
-            for n, c in bn.cpts.items()}
+    """Each table's bitwise-distinct rows once, in order of first use, and each code's row."""
+    doc = {}
+    for n, c in bn.cpts.items():
+        # a void view compares rows by their bytes, so -0.0 and 0.0 stay apart
+        keys = np.ascontiguousarray(c.rows).view(np.dtype((np.void, c.rows.itemsize * c.card)))
+        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct rows in order of first use
+        rank = np.argsort(order)  # each distinct row's place in that order
+        doc[n] = {"parents": c.parents,
+                  "configs": c.configs.tolist(),
+                  "rows": c.rows[first[order]].tolist(),
+                  "row_of": rank[inverse.ravel()].tolist(),
+                  "default": c.default.tolist()}
+    return doc
 
 
 def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = None) -> None:
-    """Write the network (and optional baseline network) as deterministic JSON.
+    """Write the network (and optional baseline network) as one line of deterministic JSON.
 
     The baseline shares the network's nodes, target, cardinalities and bin
     edges; the file stores only its tables. A node's parents are stored
-    once, in its table's entry.
+    once, in its table's entry. The document is encoded before the file is
+    opened, so a save that fails leaves an earlier file as it was.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -336,7 +346,7 @@ def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = Non
         "nodes": bn.dag.nodes,
         "provenance": {f"{a}->{b}": tag
                        for (a, b), tag in sorted(bn.dag.provenance.items())},
-        "cardinalities": bn.cardinalities,
+        "cardinalities": {n: int(c) for n, c in bn.cardinalities.items()},
         "bin_edges": bn.bin_edges,
         "cpts": _cpt_doc(bn),
     }
@@ -347,9 +357,28 @@ def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = Non
             raise ValueError("the baseline must share the network's nodes, target, "
                              "cardinalities and bin edges")
         doc["baseline"] = _cpt_doc(baseline)
+    # without indent, dumps takes the C encoder; json.dump never does
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _table(path, node: str, card: int, entry: dict) -> np.ndarray:
+    """The row of each of ``entry``'s configs, expanded from its distinct rows."""
+    rows, row_of = entry["rows"], entry["row_of"]
+    where = f"model file {path}, node {node!r}"
+    if len(row_of) != len(entry["configs"]):
+        raise ValueError(f"{where}: row_of has {len(row_of)} entries "
+                         f"for {len(entry['configs'])} configs")
+    for row in (*rows, entry["default"]):
+        if not isinstance(row, list) or len(row) != card:
+            raise ValueError(f"{where}: a row is not a list of {card} probabilities")
+    index = np.asarray(row_of) if row_of else np.zeros(0, dtype=np.intp)
+    if index.dtype.kind not in "iu" or index.ndim != 1:
+        raise ValueError(f"{where}: row_of holds a value that is not an integer")
+    if len(index) and not 0 <= index.min() <= index.max() < len(rows):
+        raise ValueError(f"{where}: row_of holds an index outside 0..{len(rows) - 1}")
+    return np.asarray(rows, dtype=float).reshape(len(rows), card)[index]
 
 
 def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
@@ -371,8 +400,9 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
         for n in nodes:
             entry = cpt_doc[n]
             parents = list(entry["parents"])
-            cpts[n] = Cpt(n, parents, [cardinalities[p] for p in parents],
-                          cardinalities[n], entry["configs"], entry["rows"], entry["default"])
+            cpts[n] = Cpt(n, parents, [cardinalities[p] for p in parents], cardinalities[n],
+                          entry["configs"], _table(path, n, cardinalities[n], entry),
+                          entry["default"])
         dag = LearnedDag(nodes=list(nodes), parents={n: list(cpts[n].parents) for n in nodes},
                          provenance=provenance, target=doc.get("target"))
         return BayesianNetwork(dag, cpts, cardinalities, bin_edges)

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from outagebn import bayesnet, synthgen
@@ -536,7 +538,8 @@ class TestModelFile:
         save_model(bn, path)
         doc = json.loads(path.read_text())
         # version 2 kept a top-level parent map and a naive Bayes model of its own
-        for version in (2, bayesnet.MODEL_VERSION + 1, None):
+        # version 3 wrote every configuration's row in full
+        for version in (2, 3, bayesnet.MODEL_VERSION + 1, None):
             doc["version"] = version
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="re-run `learn`"):
@@ -547,6 +550,92 @@ class TestModelFile:
         path.write_text("{}")
         with pytest.raises(ValueError, match="not a recognized model file"):
             load_model(path)
+
+    def test_repeated_rows_are_stored_once(self, tmp_path):
+        bn, _ = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        entry = json.loads(path.read_text())["cpts"]["t"]
+        # t is 0 after a=0 and 1 after a=1, four times each, whatever b is
+        assert entry["row_of"] == [0, 0, 1, 1]
+        assert len(entry["rows"]) == 2 < len(entry["configs"]) == 4
+        t2 = load_model(path)[0].cpts["t"]
+        for part in ("configs", "rows", "default"):
+            assert getattr(t2, part).tobytes() == getattr(bn.cpts["t"], part).tobytes()
+
+    def test_rows_differing_in_the_sign_of_zero_stay_apart(self, tmp_path):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        dag = LearnedDag(nodes=["a", "t"], parents={"a": [], "t": ["a"]}, target="t")
+        bn = BayesianNetwork(dag, {"a": Cpt.dense("a", [], [], 3, [[0.2, 0.3, 0.5]]),
+                                   "t": Cpt.dense("t", ["a"], [3], 2, rows)},
+                             {"a": 3, "t": 2})
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        entry = json.loads(path.read_text())["cpts"]["t"]
+        assert entry["row_of"] == [0, 1, 0] and len(entry["rows"]) == 2
+        assert load_model(path)[0].cpts["t"].rows.tobytes() == rows.tobytes()
+
+    def test_file_is_one_line(self, tmp_path):
+        bn, nb = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        data = path.read_bytes()
+        assert data.endswith(b"}\n") and data.count(b"\n") == 1 and b" " not in data
+
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path):
+        bn, nb = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        before = path.read_bytes()
+        # numpy ints as cardinalities write as ints
+        wide = replace(bn, cardinalities={n: np.int64(c) for n, c in bn.cardinalities.items()})
+        save_model(wide, tmp_path / "wide.json", baseline=nb)
+        assert (tmp_path / "wide.json").read_bytes() == before
+        # a value JSON cannot encode fails before the file is opened
+        bad = replace(bn, bin_edges={**bn.bin_edges, "a": [object()]})
+        with pytest.raises(TypeError):
+            save_model(bad, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("node,key,value,message", [
+        ("t", "row_of", [0, 1, 1], "row_of has 3 entries for 4 configs"),
+        ("t", "row_of", [0, -1, 1, 0], r"row_of holds an index outside 0\.\.1"),
+        ("t", "row_of", [0, 1, 1.5, 0], "row_of holds a value that is not an integer"),
+        ("t", "row_of", [0, 1, 2, 0], r"row_of holds an index outside 0\.\.1"),
+        ("b", "rows", [[0.5, 0.5], [0.25, 0.5, 0.25]], "a row is not a list of 2 probabilities"),
+    ], ids=["row_of-length", "row_of-negative", "row_of-fraction", "row_of-past-rows",
+            "row-width"])
+    def test_refuses_malformed_tables(self, tmp_path, node, key, value, message):
+        bn, _ = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        doc = json.loads(path.read_text())
+        doc["cpts"][node][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"model file {path}, node {node!r}: ")
+                           + message):
+            load_model(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 60),
+       st.sampled_from([0.5, 1.0, 3.0]))
+def test_model_file_stores_each_distinct_row_once(tmp_path_factory, n, seed, card, n_rows,
+                                                   alpha):
+    truth = synthgen.random_network(n, 0.6, seed=seed, card=card)
+    bn = fit_cpts(truth.dag, synthgen.forward_sample(truth, n_rows, seed=seed + 1),
+                  laplace_alpha=alpha)
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(bn, path)
+    first = path.read_bytes()
+    cpts = json.loads(first)["cpts"]
+    for node, cpt in bn.cpts.items():
+        assert len(cpts[node]["rows"]) == len({r.tobytes() for r in cpt.rows})
+    bn2, _ = load_model(path)
+    for node, cpt in bn.cpts.items():
+        assert bn2.cpts[node].rows.tobytes() == cpt.rows.tobytes()
+    save_model(bn2, path)
+    assert path.read_bytes() == first
 
 
 class TestSparseScale:

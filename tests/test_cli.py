@@ -321,6 +321,21 @@ class TestPredict:
             assert "error during load-model" in err and "re-run `learn`" in err
 
 
+    def test_malformed_table_rejected(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "model.json").read_text())
+        entry = doc["cpts"][doc["target"]]
+        entry["row_of"][0] = len(entry["rows"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(bad),
+                   "--weather", str(scenario_dir / "weather.csv"), "--out", str(out)])
+        assert rc == 1
+        assert (f"error during load-model: model file {bad}, node {doc['target']!r}: "
+                "row_of holds an index outside") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEval:
     def test_reports_written(self, scenario_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
