@@ -363,19 +363,41 @@ def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = Non
         fh.write(text + "\n")
 
 
-def _table(path, node: str, card: int, entry: dict) -> np.ndarray:
-    """The row of each of ``entry``'s configs, expanded from its distinct rows."""
-    rows, row_of = entry["rows"], entry["row_of"]
+_CPT_KEYS = ("parents", "configs", "rows", "row_of", "default")
+
+
+def _table(path, node: str, cardinalities: dict, entry) -> np.ndarray:
+    """The row of each of ``entry``'s configs, expanded from its distinct rows.
+
+    Refuses, with a ``ValueError`` that names the file and the node, a
+    missing entry, a missing key, parents that are not the file's nodes,
+    a config or ``row_of`` value that is not an integer, a row that is not
+    a list of ``card`` numbers, and a ``row_of`` that does not index one
+    row per config.
+    """
     where = f"model file {path}, node {node!r}"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: the file holds no table for it")
+    for key in _CPT_KEYS:
+        if key not in entry:
+            raise ValueError(f"{where}: its table has no {key!r}")
+    parents, rows, row_of = entry["parents"], entry["rows"], entry["row_of"]
+    if not isinstance(parents, list) or not all(
+            isinstance(q, str) and q in cardinalities for q in parents):
+        raise ValueError(f"{where}: its parents are not a list of the file's nodes")
+    for key in ("configs", "row_of"):
+        ints = np.asarray(entry[key]) if entry[key] else np.zeros(0, dtype=np.intp)
+        if ints.dtype.kind not in "iu" or ints.ndim != 1:
+            raise ValueError(f"{where}: {key} holds a value that is not an integer")
     if len(row_of) != len(entry["configs"]):
         raise ValueError(f"{where}: row_of has {len(row_of)} entries "
                          f"for {len(entry['configs'])} configs")
-    for row in (*rows, entry["default"]):
-        if not isinstance(row, list) or len(row) != card:
+    card = cardinalities[node]
+    for row in (*(rows if isinstance(rows, list) else [None]), entry["default"]):
+        if not isinstance(row, list) or len(row) != card \
+                or not all(type(v) in (int, float) for v in row):
             raise ValueError(f"{where}: a row is not a list of {card} probabilities")
-    index = np.asarray(row_of) if row_of else np.zeros(0, dtype=np.intp)
-    if index.dtype.kind not in "iu" or index.ndim != 1:
-        raise ValueError(f"{where}: row_of holds a value that is not an integer")
+    index = np.asarray(row_of, dtype=np.intp)
     if len(index) and not 0 <= index.min() <= index.max() < len(rows):
         raise ValueError(f"{where}: row_of holds an index outside 0..{len(rows) - 1}")
     return np.asarray(rows, dtype=float).reshape(len(rows), card)[index]
@@ -391,18 +413,24 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
         raise ValueError(f"model file {path} has version {doc.get('version')}, but this "
                          f"program reads version {MODEL_VERSION}; re-run `learn` to rebuild it")
     nodes = list(doc["nodes"])
-    cardinalities = {n: int(doc["cardinalities"][n]) for n in nodes}
+    cardinalities = {}
+    for n in nodes:
+        card = doc.get("cardinalities", {}).get(n)
+        if type(card) is not int or card < 1:
+            raise ValueError(f"model file {path}, node {n!r}: its cardinality is missing "
+                             "or not a positive integer")
+        cardinalities[n] = card
     bin_edges = {n: [float(v) for v in doc.get("bin_edges", {}).get(n, [])]
                  for n in nodes}
 
     def network(cpt_doc: dict, provenance: dict) -> BayesianNetwork:
         cpts = {}
         for n in nodes:
-            entry = cpt_doc[n]
-            parents = list(entry["parents"])
+            entry = cpt_doc.get(n)
+            table = _table(path, n, cardinalities, entry)
+            parents = entry["parents"]
             cpts[n] = Cpt(n, parents, [cardinalities[p] for p in parents], cardinalities[n],
-                          entry["configs"], _table(path, n, cardinalities[n], entry),
-                          entry["default"])
+                          entry["configs"], table, entry["default"])
         dag = LearnedDag(nodes=list(nodes), parents={n: list(cpts[n].parents) for n in nodes},
                          provenance=provenance, target=doc.get("target"))
         return BayesianNetwork(dag, cpts, cardinalities, bin_edges)

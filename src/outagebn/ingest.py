@@ -267,11 +267,13 @@ _STAMP_DIGITS = _STAMP_LAYOUT == ord("0")
 _DATA_BYTE = re.compile(rb"[^\r\n]")
 _YEAR_1 = np.datetime64("0001-01-01", "us")
 _COMMA, _LF, _CR = b",\n\r"
-# Bytes that the empty-field scan takes per numpy call: enough that
-# per-call overhead vanishes (64 KiB scanned the 65k- and 100k-hour files
-# about 20% slower), few enough that its scratch arrays stay a small part
-# of the file (1 MiB lifted the gappy parse's tracemalloc peak by 1.8 MiB).
-_SCAN_BLOCK = 1 << 18
+# Bytes of a weather file that the fast path reads, checks and parses at a
+# time (:func:`_line_blocks`): glibc's default mmap threshold. Freeing a
+# transient far above the threshold raises it, and the brk heap then keeps
+# the mid-size arrays that later stages free; a part read whole (6.6 MB at
+# 100k hours) did that. Blocks of 64 KiB parsed the 100k-hour file 1-2 ms
+# slower, for at most 0.6 MB less peak RSS in `learn`, `predict` or `eval`.
+_BLOCK = 1 << 17
 # A file's data lines are split into parts of at least _MIN_PART_BYTES
 # (see workers.part_count).
 _MIN_PART_BYTES = 1 << 20
@@ -288,9 +290,15 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
     every other cell a number numpy parses or a missing cell. Each part
     runs these checks on its own lines (:func:`_parse_part`); the sort, the
     duplicate check and the rewrite of non-finite values to ``NaN`` run
-    here, once, on the gathered columns. Part 0 is
-    parsed in this process and every other part in a forked worker
-    (:func:`workers.forked`); a part that falls back, or a worker that dies,
+    here, once, on the gathered columns.
+
+    Part 0 is parsed in this process and every other part in a forked
+    worker (:func:`workers.forked`). Each process counts the lines of its
+    part first (:func:`_count_lines`), a worker sending its count before
+    it parses, so the columns are made once, at the size of the table:
+    each part here is parsed straight into them, and each worker's columns
+    are read from its pipe into place. Lines that hold no row (blank ones)
+    are cut off the end. A part that falls back, or a worker that dies,
     sends the whole file to the per-cell reader. No worker outlives this
     call, whatever it raises.
     """
@@ -303,36 +311,29 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                       for k in range(n_fields)])
     part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
                              col_idx=col_idx)
-    with workers.forked(functools.partial(workers.send_payload,
-                                          functools.partial(_part_bytes, part)),
+    with workers.forked(functools.partial(_parse_worker, p, part, len(columns)),
                         ranges[1:]) as forked:
-        local = [part(*r) for r in [ranges[0], *ranges[1 + len(forked):]]]
-        if any(arrays is None for arrays in local):
-            return None
-        counts = [arrays[0].size for arrays in local]
-        for _, pipe in forked:
-            size = workers.payload_size(pipe)
-            if size is None:
+        # no pipe: part 0, and each part whose fork failed, parsed here
+        pipes = [None, *(pipe for _, pipe in forked)]
+        pipes += [None] * (len(ranges) - len(pipes))
+        lines = [_count_lines(p, *r) if pipe is None else workers.read_size(pipe)
+                 for r, pipe in zip(ranges, pipes)]
+        if None in lines:
+            return None  # a worker died
+        out = _new_columns(sum(lines), len(columns))
+        at = 0
+        for (start, stop), pipe, room in zip(ranges, pipes, lines):
+            n = part(start, stop, out=out, at=at) if pipe is None \
+                else _read_part(pipe, out, at, room)
+            if n is None:
                 return None  # the part falls back, or its worker died
-            counts.append(size // 8 // len(local[0]))  # 8 bytes a row per array
-        if not sum(counts):
-            return None  # no data rows
-        # one column at a time: the parts parsed here, then each worker's
-        # part read straight into place
-        gathered = []
-        for j in range(len(local[0])):
-            out = np.empty(sum(counts), dtype=local[0][j].dtype)
-            at = 0
-            for arrays in local:
-                out[at:at + arrays[j].size] = arrays[j]
-                at += arrays[j].size
-                arrays[j] = None
-            for (_, pipe), n in zip(forked, counts[len(local):]):
-                if pipe.readinto(out[at:at + n].view(np.uint8)) != 8 * n:
-                    return None  # the worker died
-                at += n
-            gathered.append(out)
-    stamps = gathered.pop(0)
+            at += n
+    if not at:
+        return None  # no data rows
+    if at < len(out[0]):
+        for a in out:  # blank lines: no view of the columns is left
+            a.resize(at, refcheck=False)
+    stamps = out.pop(0)
     if np.all(stamps[1:] > stamps[:-1]):
         order = None
     else:
@@ -342,7 +343,7 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
             return None  # the per-cell reader reports the row
     factors = {}
     for c in columns:
-        values = gathered.pop(0)
+        values = out.pop(0)
         values[~np.isfinite(values)] = np.nan
         factors[c] = values if order is None else values[order]
     return RawWeatherTable(stamps, factors)
@@ -368,105 +369,189 @@ def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, [s + 1 for s in starts[1:]] + [size]))
 
 
-def _parse_part(p: Path, start: int, stop: int, *, dtype: np.dtype, ts_idx: int,
-                col_idx: list[int]) -> list[np.ndarray] | None:
-    """One part of a weather file (:func:`_part_ranges`) through one
-    structured ``np.loadtxt`` call: its timestamps, then views of the
-    columns ``col_idx`` as numpy read them, in file order, or ``None`` to
-    fall back.
+def _new_columns(n: int, width: int) -> list[np.ndarray]:
+    """Empty columns for ``n`` rows: the timestamps, then ``width`` floats."""
+    return [np.empty(n, dtype=TIME_DTYPE), *(np.empty(n) for _ in range(width))]
+
+
+def _count_lines(p: Path, start: int, stop: int) -> int:
+    """How many lines bytes ``start:stop`` of a file hold after their first,
+    a part's (:func:`_part_ranges`): at least as many as it has rows.
+
+    The LFs are counted :data:`_BLOCK` bytes at a time, in two buffers made
+    once."""
+    buf = np.empty(_BLOCK, dtype=np.uint8)
+    lf = np.empty(_BLOCK, dtype=bool)
+    lines, last = -1, _LF  # the first line ends at an LF
+    with open(p, "rb", buffering=0) as fh:
+        fh.seek(start)
+        for at in range(start, stop, _BLOCK):
+            n = fh.readinto(buf[:min(_BLOCK, stop - at)])
+            if not n:
+                break
+            lines += np.count_nonzero(np.equal(buf[:n], _LF, out=lf[:n]))
+            last = buf[n - 1]
+    return int(lines + (last != _LF))  # a last line without an LF
+
+
+def _parse_worker(p: Path, part, width: int, pipe, start: int, stop: int) -> None:
+    """A parse worker (:func:`workers.forked`): the line count of its part
+    (:func:`workers.send_size`), sent before it parses, then a payload
+    (:func:`workers.send_payload`) of the bytes of its ``1 + width``
+    columns, or nothing more when the part falls back."""
+    lines = _count_lines(p, start, stop)
+    workers.send_size(pipe, lines)
+    out = _new_columns(lines, width)
+    n = part(start, stop, out=out, at=0)
+    if n is not None:
+        chunks = [a[:n].view(np.uint8) for a in out]
+        workers.send_payload(lambda *_: chunks, pipe, start, stop)
+
+
+def _read_part(pipe, out: list[np.ndarray], at: int, lines: int) -> int | None:
+    """A worker's columns (:func:`_parse_worker`), read from its pipe into
+    rows ``at:`` of ``out``: how many rows it sent, or ``None`` if it sent
+    none, or died first."""
+    size = workers.read_size(pipe)
+    row = 8 * len(out)  # every column's items take 8 bytes
+    if size is None or size % row or size // row > lines:
+        return None
+    n = size // row
+    for a in out:
+        if pipe.readinto(a[at:at + n].view(np.uint8)) != 8 * n:
+            return None
+    return n
+
+
+def _parse_part(p: Path, start: int, stop: int, *, out: list[np.ndarray], at: int,
+                dtype: np.dtype, ts_idx: int, col_idx: list[int]) -> int | None:
+    """One part of a weather file (:func:`_part_ranges`), parsed block by
+    block (:func:`_line_blocks`, :func:`_block_rows`) into rows ``at:`` of
+    ``out``, its timestamps and then the columns ``col_idx`` in file order:
+    how many rows it holds, or ``None`` to fall back. ``out`` has room for
+    :func:`_count_lines` rows from ``at``."""
+    end = at
+    with open(p, "rb", buffering=0) as fh:
+        for data in _line_blocks(fh, start, stop):
+            rows = _block_rows(data, dtype)
+            del data  # so that a block goes before the next is read
+            if rows is None or end + len(rows) > len(out[0]):
+                return None
+            if not len(rows):
+                continue
+            text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
+                .reshape(len(rows), _STAMP_LAYOUT.size)
+            if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
+                    and np.all(text[:, ~_STAMP_DIGITS] == _STAMP_LAYOUT[~_STAMP_DIGITS])):
+                return None
+            stamps = out[0][end:end + len(rows)]
+            try:
+                stamps[:] = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0]
+            except ValueError:  # a field out of range, such as month 13
+                return None
+            if stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
+                return None
+            for values, k in zip(out[1:], col_idx):
+                values[end:end + len(rows)] = rows[f"f{k}"]
+            end += len(rows)
+    return end - at
+
+
+def _line_blocks(fh, start: int, stop: int):
+    """Bytes ``start:stop`` of ``fh``, a part (:func:`_part_ranges`), as
+    blocks of whole lines. Each block begins as a part does, with a line to
+    skip: the header, or the LF that ends the previous block. A block holds
+    at most :data:`_BLOCK` bytes, or its first line and one more."""
+    while True:
+        fh.seek(start)
+        data = fh.read(min(_BLOCK, stop - start))
+        end = start + len(data)
+        while end < stop and data.find(b"\n", data.find(b"\n") + 1) < 0:
+            data += fh.read(min(_BLOCK, stop - end))
+            if start + len(data) == end:
+                break  # the file got shorter
+            end = start + len(data)
+        cut = data.rfind(b"\n") + 1
+        if end == stop or cut <= data.find(b"\n") + 1:
+            yield data
+            return
+        data = data[:cut]
+        yield data
+        start += cut - 1
+
+
+def _block_rows(data: bytes, dtype: np.dtype) -> np.ndarray | None:
+    """The lines of a block (:func:`_line_blocks`) after its first, through
+    one structured ``np.loadtxt`` call, or ``None`` to fall back.
 
     numpy reads LF and CRLF line ends alike, so the bytes go to it as they
     are, but for two rewrites to ``nan``. ``N/A`` becomes ``nan`` wherever
     it occurs: as a whole field, signed or padded, it is then a NaN, as
     ``_parse_cell`` reads it; inside any other text (``xN/A``, ``N/AN/A``)
     numpy refuses the field, and the file falls back. An empty data field
-    gets ``nan`` written into it (:func:`_fill_empty_fields`). A part with
+    gets ``nan`` written into it (:func:`_fill_empty_fields`). A block with
     neither is not copied. numpy and ``float`` share CPython's
     string-to-double routine and its whitespace rules; numpy rejects what
     else ``float`` takes (``1_000``).
     """
-    with open(p, "rb") as fh:
-        fh.seek(start)
-        data = fh.read(stop - start)
     # C code on either side may end a text at a NUL
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
     body = data.find(b"\n") + 1
     if _DATA_BYTE.search(data, body) is None:
         # blank lines only: loadtxt would warn of an empty input
-        return [np.empty(0, dtype=TIME_DTYPE), *(np.empty(0) for _ in col_idx)]
-    data = data.replace(b"N/A", b"nan")
+        return np.empty(0, dtype=dtype)
+    if b"/" in data:  # one memchr, where looking for N/A takes 50 times longer
+        data = data.replace(b"N/A", b"nan")
     data = _fill_empty_fields(data, body)
     if data is None:
         return None  # a lone CR, which csv reads as a line end
-    # BytesIO shares the bytes object that each rewrite returns, and each
-    # rewrite's input went when data took its result, so two copies of the
-    # part are the most held
+    # BytesIO shares the bytes object that the last rewrite returns, and
+    # the first rewrite's copy goes when data takes the second's, so beside
+    # the block as read, which the caller holds, two copies are the most
+    # held
     stream = io.BytesIO(data)
     del data
     try:
-        rows = np.loadtxt(stream, dtype=dtype, delimiter=",",
-                          comments=None, skiprows=1, ndmin=1, encoding="ascii")
+        return np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None,
+                          skiprows=1, ndmin=1, encoding="ascii")
     except ValueError:
         return None
-    del stream
-    text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
-        .reshape(len(rows), _STAMP_LAYOUT.size)
-    if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
-            and np.all(text[:, ~_STAMP_DIGITS] == _STAMP_LAYOUT[~_STAMP_DIGITS])):
-        return None
-    try:
-        stamps = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0].astype(TIME_DTYPE)
-    except ValueError:  # a field out of range, such as month 13
-        return None
-    if stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
-        return None
-    return [stamps, *(rows[f"f{k}"] for k in col_idx)]
-
-
-def _part_bytes(part, start: int, stop: int) -> list[np.ndarray] | None:
-    """A parse worker's payload (:func:`workers.send_payload`): the bytes of
-    each of ``part(start, stop)``'s arrays, all of 8-byte items, or ``None``
-    to send nothing when the part falls back."""
-    arrays = part(start, stop)
-    return None if arrays is None else [np.ascontiguousarray(a).view(np.uint8)
-                                        for a in arrays]
 
 
 def _fill_empty_fields(data: bytes, body: int) -> bytes | None:
     """``data`` with ``nan`` in each empty field of its data lines, or ``None``
     if they hold a lone CR.
 
-    ``body`` is the offset of the first data line, and the lines are scanned
-    :data:`_SCAN_BLOCK` bytes at a time. ``data`` itself comes back when no
-    field is empty; otherwise ``nan`` joins views of the text between the
-    empty fields, so ``data`` and the result are the only copies held.
+    ``body`` is the offset of the first data line. ``data`` itself comes
+    back when no field is empty; otherwise ``nan`` joins views of the text
+    between the empty fields, so ``data`` and the result are the only
+    copies held.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    cuts = [0]
-    for start in range(body, buf.size, _SCAN_BLOCK):
-        block = buf[start:start + _SCAN_BLOCK]
-        cr = np.flatnonzero(block == _CR) + start
-        if np.any(_next_byte(buf, cr) != _LF):
-            return None
-        # a comma after LF starts a line with an empty field, and a comma
-        # before a comma, CR, LF or the end of the file ends one; a blank
-        # line holds no field
-        comma = np.flatnonzero(block == _COMMA) + start
-        ahead = _next_byte(buf, comma)
-        cuts += np.sort(np.concatenate([
-            comma[buf[comma - 1] == _LF],
-            comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1])).tolist()
-    if len(cuts) == 1:
+    data_lines = buf[body:]
+    cr = np.flatnonzero(data_lines == _CR) + body
+    if np.any(_next_byte(buf, cr) != _LF):
+        return None
+    # a comma after LF starts a line with an empty field, and a comma
+    # before a comma, CR, LF or the end of the file ends one; a blank
+    # line holds no field
+    comma = np.flatnonzero(data_lines == _COMMA) + body
+    ahead = _next_byte(buf, comma)
+    cuts = np.sort(np.concatenate([
+        comma[buf[comma - 1] == _LF],
+        comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1])).tolist()
+    if not cuts:
         return data
     text = memoryview(data)
-    return b"nan".join([text[a:b] for a, b in zip(cuts, [*cuts[1:], len(data)])])
+    return b"nan".join([text[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)])])
 
 
 def _next_byte(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The byte after each offset. Past the end of the file the last byte
-    stands in for it: a CR there is lone, and a comma there ends an empty
-    field, as they should be."""
+    """The byte after each offset. Past the end of a block the last byte
+    stands in for it: a block that does not end at an LF ends the file, so
+    a CR there is lone, and a comma there ends an empty field, as they
+    should be."""
     return buf[np.minimum(at + 1, buf.size - 1)]
 
 
@@ -507,9 +592,14 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     observed value. A column observed nowhere raises
     :class:`UnrecoverableColumnError`, and a timeline that is not strictly
     increasing or not on whole hours a ``ValueError`` that names the first
-    offending stamp. Labels start at zero. When no hour is missing, the
-    timeline and each column observed at every hour are ``raw``'s own
-    arrays, not copies: ``np.interp`` would give back each sample exactly.
+    offending stamp. Labels start at zero.
+
+    The columns are filled one at a time, and each leaves ``raw.factors``
+    once it is filled, so ``raw.factors`` is empty on return (and partly
+    emptied by an unrecoverable column); ``raw.timestamps`` stays. When no
+    hour is missing, the timeline and each column observed at every hour
+    are ``raw``'s own arrays, not copies: ``np.interp`` would give back each
+    sample exactly.
     """
     if raw.n_rows == 0:
         raise ValueError("cannot interpolate an empty table")
@@ -530,10 +620,12 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     complete = n == raw.n_rows
     grid = stamps if complete else stamps[0] + np.arange(n) * HOUR
     hours = np.arange(n, dtype=np.float64)
-    positions = hours if complete else (stamps - stamps[0]) // HOUR
+    # as floats, so that np.interp converts no column's positions again
+    positions = hours if complete else ((stamps - stamps[0]) // HOUR).astype(np.float64)
 
     filled: dict[str, np.ndarray] = {}
-    for name, values in raw.factors.items():
+    for name in list(raw.factors):
+        values = raw.factors.pop(name)
         observed = np.isfinite(values)
         if complete and observed.all():
             filled[name] = values
@@ -541,6 +633,7 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
             filled[name] = np.interp(hours, positions[observed], values[observed])
         else:
             raise UnrecoverableColumnError(name)
+        del values, observed
     return TimeSeriesTable(grid, filled, np.zeros(n, dtype=np.int64))
 
 

@@ -95,10 +95,17 @@ def _fork(send, start: int, stop: int) -> tuple[int, io.BufferedReader]:
     return pid, open(r, "rb")
 
 
+def send_size(pipe, n: int) -> None:
+    """``n`` as 8 bytes in native order, flushed at once, so that the caller
+    can read it (:func:`read_size`) while the worker goes on."""
+    pipe.write(n.to_bytes(8, sys.byteorder))
+    pipe.flush()
+
+
 def send_payload(chunks_of, pipe, start: int, stop: int) -> None:
     """A worker's reply of ``chunks_of(start, stop)``, an iterable of bytes:
-    their total length as 8 bytes in native order, then the chunks, or
-    nothing if ``chunks_of`` gives ``None``.
+    their total length (:func:`send_size`), then the chunks, or nothing if
+    ``chunks_of`` gives ``None``.
 
     Every chunk is made before the first byte goes out. The caller copies
     a worker's payload only once it has done what comes before it, and a
@@ -108,13 +115,14 @@ def send_payload(chunks_of, pipe, start: int, stop: int) -> None:
     chunks = chunks_of(start, stop)
     if chunks is not None:
         chunks = list(chunks)
-        pipe.write(sum(map(len, chunks)).to_bytes(8, sys.byteorder))
+        send_size(pipe, sum(map(len, chunks)))
         pipe.writelines(chunks)
 
 
-def payload_size(pipe: io.BufferedReader) -> int | None:
-    """The length of the payload that a worker's pipe (:func:`send_payload`)
-    carries next, or ``None`` if the worker sent none, or died first."""
+def read_size(pipe: io.BufferedReader) -> int | None:
+    """The number that a worker's pipe carries next (:func:`send_size`), such
+    as the length of a payload (:func:`send_payload`), or ``None`` if the
+    worker sent none, or died first."""
     head = pipe.read(8)
     return int.from_bytes(head, sys.byteorder) if len(head) == 8 else None
 
@@ -123,7 +131,7 @@ def copy_payload(pipe: io.BufferedReader, out) -> bool:
     """Copy a worker's payload (:func:`send_payload`) from its pipe to the
     binary file ``out``, :data:`COPY_BYTES` at a time, or ``False`` if the
     worker died before it sent all of it."""
-    left = payload_size(pipe)
+    left = read_size(pipe)
     if left is None:
         return False
     while left:

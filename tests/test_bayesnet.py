@@ -616,6 +616,38 @@ class TestModelFile:
                            + message):
             load_model(path)
 
+    @pytest.mark.parametrize("keys,value,node,message", [
+        (["cpts", "t", "row_of"], None, "t", "its table has no 'row_of'"),
+        (["cpts", "b", "rows", 0, 1], "x", "b", "a row is not a list of 2 probabilities"),
+        (["cpts", "t", "default", 0], None, "t", "a row is not a list of 2 probabilities"),
+        (["cpts", "t", "configs", 0], "x", "t", "configs holds a value that is not an integer"),
+        (["cpts", "b", "configs", 1], 1.5, "b", "configs holds a value that is not an integer"),
+        (["cpts", "b"], None, "b", "the file holds no table for it"),
+        (["cardinalities", "a"], None, "a", "its cardinality is missing or not a positive integer"),
+        (["cardinalities", "b"], "2", "b", "its cardinality is missing or not a positive integer"),
+        (["cpts", "t", "parents", 1], "z", "t", "its parents are not a list of the file's nodes"),
+    ], ids=["row_of-missing", "rows-cell", "default-cell", "configs-text", "configs-fraction",
+            "table-missing", "cardinality-missing", "cardinality-text", "parent-unknown"])
+    def test_refuses_missing_keys_and_cells_of_the_wrong_type(self, tmp_path, keys, value,
+                                                             node, message):
+        # a value of None deletes the key, or the list item
+        bn, nb = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        doc = json.loads(path.read_text())
+        *outer, last = keys
+        inner = doc
+        for key in outer:
+            inner = inner[key]
+        if value is None:
+            del inner[last]
+        else:
+            inner[last] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"model file {path}, node {node!r}: {message}"
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 60),

@@ -377,6 +377,30 @@ class TestFastPath:
         assert np.isnan(raw.factors["F1"]).any()
         assert peak <= 2 * size + table
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_peak_memory_within_the_table_and_a_few_blocks(self, tmp_path, eol, cpus):
+        # the columns are made once, at the size of the table, and a part
+        # is read, checked and parsed one block at a time; a worker's
+        # columns go from its pipe straight into place. A block is held as
+        # read, through its two rewrites and beside its loadtxt records
+        p = gappy_copy(gen_weather(tmp_path, hours=40_000), tmp_path / "gappy.csv")
+        p.write_bytes(p.read_bytes().replace(b"\n", eol.encode()))
+        with split_parse(cpus, ingest._MIN_PART_BYTES):
+            assert len(part_texts(p)) == cpus
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                raw = ingest.parse_weather_csv(p)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        table = raw.timestamps.nbytes + sum(v.nbytes for v in raw.factors.values())
+        assert np.isnan(raw.factors["F1"]).any()
+        assert p.stat().st_size > 20 * ingest._BLOCK
+        assert peak <= table + 8 * ingest._BLOCK
+        assert_no_child()
+
 
 # Cell spellings the C reader takes (numpy and float agree on them, or the
 # fast path rewrites them) and ones that send a file to the per-cell reader.
@@ -457,16 +481,18 @@ def assert_no_child():
 
 @settings(max_examples=400, deadline=None)
 @given(weather_files(), st.integers(1, 4), st.integers(1, 48),
-       st.one_of(st.just(ingest._SCAN_BLOCK), st.integers(1, 9)))
+       st.one_of(st.just(ingest._BLOCK), st.integers(1, 9)))
 def test_split_parse_matches_per_cell_reader(tmp_path_factory, case, cpus,
-                                             min_part_bytes, scan_block):
-    # small parts cut the files at arbitrary line ends, and scan blocks of a
-    # few bytes put the empty-field scan's block edges on commas, CRs and LFs
+                                             min_part_bytes, block):
+    # small parts cut the files at arbitrary line ends, and blocks of a few
+    # bytes put the block edges of the line count and of the block reads
+    # inside and at the end of lines longer than a block, on blank lines,
+    # on CRs and on a last line without an LF
     data, schema, fast = case
     p = tmp_path_factory.getbasetemp() / "split.csv"
     p.write_bytes(data)
     with split_parse(cpus, min_part_bytes), \
-            mock.patch.object(ingest, "_SCAN_BLOCK", scan_block):
+            mock.patch.object(ingest, "_BLOCK", block):
         if fast:
             with mock.patch.object(ingest, "_parse_weather_rows", refuse):
                 assert_matches_per_cell(p, schema)
@@ -568,14 +594,18 @@ class TestSplitParse:
     @pytest.mark.parametrize("sent", [0, 12, 2000])
     def test_worker_dead_after_its_length_sends_the_file_to_the_per_cell_reader(
             self, tmp_path, sent):
-        # the worker dies once it has sent its 8-byte length and ``sent``
-        # bytes of its arrays: in its timestamps, or in its first column
+        # the worker dies once it has sent its 8-byte line count, its 8-byte
+        # length and ``sent`` bytes of its arrays: in its timestamps, or in
+        # its first column
         stock = gen_weather(tmp_path)
         real = workers.forked
 
         class ShortPipe:
             def __init__(self, pipe):
-                self.pipe, self.left = pipe, 8 + sent
+                self.pipe, self.left = pipe, 16 + sent
+
+            def flush(self):
+                self.pipe.flush()
 
             def write(self, data):
                 data = memoryview(data).cast("B")
@@ -866,9 +896,11 @@ class TestInterpolate:
         x = np.array([1e308, -1e308, -0.0, 1e308, 0.0, -1e308, 2.5])
         y = np.array([1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0])
         raw = RawWeatherTable(hours(*range(7)), {"x": x, "y": y})
+        parsed = raw.factors["x"]
         table = ingest.interpolate_missing(raw)
         grid = np.arange(7)
-        assert table.factors["x"] is raw.factors["x"]
+        assert table.factors["x"] is parsed and table.timestamps is raw.timestamps
+        assert raw.factors == {}
         assert table.factors["x"].tobytes() == np.interp(grid, grid, x).tobytes()
         assert list(table.factors["y"]) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
         # a missing hour sends every column through the interpolation
@@ -876,6 +908,25 @@ class TestInterpolate:
             RawWeatherTable(hours(0, 1, 3), {"x": [-0.0, 1e308, -1e308]}))
         assert gappy.factors["x"].tobytes() == np.interp(
             [0, 1, 2, 3], [0, 1, 3], [-0.0, 1e308, -1e308]).tobytes()
+
+    def test_peak_memory_one_column_at_a_time(self, tmp_path):
+        # each parsed column is dropped once it is filled, so beside the
+        # parsed table the fill holds the grid, its positions, one
+        # column's fill and the filled columns, which take the parsed
+        # ones' place: never a second table
+        p = gappy_copy(gen_weather(tmp_path, hours=40_000), tmp_path / "gappy.csv")
+        tracemalloc.start()
+        try:
+            raw = ingest.parse_weather_csv(p)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            table = ingest.interpolate_missing(raw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        column = table.timestamps.nbytes
+        assert raw.factors == {} and len(table.factors) == 4 and raw.n_rows < table.n_rows
+        assert peak <= 8 * column
 
     @pytest.mark.parametrize("ks, message", [
         # every hour present but out of order, which once indexed past the
