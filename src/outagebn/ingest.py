@@ -293,14 +293,14 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
     here, once, on the gathered columns.
 
     Part 0 is parsed in this process and every other part in a forked
-    worker (:func:`workers.forked`). Each process counts the lines of its
-    part first (:func:`_count_lines`), a worker sending its count before
-    it parses, so the columns are made once, at the size of the table:
-    each part here is parsed straight into them, and each worker's columns
-    are read from its pipe into place. Lines that hold no row (blank ones)
-    are cut off the end. A part that falls back, or a worker that dies,
-    sends the whole file to the per-cell reader. No worker outlives this
-    call, whatever it raises.
+    worker (:func:`workers.forked`), which replies with its columns' bytes
+    (:func:`_parse_worker`). The parts are gathered in file order: each
+    one parsed here is parsed straight into the columns, and each reply
+    is read from its pipe into place (:func:`_read_part`). A part whose
+    worker could not be forked, sent nothing or died before the end of
+    its reply is parsed here. Only a part that the C reader refuses sends
+    the file to the per-cell reader. No worker outlives this call,
+    whatever it raises.
     """
     with open(p, "rb") as fh:
         header = fh.readline()
@@ -311,28 +311,16 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                       for k in range(n_fields)])
     part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
                              col_idx=col_idx)
-    with workers.forked(functools.partial(_parse_worker, p, part, len(columns)),
-                        ranges[1:]) as forked:
-        # no pipe: part 0, and each part whose fork failed, parsed here
-        pipes = [None, *(pipe for _, pipe in forked)]
-        pipes += [None] * (len(ranges) - len(pipes))
-        lines = [_count_lines(p, *r) if pipe is None else workers.read_size(pipe)
-                 for r, pipe in zip(ranges, pipes)]
-        if None in lines:
-            return None  # a worker died
-        out = _new_columns(sum(lines), len(columns))
-        at = 0
-        for (start, stop), pipe, room in zip(ranges, pipes, lines):
-            n = part(start, stop, out=out, at=at) if pipe is None \
-                else _read_part(pipe, out, at, room)
-            if n is None:
-                return None  # the part falls back, or its worker died
-            at += n
-    if not at:
+    out = _new_columns(len(columns))
+    with workers.forked(functools.partial(_parse_worker, part, len(columns)),
+                        ranges[1:]) as pipes:
+        for (start, stop), pipe in zip(ranges, [None, *pipes]):
+            if pipe is not None and _read_part(pipe, out, stop - start):
+                continue
+            if not part(start, stop, out=out):
+                return None  # the C reader refuses the part
+    if not len(out[0]):
         return None  # no data rows
-    if at < len(out[0]):
-        for a in out:  # blank lines: no view of the columns is left
-            a.resize(at, refcheck=False)
     stamps = out.pop(0)
     if np.all(stamps[1:] > stamps[:-1]):
         order = None
@@ -369,9 +357,18 @@ def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, [s + 1 for s in starts[1:]] + [size]))
 
 
-def _new_columns(n: int, width: int) -> list[np.ndarray]:
-    """Empty columns for ``n`` rows: the timestamps, then ``width`` floats."""
-    return [np.empty(n, dtype=TIME_DTYPE), *(np.empty(n) for _ in range(width))]
+def _new_columns(width: int) -> list[np.ndarray]:
+    """Empty columns of a parse: the timestamps, then ``width`` floats."""
+    return [np.empty(0, dtype=TIME_DTYPE), *(np.empty(0) for _ in range(width))]
+
+
+def _resize(columns: list[np.ndarray], n: int) -> None:
+    """Lengthen or cut each of ``columns`` to ``n`` items in place, with
+    ``realloc``. ``refcheck=False`` skips numpy's check that nothing else
+    refers to a column, so no view of a column may live across a resize:
+    it would point at freed memory."""
+    for a in columns:
+        a.resize(n, refcheck=False)
 
 
 def _count_lines(p: Path, start: int, stop: int) -> int:
@@ -394,95 +391,96 @@ def _count_lines(p: Path, start: int, stop: int) -> int:
     return int(lines + (last != _LF))  # a last line without an LF
 
 
-def _parse_worker(p: Path, part, width: int, pipe, start: int, stop: int) -> None:
-    """A parse worker (:func:`workers.forked`): the line count of its part
-    (:func:`workers.send_size`), sent before it parses, then a payload
-    (:func:`workers.send_payload`) of the bytes of its ``1 + width``
-    columns, or nothing more when the part falls back."""
-    lines = _count_lines(p, start, stop)
-    workers.send_size(pipe, lines)
-    out = _new_columns(lines, width)
-    n = part(start, stop, out=out, at=0)
-    if n is not None:
-        chunks = [a[:n].view(np.uint8) for a in out]
-        workers.send_payload(lambda *_: chunks, pipe, start, stop)
+def _parse_worker(part, width: int, start: int, stop: int) -> list[np.ndarray] | None:
+    """A parse worker's reply (:func:`workers.forked`): the bytes of its part's
+    ``1 + width`` columns, one column after another, or ``None`` when the
+    part falls back."""
+    out = _new_columns(width)
+    return [a.view(np.uint8) for a in out] if part(start, stop, out=out) else None
 
 
-def _read_part(pipe, out: list[np.ndarray], at: int, lines: int) -> int | None:
-    """A worker's columns (:func:`_parse_worker`), read from its pipe into
-    rows ``at:`` of ``out``: how many rows it sent, or ``None`` if it sent
-    none, or died first."""
+def _read_part(pipe, out: list[np.ndarray], most: int) -> bool:
+    """A worker's reply (:func:`_parse_worker`), read from its pipe straight
+    onto the end of ``out``, which it lengthens once: whether it was whole.
+    A reply that is not whole rows, claims more than ``most`` rows (the
+    bytes of the worker's range) or ends short leaves ``out`` as it was."""
     size = workers.read_size(pipe)
     row = 8 * len(out)  # every column's items take 8 bytes
-    if size is None or size % row or size // row > lines:
-        return None
-    n = size // row
+    if size is None or size % row or size // row > most:
+        return False
+    at, n = len(out[0]), size // row
+    _resize(out, at + n)
     for a in out:
-        if pipe.readinto(a[at:at + n].view(np.uint8)) != 8 * n:
-            return None
-    return n
+        if pipe.readinto(a[at:].view(np.uint8)) != 8 * n:
+            _resize(out, at)
+            return False
+    return True
 
 
-def _parse_part(p: Path, start: int, stop: int, *, out: list[np.ndarray], at: int,
-                dtype: np.dtype, ts_idx: int, col_idx: list[int]) -> int | None:
+def _parse_part(p: Path, start: int, stop: int, *, out: list[np.ndarray],
+                dtype: np.dtype, ts_idx: int, col_idx: list[int]) -> bool:
     """One part of a weather file (:func:`_part_ranges`), parsed block by
-    block (:func:`_line_blocks`, :func:`_block_rows`) into rows ``at:`` of
-    ``out``, its timestamps and then the columns ``col_idx`` in file order:
-    how many rows it holds, or ``None`` to fall back. ``out`` has room for
-    :func:`_count_lines` rows from ``at``."""
-    end = at
+    block (:func:`_block_rows`) onto the end of ``out``, its timestamps and
+    then the columns ``col_idx`` in file order: ``False`` to fall back.
+
+    The columns are lengthened once, by the part's :func:`_count_lines`,
+    and cut back to the rows it holds."""
+    at = end = len(out[0])
+    _resize(out, at + _count_lines(p, start, stop))
     with open(p, "rb", buffering=0) as fh:
-        for data in _line_blocks(fh, start, stop):
-            rows = _block_rows(data, dtype)
-            del data  # so that a block goes before the next is read
+        fh.seek(start)
+        while fh.tell() < stop:
+            rows = _block_rows(fh, stop, dtype)
             if rows is None or end + len(rows) > len(out[0]):
-                return None
+                return False
             if not len(rows):
                 continue
             text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
                 .reshape(len(rows), _STAMP_LAYOUT.size)
             if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
                     and np.all(text[:, ~_STAMP_DIGITS] == _STAMP_LAYOUT[~_STAMP_DIGITS])):
-                return None
-            stamps = out[0][end:end + len(rows)]
+                return False
+            block = slice(end, end + len(rows))
             try:
-                stamps[:] = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0]
+                out[0][block] = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0]
             except ValueError:  # a field out of range, such as month 13
-                return None
-            if stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
-                return None
+                return False
+            if out[0][block].min() < _YEAR_1:  # year 0, which datetime cannot hold
+                return False
             for values, k in zip(out[1:], col_idx):
-                values[end:end + len(rows)] = rows[f"f{k}"]
+                values[block] = rows[f"f{k}"]
             end += len(rows)
-    return end - at
+    _resize(out, end)  # lines that hold no row, blank ones
+    return True
 
 
-def _line_blocks(fh, start: int, stop: int):
-    """Bytes ``start:stop`` of ``fh``, a part (:func:`_part_ranges`), as
-    blocks of whole lines. Each block begins as a part does, with a line to
-    skip: the header, or the LF that ends the previous block. A block holds
-    at most :data:`_BLOCK` bytes, or its first line and one more."""
-    while True:
-        fh.seek(start)
-        data = fh.read(min(_BLOCK, stop - start))
+def _line_block(fh, stop: int) -> bytes:
+    """The block of whole lines at ``fh``'s position in a part
+    (:func:`_part_ranges`) that ends at ``stop``; ``fh`` is left where the
+    next block starts, or at ``stop`` after the last. A block begins as a
+    part does, with a line to skip: the header, or the LF that ends the
+    previous block. It holds at most :data:`_BLOCK` bytes, or its first
+    line and one more."""
+    start = fh.tell()
+    data = fh.read(min(_BLOCK, stop - start))
+    end = start + len(data)
+    while end < stop and data.find(b"\n", data.find(b"\n") + 1) < 0:
+        data += fh.read(min(_BLOCK, stop - end))
+        if start + len(data) == end:
+            break  # the file got shorter
         end = start + len(data)
-        while end < stop and data.find(b"\n", data.find(b"\n") + 1) < 0:
-            data += fh.read(min(_BLOCK, stop - end))
-            if start + len(data) == end:
-                break  # the file got shorter
-            end = start + len(data)
-        cut = data.rfind(b"\n") + 1
-        if end == stop or cut <= data.find(b"\n") + 1:
-            yield data
-            return
-        data = data[:cut]
-        yield data
-        start += cut - 1
+    cut = data.rfind(b"\n") + 1
+    if end == stop or cut <= data.find(b"\n") + 1:
+        fh.seek(stop)
+        return data
+    fh.seek(start + cut - 1)
+    return data[:cut]
 
 
-def _block_rows(data: bytes, dtype: np.dtype) -> np.ndarray | None:
-    """The lines of a block (:func:`_line_blocks`) after its first, through
-    one structured ``np.loadtxt`` call, or ``None`` to fall back.
+def _block_rows(fh, stop: int, dtype: np.dtype) -> np.ndarray | None:
+    """The lines after the first of the next block of ``fh``
+    (:func:`_line_block`), through one structured ``np.loadtxt`` call, or
+    ``None`` to fall back.
 
     numpy reads LF and CRLF line ends alike, so the bytes go to it as they
     are, but for two rewrites to ``nan``. ``N/A`` becomes ``nan`` wherever
@@ -494,6 +492,7 @@ def _block_rows(data: bytes, dtype: np.dtype) -> np.ndarray | None:
     string-to-double routine and its whitespace rules; numpy rejects what
     else ``float`` takes (``1_000``).
     """
+    data = _line_block(fh, stop)
     # C code on either side may end a text at a NUL
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
@@ -506,10 +505,9 @@ def _block_rows(data: bytes, dtype: np.dtype) -> np.ndarray | None:
     data = _fill_empty_fields(data, body)
     if data is None:
         return None  # a lone CR, which csv reads as a line end
-    # BytesIO shares the bytes object that the last rewrite returns, and
-    # the first rewrite's copy goes when data takes the second's, so beside
-    # the block as read, which the caller holds, two copies are the most
-    # held
+    # this function holds the only reference to the block, and BytesIO
+    # shares the bytes object that the last rewrite returns, so each
+    # rewrite's input goes once it is made: two copies are the most held
     stream = io.BytesIO(data)
     del data
     try:
@@ -711,7 +709,7 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
     split into one range per usable CPU (:func:`_row_ranges`). This process
     writes the first range; a forked worker formats each other one, and
     its text is copied over when this process reaches it in the file
-    (:func:`workers.send_payload`). The range of a worker that dies, or
+    (:func:`workers.copy_payload`). The range of a worker that dies, or
     that could not be forked, is formatted here, so the bytes never depend
     on the split, and no worker outlives this call. A write of paired
     columns only, or to a pipe, stays in this process.
@@ -736,13 +734,12 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
         # cannot do
         split = out.seekable() and any(texts is None for texts, _ in parts)
         ranges = _row_ranges(n) if split else [(0, n)]
-        with workers.forked(functools.partial(workers.send_payload, blocks),
-                            ranges[1:]) as forked:
+        with workers.forked(blocks, ranges[1:]) as pipes:
             out.writelines(blocks(*ranges[0]))
-            for k, (start, stop) in enumerate(ranges[1:]):
-                if k < len(forked):
+            for (start, stop), pipe in zip(ranges[1:], pipes):
+                if pipe is not None:
                     at = out.tell()
-                    if workers.copy_payload(forked[k][1], out):
+                    if workers.copy_payload(pipe, out):
                         continue
                     out.seek(at)  # the worker died: its range is formatted here
                     out.truncate()

@@ -1,9 +1,12 @@
 """Forked workers that each take one part of a job: how many parts to make,
-and the one path that forks them, hands each its pipe and reaps them.
+and the one path that forks them, carries their replies and reaps them.
 
 The weather CSV's parse and write both split their work into ranges, do
 the first range in the calling process and hand each other range to a
-worker made with ``os.fork``, which sends its result back through a pipe.
+worker made with ``os.fork``. A worker's reply is ``job(start, stop)``,
+an iterable of bytes, or ``None`` to send nothing, and goes back through
+a pipe after its length. The caller does itself each range that has no
+full reply: its fork failed, or its worker sent nothing or died first.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def forked(send, ranges: list[tuple[int, int]]):
-    """Fork one worker per range that runs ``send(pipe, start, stop)``; yields
-    the ``(pid, read end of its pipe)`` of each, in range order.
+def forked(job, ranges: list[tuple[int, int]]):
+    """Fork one worker per range that replies ``job(start, stop)``; yields
+    one item per range, in range order: the read end of its worker's pipe,
+    or ``None`` where no worker was forked.
 
     A fork that fails stops the forking, so the workers cover the first
     ranges only and the caller does the rest itself. On exit every worker
@@ -52,10 +56,10 @@ def forked(send, ranges: list[tuple[int, int]]):
     try:
         for start, stop in ranges:
             try:
-                started.append(_fork(send, start, stop))
+                started.append(_fork(job, start, stop))
             except OSError:  # no process to spare
                 break
-        yield started
+        yield [pipe for _, pipe in started] + [None] * (len(ranges) - len(started))
     finally:
         for pid, pipe in started:
             pipe.close()
@@ -63,9 +67,14 @@ def forked(send, ranges: list[tuple[int, int]]):
             os.waitpid(pid, 0)
 
 
-def _fork(send, start: int, stop: int) -> tuple[int, io.BufferedReader]:
-    """Run ``send(pipe, start, stop)`` in a forked worker, ``pipe`` being the
-    write end of a new pipe: the worker's pid, and the read end.
+def _fork(job, start: int, stop: int) -> tuple[int, io.BufferedReader]:
+    """Run ``job(start, stop)`` in a forked worker that sends its reply
+    through a new pipe: the worker's pid, and the read end.
+
+    Every chunk of the reply is made before the first byte goes out. The
+    caller reads a worker's reply only once it has done what comes before
+    it, and a pipe holds 64 KiB, so a worker that sent each chunk as it
+    went would wait at its first one.
 
     Fork, not spawn: the worker needs the parent's imported numpy and
     arrays and nothing else, and runs only numpy, ``repr`` and a pipe
@@ -87,7 +96,11 @@ def _fork(send, start: int, stop: int) -> tuple[int, io.BufferedReader]:
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                send(pipe, start, stop)
+                chunks = job(start, stop)
+                if chunks is not None:
+                    chunks = list(chunks)
+                    pipe.write(sum(map(len, chunks)).to_bytes(8, sys.byteorder))
+                    pipe.writelines(chunks)
             code = 0
         finally:
             os._exit(code)
@@ -95,42 +108,17 @@ def _fork(send, start: int, stop: int) -> tuple[int, io.BufferedReader]:
     return pid, open(r, "rb")
 
 
-def send_size(pipe, n: int) -> None:
-    """``n`` as 8 bytes in native order, flushed at once, so that the caller
-    can read it (:func:`read_size`) while the worker goes on."""
-    pipe.write(n.to_bytes(8, sys.byteorder))
-    pipe.flush()
-
-
-def send_payload(chunks_of, pipe, start: int, stop: int) -> None:
-    """A worker's reply of ``chunks_of(start, stop)``, an iterable of bytes:
-    their total length (:func:`send_size`), then the chunks, or nothing if
-    ``chunks_of`` gives ``None``.
-
-    Every chunk is made before the first byte goes out. The caller copies
-    a worker's payload only once it has done what comes before it, and a
-    pipe holds 64 KiB, so a worker that sent each chunk as it went would
-    wait at its first one.
-    """
-    chunks = chunks_of(start, stop)
-    if chunks is not None:
-        chunks = list(chunks)
-        send_size(pipe, sum(map(len, chunks)))
-        pipe.writelines(chunks)
-
-
 def read_size(pipe: io.BufferedReader) -> int | None:
-    """The number that a worker's pipe carries next (:func:`send_size`), such
-    as the length of a payload (:func:`send_payload`), or ``None`` if the
-    worker sent none, or died first."""
+    """The length of the reply that a worker's pipe carries, or ``None`` if
+    the worker sent none, or died first."""
     head = pipe.read(8)
     return int.from_bytes(head, sys.byteorder) if len(head) == 8 else None
 
 
 def copy_payload(pipe: io.BufferedReader, out) -> bool:
-    """Copy a worker's payload (:func:`send_payload`) from its pipe to the
-    binary file ``out``, :data:`COPY_BYTES` at a time, or ``False`` if the
-    worker died before it sent all of it."""
+    """Copy a worker's reply from its pipe to the binary file ``out``,
+    :data:`COPY_BYTES` at a time, or ``False`` if the worker sent none, or
+    died before it sent all of it."""
     left = read_size(pipe)
     if left is None:
         return False
