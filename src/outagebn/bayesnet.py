@@ -413,15 +413,17 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
         raise ValueError(f"model file {path} has version {doc.get('version')}, but this "
                          f"program reads version {MODEL_VERSION}; re-run `learn` to rebuild it")
     nodes = list(doc["nodes"])
-    cardinalities = {}
+    cardinalities, bin_edges = {}, {}
     for n in nodes:
         card = doc.get("cardinalities", {}).get(n)
         if type(card) is not int or card < 1:
             raise ValueError(f"model file {path}, node {n!r}: its cardinality is missing "
                              "or not a positive integer")
         cardinalities[n] = card
-    bin_edges = {n: [float(v) for v in doc.get("bin_edges", {}).get(n, [])]
-                 for n in nodes}
+        edges = doc.get("bin_edges", {}).get(n, [])
+        if not isinstance(edges, list) or not all(type(v) in (int, float) for v in edges):
+            raise ValueError(f"model file {path}, node {n!r}: its bin edges are not numbers")
+        bin_edges[n] = [float(v) for v in edges]
 
     def network(cpt_doc: dict, provenance: dict) -> BayesianNetwork:
         cpts = {}

@@ -14,52 +14,13 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # citest, evalmetrics and synthgen are imported by the one command that
 # runs them
 from . import bayesnet, ingest, pcalg, preprocess
-
-
-@dataclass
-class PipelineConfig:
-    bins: int = 10
-    alpha: float = 0.05
-    laplace: float = 1.0
-    downsample_ratio: float = 10.0
-    smote_target: float = 1.0
-    smote_k: int = 5
-    seed: int | None = None
-    threshold_grid: tuple[float, ...] | None = None
-    validation_fraction: float = 0.05
-    target: str = "outage"
-    fit_on_raw: bool = False
-    ci_method: str = "g2"
-
-    def validate(self) -> None:
-        if self.bins < 2:
-            raise ValueError("bins must be at least 2")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.laplace <= 0:
-            raise ValueError("laplace must be positive")
-        if self.downsample_ratio <= 0:
-            raise ValueError("downsample-ratio must be positive")
-        if self.smote_target < 0:
-            raise ValueError("smote-target must be nonnegative")
-        if self.smote_k < 1:
-            raise ValueError("smote-k must be at least 1")
-        if not 0 < self.validation_fraction < 1:
-            raise ValueError("validation-fraction must lie in (0, 1)")
-        if self.ci_method not in ("g2", "pearson"):
-            raise ValueError("ci-method must be g2 or pearson")
-
-    def require_seed(self) -> int:
-        if self.seed is None:
-            raise ValueError("this subcommand is stochastic; --seed is mandatory")
-        return int(self.seed)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -78,34 +39,81 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _load_config_file(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-    if isinstance(doc.get("threshold_grid"), str):
-        doc["threshold_grid"] = _parse_grid(doc["threshold_grid"])
-    elif isinstance(doc.get("threshold_grid"), list):
-        doc["threshold_grid"] = tuple(float(v) for v in doc["threshold_grid"])
-    return doc
+def _setting(default, kind, commands: str, must=None, rule=None, help=None):
+    """A ``PipelineConfig`` field: ``kind`` parses its flag (a bare one for ``bool``) and
+    types its config-file value, only the subcommands in ``commands`` take the flag, and
+    ``validate`` refuses a value that fails ``rule``: "<flag name> must <must>"."""
+    return field(default=default, metadata={"kind": kind, "commands": commands.split(),
+                                            "must": must, "rule": rule, "help": help})
+
+
+@dataclass
+class PipelineConfig:
+    bins: int = _setting(10, int, "gen learn", "be at least 2", lambda v: v >= 2)
+    alpha: float = _setting(0.05, float, "learn", "lie in (0, 1)", lambda v: 0 < v < 1)
+    laplace: float = _setting(1.0, float, "learn", "be positive", lambda v: v > 0)
+    downsample_ratio: float = _setting(10.0, float, "learn", "be positive", lambda v: v > 0)
+    smote_target: float = _setting(1.0, float, "learn", "be nonnegative", lambda v: v >= 0,
+                                   "minority:majority ratio after synthesis; 0 disables")
+    smote_k: int = _setting(5, int, "learn", "be at least 1", lambda v: v >= 1)
+    seed: int | None = _setting(None, int, "gen learn eval")
+    # eval checks the grid through evalmetrics, which start-up does not import
+    threshold_grid: tuple[float, ...] | None = _setting(
+        None, _parse_grid, "eval", help="start:stop:step or a comma-separated list")
+    validation_fraction: float = _setting(0.05, float, "eval", "lie in (0, 1)",
+                                          lambda v: 0 < v < 1)
+    target: str = _setting("outage", str, "gen learn")
+    fit_on_raw: bool = _setting(False, bool, "learn",
+                                help="estimate tables on the unbalanced data")
+    ci_method: str = _setting("g2", str, "learn", "be g2 or pearson",
+                              lambda v: v in ("g2", "pearson"), "g2 or pearson")
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if f.metadata["rule"] and not f.metadata["rule"](getattr(self, f.name)):
+                raise ValueError(f"{f.name.replace('_', '-')} must {f.metadata['must']}")
+
+    def require_seed(self) -> int:
+        if self.seed is None:
+            raise ValueError("this subcommand is stochastic; --seed is mandatory")
+        return int(self.seed)
+
+
+def _file_value(setting, value):
+    """A config file's ``value`` for ``setting`` if it has the setting's kind: a float setting
+    takes an int, a bool is never a number, and null stands for a default of None."""
+    kind = setting.metadata["kind"]
+    if value is None and setting.default is None:
+        return None
+    if kind is _parse_grid:
+        if isinstance(value, str):
+            return _parse_grid(value)
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return tuple(float(v) for v in value)
+    elif type(value) is kind or kind is float and type(value) is int:
+        return value
+    expected = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+                _parse_grid: "a grid string or a list of numbers"}[kind]
+    raise ValueError(f"{setting.name} must be {expected}, not {json.dumps(value)}")
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge precedence: command-line flags over config file over defaults."""
-    cfg = PipelineConfig()
+    values = {}
     if getattr(args, "config", None):
-        cfg = replace(cfg, **_load_config_file(args.config))
-    overrides = {}
+        with open(args.config) as fh:
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("config file must hold a JSON object")
+        settings = {f.name: f for f in fields(PipelineConfig)}
+        for key, value in values.items():
+            if key not in settings:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = _file_value(settings[key], value)
     for f in fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg
 
@@ -206,12 +214,23 @@ def _binned_evidence(bn: bayesnet.BayesianNetwork,
     return preprocess.apply_bins(edges, columns), factor_cols
 
 
-def cmd_predict(cfg: PipelineConfig, model_path, weather_path, out_path) -> int:
+def _scoring_model(model_path):
+    """A model's network, baseline and factors; refuses a factor lacking card - 1 sorted edges."""
+    bn, baseline = bayesnet.load_model(model_path)
+    if bn.target is None:
+        raise ValueError("model has no target node")
+    factor_cols = [n for n in bn.dag.nodes if n != bn.target]
+    for c in factor_cols:
+        edges, card = bn.bin_edges[c], bn.cardinalities[c]
+        if len(edges) != card - 1 or not all(b >= a for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"model file {model_path}, node {c!r}: its bin edges are not "
+                             f"{card - 1} numbers in ascending order")
+    return bn, baseline, factor_cols
+
+
+def cmd_predict(model_path, weather_path, out_path) -> int:
     with _stage("load-model"):
-        bn, _ = bayesnet.load_model(model_path)
-        if bn.target is None:
-            raise ValueError("model has no target node")
-        factor_cols = [n for n in bn.dag.nodes if n != bn.target]
+        bn, _, factor_cols = _scoring_model(model_path)
     timestamps, (rows, cols) = _binned_hours(
         weather_path, lambda table: _binned_evidence(bn, table), schema=factor_cols)
     with _stage("predict"):
@@ -230,15 +249,13 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
              report_path, baseline_report_path=None) -> int:
     from . import evalmetrics
 
+    grid = evalmetrics.checked_grid(cfg.threshold_grid)
     seed = cfg.require_seed()
     with _stage("load-model"):
-        bn, baseline = bayesnet.load_model(model_path)
-        if bn.target is None:
-            raise ValueError("model has no target node")
+        bn, baseline, factor_cols = _scoring_model(model_path)
         if baseline is None and baseline_report_path is not None:
             raise ValueError(f"model file {model_path} holds no baseline network "
                              "for --baseline-report")
-        factor_cols = [n for n in bn.dag.nodes if n != bn.target]
 
     def labeled_evidence(table: ingest.TimeSeriesTable) -> preprocess.DiscreteDataset:
         rows, cols = _binned_evidence(bn, table)
@@ -257,12 +274,11 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
     with _stage("predict"):
         probs = bayesnet.predict_rows(bn, val.rows, val.columns)[:, 1]
     with _stage("sweep"):
-        report = evalmetrics.sweep_best_f1(probs, val.labels, cfg.threshold_grid)
+        report = evalmetrics.sweep_best_f1(probs, val.labels, grid)
         nb_report = None
         if baseline is not None:
             nb_probs = bayesnet.predict_rows(baseline, val.rows, val.columns)[:, 1]
-            nb_report = evalmetrics.sweep_best_f1(nb_probs, val.labels,
-                                                  cfg.threshold_grid)
+            nb_report = evalmetrics.sweep_best_f1(nb_probs, val.labels, grid)
     with _stage("write"):
         evalmetrics.write_report_csv(report, report_path)
         if baseline_report_path is not None:
@@ -278,8 +294,7 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
     return 0
 
 
-def cmd_gen(cfg: PipelineConfig, spec: synthgen.ScenarioSpec, out_weather,
-            out_outages, out_truth=None) -> int:
+def cmd_gen(spec: synthgen.ScenarioSpec, out_weather, out_outages, out_truth=None) -> int:
     from . import synthgen
 
     with _stage("generate"):
@@ -310,26 +325,16 @@ def cmd_gen(cfg: PipelineConfig, spec: synthgen.ScenarioSpec, out_weather,
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--bins", type=int)
-    parser.add_argument("--laplace", type=float)
-    parser.add_argument("--downsample-ratio", dest="downsample_ratio", type=float)
-    parser.add_argument("--smote-target", dest="smote_target", type=float,
-                        help="minority:majority ratio after synthesis; 0 disables")
-    parser.add_argument("--smote-k", dest="smote_k", type=int)
-    parser.add_argument("--threshold-grid", dest="threshold_grid",
-                        type=_parse_grid)
-    parser.add_argument("--validation-fraction", dest="validation_fraction",
-                        type=float)
-    parser.add_argument("--target")
-    parser.add_argument("--fit-on-raw", dest="fit_on_raw",
-                        action="store_const", const=True,
-                        help="estimate tables on the unbalanced data")
-    parser.add_argument("--ci-method", dest="ci_method",
-                        choices=["g2", "pearson"])
+def _add_settings(parser: argparse.ArgumentParser, command: str) -> None:
+    """A flag per setting that ``command`` reads, and ``--config`` if it reads any."""
+    settings = [f for f in fields(PipelineConfig) if command in f.metadata["commands"]]
+    if settings:
+        parser.add_argument("--config", help="JSON config file (flags override it)")
+    for f in settings:
+        kind = f.metadata["kind"]
+        how = {"action": "store_const", "const": True} if kind is bool else {"type": kind}
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            help=f.metadata["help"], **how)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic scenario")
-    _add_common(p_gen)
     p_gen.add_argument("--hours", type=int, default=100_000)
     p_gen.add_argument("--factors", type=int, default=6)
     p_gen.add_argument("--parents", default="F1,F2",
@@ -351,20 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-truth", help="also save the generating network")
 
     p_learn = sub.add_parser("learn", help="learn structure and tables")
-    _add_common(p_learn)
     p_learn.add_argument("--weather", required=True)
     p_learn.add_argument("--outages", required=True)
     p_learn.add_argument("--model", required=True)
     p_learn.add_argument("--dot", help="write the learned graph in DOT form")
 
     p_predict = sub.add_parser("predict", help="score hourly weather")
-    _add_common(p_predict)
     p_predict.add_argument("--model", required=True)
     p_predict.add_argument("--weather", required=True)
     p_predict.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="threshold sweep on labeled data")
-    _add_common(p_eval)
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--weather", required=True)
     p_eval.add_argument("--outages", required=True)
@@ -372,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--baseline-report", dest="baseline_report",
                         help="also write the naive Bayes sweep")
 
+    for name, command in sub.choices.items():
+        _add_settings(command, name)
     return parser
 
 
@@ -379,37 +382,27 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "predict":
+            return cmd_predict(args.model, args.weather, args.out)
         cfg = build_config(args)
         if args.command == "gen":
             from . import synthgen
 
             spec = synthgen.ScenarioSpec(
-                n_factors=args.factors,
-                hours=args.hours,
+                n_factors=args.factors, hours=args.hours, outage_rate=args.outage_rate,
                 outage_parents=tuple(p for p in args.parents.split(",") if p),
-                outage_rate=args.outage_rate,
-                seed=cfg.require_seed(),
-                bins=cfg.bins,
-                target=cfg.target,
-            )
-            return cmd_gen(cfg, spec, args.out_weather, args.out_outages,
-                           args.out_truth)
+                seed=cfg.require_seed(), bins=cfg.bins, target=cfg.target)
+            return cmd_gen(spec, args.out_weather, args.out_outages, args.out_truth)
         if args.command == "learn":
-            return cmd_learn(cfg, args.weather, args.outages, args.model,
-                             args.dot)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.model, args.weather, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.model, args.weather, args.outages,
-                            args.report, args.baseline_report)
-        parser.error(f"unknown command {args.command!r}")
+            return cmd_learn(cfg, args.weather, args.outages, args.model, args.dot)
+        return cmd_eval(cfg, args.model, args.weather, args.outages,
+                        args.report, args.baseline_report)
     except StageError as err:
         print(err, file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

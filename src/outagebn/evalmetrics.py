@@ -92,12 +92,9 @@ def prf1(counts: ConfusionCounts) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def sweep_best_f1(probs, labels, grid: Sequence[float] | None = None) -> EvalReport:
-    """Evaluate every threshold on the grid and flag the best F1.
-
-    The grid must be ascending and inside [0, 1]; the default steps by
-    0.01 from 0 to 1. Ties on F1 resolve to the lower threshold.
-    """
+def checked_grid(grid: Sequence[float] | None = None) -> list[float]:
+    """The thresholds of ``grid``, refused unless nonempty, strictly ascending and
+    inside [0, 1]; the default steps by 0.01 from 0 to 1."""
     thresholds = list(DEFAULT_GRID if grid is None else grid)
     if not thresholds:
         raise ValueError("threshold grid is empty")
@@ -105,6 +102,12 @@ def sweep_best_f1(probs, labels, grid: Sequence[float] | None = None) -> EvalRep
         raise ValueError("threshold grid must be strictly ascending")
     if not all(0 <= t <= 1 for t in thresholds):
         raise ValueError("threshold grid must lie within [0, 1]")
+    return thresholds
+
+
+def sweep_best_f1(probs, labels, grid: Sequence[float] | None = None) -> EvalReport:
+    """Evaluate every threshold of :func:`checked_grid`; flag the best F1, the lowest on ties."""
+    thresholds = checked_grid(grid)
     probs, labels = _checked_inputs(probs, labels)
 
     # Rows at or above a threshold, per class: everything past the first

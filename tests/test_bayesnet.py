@@ -626,8 +626,11 @@ class TestModelFile:
         (["cardinalities", "a"], None, "a", "its cardinality is missing or not a positive integer"),
         (["cardinalities", "b"], "2", "b", "its cardinality is missing or not a positive integer"),
         (["cpts", "t", "parents", 1], "z", "t", "its parents are not a list of the file's nodes"),
+        (["bin_edges", "a", 0], "x", "a", "its bin edges are not numbers"),
+        (["bin_edges", "b", 0], True, "b", "its bin edges are not numbers"),
     ], ids=["row_of-missing", "rows-cell", "default-cell", "configs-text", "configs-fraction",
-            "table-missing", "cardinality-missing", "cardinality-text", "parent-unknown"])
+            "table-missing", "cardinality-missing", "cardinality-text", "parent-unknown",
+            "edge-text", "edge-bool"])
     def test_refuses_missing_keys_and_cells_of_the_wrong_type(self, tmp_path, keys, value,
                                                              node, message):
         # a value of None deletes the key, or the list item

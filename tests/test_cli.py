@@ -1,5 +1,6 @@
 """Configuration handling and end-to-end runs of the command-line pipeline."""
 
+import argparse
 import csv
 import json
 import os
@@ -90,6 +91,69 @@ class TestConfig:
                                   "--outages", "o", "--model", "m"])
         with pytest.raises(ValueError, match="unknown config key"):
             build_config(args)
+
+    # the settings flags of each subcommand: those of the settings it reads
+    SETTINGS = {
+        "gen": {"--config", "--seed", "--bins", "--target"},
+        "learn": {"--config", "--seed", "--alpha", "--bins", "--laplace", "--downsample-ratio",
+                  "--smote-target", "--smote-k", "--target", "--fit-on-raw", "--ci-method"},
+        "predict": set(),
+        "eval": {"--config", "--seed", "--threshold-grid", "--validation-fraction"},
+    }
+    FILES = {
+        "gen": {"--hours", "--factors", "--parents", "--outage-rate", "--out-weather",
+                "--out-outages", "--out-truth"},
+        "learn": {"--weather", "--outages", "--model", "--dot"},
+        "predict": {"--model", "--weather", "--out"},
+        "eval": {"--model", "--weather", "--outages", "--report", "--baseline-report"},
+    }
+
+    @pytest.mark.parametrize("command", ["gen", "learn", "predict", "eval"])
+    def test_each_subcommand_takes_the_settings_it_reads(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert flags == {"-h", "--help"} | self.FILES[command] | self.SETTINGS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--seed", "7", "--model", "m", "--weather", "w", "--out", "o"],
+        ["gen", "--alpha", "0.1", "--seed", "7", "--out-weather", "w", "--out-outages", "o"],
+    ], ids=["predict-seed", "gen-alpha"])
+    def test_a_setting_the_command_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+
+    # what a config file must give for each setting, as the error names it
+    EXPECTED = {"fit_on_raw": "true or false", "alpha": "a number", "bins": "an integer",
+                "smote_target": "a number", "seed": "an integer", "laplace": "a number",
+                "ci_method": "a string", "threshold_grid": "a grid string or a list of numbers"}
+
+    @pytest.mark.parametrize("doc", [
+        {"fit_on_raw": "false"}, {"alpha": "0.1"}, {"bins": "8"}, {"smote_target": "1"},
+        {"seed": 7.9}, {"bins": True}, {"laplace": False}, {"ci_method": 1},
+        {"threshold_grid": ["0.5"]}, {"threshold_grid": 0.5}, {"alpha": None},
+    ])
+    def test_config_values_must_have_the_setting_type(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(["learn", "--config", str(cfg_path), "--seed", "1",
+                   "--weather", str(tmp_path / "w.csv"), "--outages", str(tmp_path / "o.csv"),
+                   "--model", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key, value = next(iter(doc.items()))
+        assert err == f"error: {key} must be {self.EXPECTED[key]}, not {json.dumps(value)}\n"
+
+    def test_config_float_settings_take_ints_and_null_keeps_a_none_default(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"laplace": 2, "smote_target": 0, "seed": None,
+                                        "threshold_grid": None}))
+        args = build_parser().parse_args(["eval", "--config", str(cfg_path), "--model", "m",
+                                          "--weather", "w", "--outages", "o", "--report", "r"])
+        cfg = build_config(args)
+        assert (cfg.laplace, cfg.smote_target, cfg.seed, cfg.threshold_grid) == (2, 0, None, None)
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +400,41 @@ class TestPredict:
         assert not out.exists()
 
 
+class TestBinEdges:
+    @pytest.mark.parametrize("change", ["deleted", "three", "reversed"])
+    def test_factor_edges_must_fit_its_cardinality(self, scenario_dir, tmp_path, capsys,
+                                                   change):
+        doc = json.loads((scenario_dir / "model.json").read_text())
+        assert len(doc["bin_edges"]["F1"]) == 9
+        if change == "deleted":
+            del doc["bin_edges"]
+        elif change == "three":
+            doc["bin_edges"]["F1"] = doc["bin_edges"]["F1"][:3]
+        else:
+            doc["bin_edges"]["F1"].reverse()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        weather, outages = str(scenario_dir / "weather.csv"), str(scenario_dir / "outages.csv")
+        out, report = tmp_path / "p.csv", tmp_path / "r.csv"
+        for argv in (["predict", "--out", str(out)],
+                     ["eval", "--seed", "5", "--outages", outages, "--report", str(report)]):
+            assert main([*argv, "--model", str(bad), "--weather", weather]) == 1
+            assert capsys.readouterr().err == (
+                f"error during load-model: model file {bad}, node 'F1': its bin edges are "
+                "not 9 numbers in ascending order\n")
+        assert not out.exists() and not report.exists()
+
+    def test_a_non_numeric_edge_names_the_file_and_node(self, scenario_dir, tmp_path, capsys):
+        doc = json.loads((scenario_dir / "model.json").read_text())
+        doc["bin_edges"]["F2"][4] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(bad), "--weather",
+                     str(scenario_dir / "weather.csv"), "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err == (f"error during load-model: model file {bad}, "
+                                           "node 'F2': its bin edges are not numbers\n")
+
+
 class TestEval:
     def test_reports_written(self, scenario_dir, tmp_path, capsys):
         report = tmp_path / "report.csv"
@@ -378,6 +477,46 @@ class TestEval:
         with open(report) as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["threshold"]) for r in rows] == [0.25, 0.75]
+
+    @pytest.mark.parametrize("grid,doc,message", [
+        ("1:0:0.1", None, "threshold grid is empty"),
+        ("0.5,0.2", None, "threshold grid must be strictly ascending"),
+        ("0,1.5", None, "threshold grid must lie within [0, 1]"),
+        (None, {"threshold_grid": []}, "threshold grid is empty"),
+    ], ids=["empty-range", "descending", "past-one", "empty-file-list"])
+    def test_bad_grid_is_refused_before_any_file_is_read(self, scenario_dir, tmp_path,
+                                                         capsys, grid, doc, message):
+        argv = ["eval", "--seed", "5", "--model", str(scenario_dir / "model.json"),
+                "--weather", str(tmp_path / "missing.csv"),
+                "--outages", str(scenario_dir / "outages.csv"),
+                "--report", str(tmp_path / "r.csv")]
+        if grid is not None:
+            argv += ["--threshold-grid", grid]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_one_config_file_drives_learn_and_eval(self, scenario_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 5, "alpha": 0.01,
+                                        "threshold_grid": [0.25, 0.5, 0.75]}))
+        data = ["--weather", str(scenario_dir / "weather.csv"),
+                "--outages", str(scenario_dir / "outages.csv")]
+        model, flagged = tmp_path / "m.json", tmp_path / "flagged.json"
+        assert main(["learn", "--config", str(cfg_path), *data, "--model", str(model)]) == 0
+        assert main(["learn", "--seed", "5", "--alpha", "0.01", *data,
+                     "--model", str(flagged)]) == 0
+        assert model.read_bytes() == flagged.read_bytes()
+        report, flagged_report = tmp_path / "r.csv", tmp_path / "flagged.csv"
+        assert main(["eval", "--config", str(cfg_path), "--model", str(model), *data,
+                     "--report", str(report)]) == 0
+        assert main(["eval", "--seed", "5", "--threshold-grid", "0.25,0.5,0.75",
+                     "--model", str(model), *data, "--report", str(flagged_report)]) == 0
+        assert report.read_bytes() == flagged_report.read_bytes()
+        with open(report) as fh:
+            assert [float(r["threshold"]) for r in csv.DictReader(fh)] == [0.25, 0.5, 0.75]
 
 
 class TestStartup:
