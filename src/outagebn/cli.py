@@ -23,20 +23,26 @@ import numpy as np
 from . import bayesnet, ingest, pcalg, preprocess
 
 
+class GridSyntaxError(argparse.ArgumentTypeError, ValueError):
+    """A grid not in :func:`_parse_grid`'s syntax; argparse puts the flag before it."""
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: 'start:stop:step' or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+    """Grid syntax: 'start:stop:step' with a positive step, or a comma-separated list."""
+    try:
+        values = [float(p) for p in text.split(":" if ":" in text else ",")]
+        if ":" not in text:
+            return tuple(values)
+        start, stop, step = values
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise ValueError
+        # a NaN or an infinite span fails here
         count = int(round((stop - start) / step))
-        values = tuple(round(start + i * step, 12) for i in range(count + 1)
-                       if start + i * step <= stop + 1e-12)
-        return values
-    return tuple(float(p) for p in text.split(","))
+    except (ValueError, OverflowError):
+        raise GridSyntaxError("must be start:stop:step with a positive step, or a "
+                              f"comma-separated list of numbers, not {text!r}") from None
+    return tuple(round(start + i * step, 12) for i in range(count + 1)
+                 if start + i * step <= stop + 1e-12)
 
 
 def _setting(default, kind, commands: str, must=None, rule=None, help=None):
@@ -87,7 +93,10 @@ def _file_value(setting, value):
         return None
     if kind is _parse_grid:
         if isinstance(value, str):
-            return _parse_grid(value)
+            try:
+                return _parse_grid(value)
+            except GridSyntaxError as err:
+                raise ValueError(f"{setting.name} {err}") from None
         if isinstance(value, list) and all(type(v) in (int, float) for v in value):
             return tuple(float(v) for v in value)
     elif type(value) is kind or kind is float and type(value) is int:
@@ -140,23 +149,25 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _binned_hours(weather_path, bin_table, outage_path=None, schema=None):
-    """The hourly timeline of a weather file and ``bin_table`` of its filled table.
+def _coded_hours(weather_path, outage_path=None, bins=None, edges=None):
+    """The hourly timeline of a weather file and its coded hours: the factors ``edges`` maps
+    to a model's bin edges, else every factor in ``bins`` equal-width bins (``learn``).
 
-    Parses the file (its ``schema`` columns), fills it onto the hourly grid
-    and, given an outage file, labels its hours, all in stage ``ingest``;
-    then ``bin_table(table)`` runs in stage ``discretize``. The float table
-    dies on return, so no later stage holds it beside the codes.
+    Parses, fills and labels in stage ``ingest``, codes in stage ``discretize``. The
+    float table dies on return, so no later stage holds it beside the codes.
     """
+    columns = None if edges is None else list(edges)
     with _stage("ingest"):
         # nested, so a gappy file's parsed columns die once filled
-        table = ingest.interpolate_missing(ingest.parse_weather_csv(weather_path, schema))
+        table = ingest.interpolate_missing(ingest.parse_weather_csv(weather_path, columns))
         if outage_path is not None:
             events = ingest.parse_outage_csv(outage_path)
             table = ingest.attach_outage_labels(
                 table, events.timestamps[events.weather_related])
     with _stage("discretize"):
-        return table.timestamps, bin_table(table)
+        ds = preprocess.discretize(table, bins) if edges is None else \
+            preprocess.coded_hours(table, edges)
+    return table.timestamps, ds
 
 
 def _rebalance(ds: preprocess.DiscreteDataset, cfg: PipelineConfig,
@@ -177,8 +188,7 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
     from . import citest
 
     seed = cfg.require_seed()
-    _, ds = _binned_hours(weather_path, lambda table: preprocess.discretize(table, cfg.bins),
-                          outage_path)
+    _, ds = _coded_hours(weather_path, outage_path, bins=cfg.bins)
     with _stage("rebalance"):
         balanced = _rebalance(ds, cfg, seed)
     with _stage("structure"):
@@ -206,35 +216,27 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
     return 0
 
 
-def _binned_evidence(bn: bayesnet.BayesianNetwork,
-                     table: ingest.TimeSeriesTable) -> tuple[np.ndarray, list[str]]:
-    factor_cols = [n for n in bn.dag.nodes if n != bn.target]
-    edges = [np.asarray(bn.bin_edges[c], dtype=float) for c in factor_cols]
-    columns = [table.factors[c] for c in factor_cols]
-    return preprocess.apply_bins(edges, columns), factor_cols
-
-
 def _scoring_model(model_path):
-    """A model's network, baseline and factors; refuses a factor lacking card - 1 sorted edges."""
+    """A model's network, baseline and factor bin edges, each card - 1 ascending numbers."""
     bn, baseline = bayesnet.load_model(model_path)
     if bn.target is None:
         raise ValueError("model has no target node")
-    factor_cols = [n for n in bn.dag.nodes if n != bn.target]
-    for c in factor_cols:
-        edges, card = bn.bin_edges[c], bn.cardinalities[c]
-        if len(edges) != card - 1 or not all(b >= a for a, b in zip(edges, edges[1:])):
+    edges = {c: bn.bin_edges[c] for c in bn.dag.nodes if c != bn.target}
+    for c, cuts in edges.items():
+        card = bn.cardinalities[c]
+        if len(cuts) != card - 1 or not all(b >= a for a, b in zip(cuts, cuts[1:])):
             raise ValueError(f"model file {model_path}, node {c!r}: its bin edges are not "
                              f"{card - 1} numbers in ascending order")
-    return bn, baseline, factor_cols
+    return bn, baseline, edges
 
 
 def cmd_predict(model_path, weather_path, out_path) -> int:
     with _stage("load-model"):
-        bn, _, factor_cols = _scoring_model(model_path)
-    timestamps, (rows, cols) = _binned_hours(
-        weather_path, lambda table: _binned_evidence(bn, table), schema=factor_cols)
+        bn, _, edges = _scoring_model(model_path)
+    timestamps, ds = _coded_hours(weather_path, edges=edges)
     with _stage("predict"):
-        probs = bayesnet.predict_rows(bn, rows, cols)[:, 1]
+        probs = bayesnet.predict_rows(bn, ds.rows, ds.columns)[:, 1]
+        del ds  # the codes and labels are not written, so they die before the write
     with _stage("write"):
         # hours share few distinct probabilities, so each is formatted once;
         # distinct bit patterns keep -0.0 and 0.0 apart
@@ -252,22 +254,11 @@ def cmd_eval(cfg: PipelineConfig, model_path, weather_path, outage_path,
     grid = evalmetrics.checked_grid(cfg.threshold_grid)
     seed = cfg.require_seed()
     with _stage("load-model"):
-        bn, baseline, factor_cols = _scoring_model(model_path)
+        bn, baseline, edges = _scoring_model(model_path)
         if baseline is None and baseline_report_path is not None:
             raise ValueError(f"model file {model_path} holds no baseline network "
                              "for --baseline-report")
-
-    def labeled_evidence(table: ingest.TimeSeriesTable) -> preprocess.DiscreteDataset:
-        rows, cols = _binned_evidence(bn, table)
-        return preprocess.DiscreteDataset(
-            columns=cols,
-            cardinalities=[bn.cardinalities[c] for c in cols],
-            rows=rows,
-            labels=np.asarray(table.label, dtype=np.int64),
-            bin_edges=[np.asarray(bn.bin_edges[c], dtype=float) for c in cols],
-        )
-
-    _, ds = _binned_hours(weather_path, labeled_evidence, outage_path, schema=factor_cols)
+    _, ds = _coded_hours(weather_path, outage_path, edges=edges)
     with _stage("split"):
         _, val = evalmetrics.split_validation(ds, cfg.validation_fraction,
                                               seed=_derived_seed(seed, 1))
@@ -343,16 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and apply a causal outage-risk model from hourly weather data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic scenario")
-    p_gen.add_argument("--hours", type=int, default=100_000)
-    p_gen.add_argument("--factors", type=int, default=6)
-    p_gen.add_argument("--parents", default="F1,F2",
+    # no defaults: a scenario flag left out keeps its ScenarioSpec field's
+    p_gen = sub.add_parser("gen", help="generate a synthetic scenario",
+                           argument_default=argparse.SUPPRESS)
+    p_gen.add_argument("--hours", type=int)
+    p_gen.add_argument("--factors", dest="n_factors", type=int, metavar="FACTORS")
+    p_gen.add_argument("--parents", dest="outage_parents", metavar="PARENTS",
+                       type=lambda text: tuple(p for p in text.split(",") if p),
                        help="comma-separated true outage parents")
-    p_gen.add_argument("--outage-rate", dest="outage_rate", type=float,
-                       default=0.002)
+    p_gen.add_argument("--outage-rate", dest="outage_rate", type=float)
     p_gen.add_argument("--out-weather", required=True)
     p_gen.add_argument("--out-outages", required=True)
-    p_gen.add_argument("--out-truth", help="also save the generating network")
+    p_gen.add_argument("--out-truth", default=None, help="also save the generating network")
 
     p_learn = sub.add_parser("learn", help="learn structure and tables")
     p_learn.add_argument("--weather", required=True)
@@ -388,10 +381,10 @@ def main(argv=None) -> int:
         if args.command == "gen":
             from . import synthgen
 
-            spec = synthgen.ScenarioSpec(
-                n_factors=args.factors, hours=args.hours, outage_rate=args.outage_rate,
-                outage_parents=tuple(p for p in args.parents.split(",") if p),
-                seed=cfg.require_seed(), bins=cfg.bins, target=cfg.target)
+            given = {k: v for k, v in vars(args).items()
+                     if k in ("hours", "n_factors", "outage_parents", "outage_rate")}
+            spec = synthgen.ScenarioSpec(seed=cfg.require_seed(), bins=cfg.bins,
+                                         target=cfg.target, **given)
             return cmd_gen(spec, args.out_weather, args.out_outages, args.out_truth)
         if args.command == "learn":
             return cmd_learn(cfg, args.weather, args.outages, args.model, args.dot)

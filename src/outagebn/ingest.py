@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import workers
+from .preprocess import code_dtype
 
 TIME_DTYPE = np.dtype("datetime64[us]")
 HOUR = np.timedelta64(1, "h")
@@ -123,7 +124,8 @@ class TimeSeriesTable:
 
     Invariants: ``timestamps`` is a ``datetime64[us]`` array that strictly
     increases with a constant one-hour step; every factor series is finite
-    everywhere; ``label`` holds one 0/1 flag per hour.
+    everywhere; ``label`` holds one 0/1 flag per hour, all zero by default;
+    the package makes it in ``preprocess.code_dtype([2])``.
     """
 
     timestamps: np.ndarray
@@ -132,7 +134,7 @@ class TimeSeriesTable:
 
     def __post_init__(self):
         if self.label is None:
-            self.label = np.zeros(len(self.timestamps), dtype=np.int64)
+            self.label = np.zeros(len(self.timestamps), dtype=code_dtype([2]))
 
     @property
     def n_rows(self) -> int:
@@ -632,7 +634,7 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
         else:
             raise UnrecoverableColumnError(name)
         del values, observed
-    return TimeSeriesTable(grid, filled, np.zeros(n, dtype=np.int64))
+    return TimeSeriesTable(grid, filled)
 
 
 def attach_outage_labels(table: TimeSeriesTable,
@@ -644,13 +646,13 @@ def attach_outage_labels(table: TimeSeriesTable,
     :class:`EventOutOfRangeError`. The result keeps labels already present,
     so the operation is idempotent and only ever turns labels on. It shares
     the timeline and factor arrays with ``table``; only its labels are a
-    new array.
+    new array, of ``preprocess.code_dtype([2])``.
     """
     indices = (events - table.timestamps[0]) // HOUR
     outside = (indices < 0) | (indices >= table.n_rows)
     if np.any(outside):
         raise EventOutOfRangeError(events[outside])
-    label = table.label.copy()
+    label = table.label.astype(code_dtype([2]))
     label[indices] = 1
     return TimeSeriesTable(table.timestamps, dict(table.factors), label)
 

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TimeSeriesTable
+if TYPE_CHECKING:  # ingest makes its labels in code_dtype, so imports this module
+    from .ingest import TimeSeriesTable
 
 # Rows coded per np.digitize call in apply_bins; bounds its scratch to
 # 512 KB beside the code matrix.
@@ -38,9 +39,10 @@ class DiscreteDataset:
 
     ``rows[r, c]`` is the bin index of column ``c`` in row ``r`` and always
     lies in ``range(cardinalities[c])``. ``rows`` may have any integer
-    dtype; the package makes it in :func:`code_dtype`. ``bin_edges[c]``
-    holds the interior cut points that produced the column, so new raw
-    values can be coded identically later.
+    dtype; the package makes it in :func:`code_dtype`, and ``labels`` in
+    ``code_dtype([2])``, which coding and :func:`attach_label_column` share
+    rather than copy. ``bin_edges[c]`` holds the interior cut points that
+    produced the column.
     """
 
     columns: list[str]
@@ -173,25 +175,35 @@ def apply_bins(bin_edges: Sequence[np.ndarray],
     return out
 
 
+def coded_hours(table: TimeSeriesTable, bin_edges: Mapping[str, Sequence]) -> DiscreteDataset:
+    """The columns ``bin_edges`` names, of a complete hourly table, coded with their edges.
+
+    ``bin_edges[c]`` holds column ``c``'s ascending interior edges, as an
+    array or a model file's list. ``learn`` codes its hours here, and
+    ``predict`` and ``eval`` recode theirs; the labels are the table's own.
+    """
+    edges = [np.asarray(e, dtype=float) for e in bin_edges.values()]
+    return DiscreteDataset(
+        columns=list(bin_edges),
+        cardinalities=[len(e) + 1 for e in edges],
+        rows=apply_bins(edges, [table.factors[c] for c in bin_edges]),
+        labels=np.asarray(table.label),
+        bin_edges=edges,
+    )
+
+
 def discretize(table: TimeSeriesTable, bins_per_factor: int = 10) -> DiscreteDataset:
     """Bin every factor of a complete hourly table into equal-width bins.
 
-    Edges come from each column's own min/max; coding goes through
-    :func:`apply_bins` so re-coding the training data with the stored edges
-    reproduces the dataset exactly.
+    Edges come from each column's own min/max; the hours are coded by
+    :func:`coded_hours`, so recoding them with the stored edges reproduces
+    the dataset exactly.
     """
     names = table.factor_names
     if not names:
         raise ValueError("table has no factor columns")
-    edges = [equal_width_edges(table.factors[c], bins_per_factor) for c in names]
-    rows = apply_bins(edges, [table.factors[c] for c in names])
-    return DiscreteDataset(
-        columns=list(names),
-        cardinalities=[bins_per_factor] * len(names),
-        rows=rows,
-        labels=np.asarray(table.label, dtype=np.int64).copy(),
-        bin_edges=edges,
-    )
+    return coded_hours(table, {c: equal_width_edges(table.factors[c], bins_per_factor)
+                               for c in names})
 
 
 def attach_label_column(ds: DiscreteDataset, name: str = "outage") -> DiscreteDataset:
@@ -206,7 +218,7 @@ def attach_label_column(ds: DiscreteDataset, name: str = "outage") -> DiscreteDa
         columns=[*ds.columns, name],
         cardinalities=cards,
         rows=rows,
-        labels=ds.labels.copy(),
+        labels=ds.labels,
         bin_edges=[*ds.bin_edges, np.array([0.5])],
     )
 

@@ -10,15 +10,15 @@ calibrated to a requested marginal rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bayesnet import BayesianNetwork, Cpt, fit_cpts
 from .ingest import HOUR, TIME_DTYPE, TimeSeriesTable
 from .pcalg import LearnedDag
-from .preprocess import (DiscreteDataset, apply_bins, attach_label_column,
-                         code_dtype, config_codes, discretize, equal_width_edges)
+from .preprocess import (DiscreteDataset, attach_label_column, code_dtype, config_codes,
+                         discretize)
 
 
 class ScenarioError(ValueError):
@@ -98,7 +98,8 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed: int) -> DiscreteDatas
     rows = np.empty((n_rows, len(columns)), dtype=code_dtype(cards))
     for k, c in enumerate(columns):
         rows[:, k] = states[c]
-    labels = states[target].copy() if as_label else np.zeros(n_rows, dtype=np.int64)
+    labels = states[target].astype(code_dtype([2])) if as_label \
+        else np.zeros(n_rows, dtype=code_dtype([2]))
     return DiscreteDataset(
         columns=columns,
         cardinalities=cards,
@@ -246,21 +247,18 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
             base = rho * smooth[echo_of[name]] + np.sqrt(1 - rho ** 2) * base
         factors[name] = 10.0 * (k + 1) + (1.0 + 0.25 * k) * base
 
+    start = np.datetime64("2000-01-01").astype(TIME_DTYPE)
+    table = TimeSeriesTable(start + np.arange(spec.hours) * HOUR, factors)
+    # the factors are coded once: the risk reads the parents' codes, the truth fits all
+    coded = discretize(table, spec.bins) if names else DiscreteDataset(
+        columns=[], cardinalities=[], rows=np.empty((spec.hours, 0), dtype=code_dtype([])),
+        labels=table.label, bin_edges=[])
     parent_list = list(spec.outage_parents)
-    if parent_list:
-        edges = [equal_width_edges(factors[p], spec.bins) for p in parent_list]
-        coded = apply_bins(edges, [factors[p] for p in parent_list])
-        u = coded.astype(float) / (spec.bins - 1)
-    else:
-        u = np.empty((spec.hours, 0))
+    u = coded.rows[:, [coded.column_index(p) for p in parent_list]] / (spec.bins - 1)
     scores = _power_mean(u, spec.risk_pooling)
     offset = _calibrate_offset(scores, spec.risk_slope, spec.outage_rate)
     risk = _sigmoid(spec.risk_slope * (scores - offset))
-    labels = (rng.random(spec.hours) < risk).astype(np.int64)
-
-    start = np.datetime64("2000-01-01").astype(TIME_DTYPE)
-    timestamps = start + np.arange(spec.hours) * HOUR
-    table = TimeSeriesTable(timestamps, factors, labels)
+    table.label = (rng.random(spec.hours) < risk).astype(code_dtype([2]))
 
     parents_map: dict[str, list[str]] = {n: [] for n in [*names, spec.target]}
     for echo, parent in echo_of.items():
@@ -269,14 +267,8 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
     dag = LearnedDag(nodes=[*names, spec.target], parents=parents_map,
                      target=spec.target)
 
-    if names:
-        ds = attach_label_column(discretize(table, spec.bins), spec.target)
-    else:
-        ds = DiscreteDataset(columns=[spec.target], cardinalities=[2],
-                             rows=labels.astype(code_dtype([2])).reshape(-1, 1),
-                             labels=labels.copy(),
-                             bin_edges=[np.array([0.5])])
-    truth = fit_cpts(dag, ds, laplace_alpha=1e-9)
+    truth = fit_cpts(dag, attach_label_column(replace(coded, labels=table.label), spec.target),
+                     laplace_alpha=1e-9)
 
     # Replace the fitted target table with the exact generating risk curve.
     parent_cards = [spec.bins] * len(parent_list)

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 import outagebn
-from outagebn import bayesnet, ingest, synthgen
-from outagebn.cli import (PipelineConfig, _binned_evidence, _parse_grid,
-                          build_config, build_parser, main)
+from outagebn import bayesnet, cli, ingest, preprocess, synthgen
+from outagebn.cli import PipelineConfig, _parse_grid, build_config, build_parser, main
+
+
+def model_codes(bn, table) -> preprocess.DiscreteDataset:
+    """``table``'s factor hours coded as ``predict`` and ``eval`` code them."""
+    return preprocess.coded_hours(table, {c: bn.bin_edges[c] for c in bn.dag.nodes
+                                          if c != bn.target})
 
 
 class TestConfig:
@@ -55,6 +60,28 @@ class TestConfig:
             _parse_grid("0:1")
         with pytest.raises(ValueError):
             _parse_grid("0:1:0")
+
+    SYNTAX = ("must be start:stop:step with a positive step, or a comma-separated list "
+              "of numbers, not ")
+
+    @pytest.mark.parametrize("grid", ["0.5,x", "0:1", "0:1:0", "0:1:nan", "-inf:1:0.1", ""])
+    def test_a_bad_grid_flag_names_the_flag_and_the_syntax(self, tmp_path, capsys, grid):
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--seed", "5", "--model", "m", "--weather", "w", "--outages", "o",
+                  "--report", str(tmp_path / "r.csv"), f"--threshold-grid={grid}"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --threshold-grid: {self.SYNTAX}{grid!r}\n")
+
+    @pytest.mark.parametrize("grid", ["0.5,x", "0:1", "0:1:-0.5"])
+    def test_a_bad_grid_in_a_config_file_names_the_setting_and_the_syntax(
+            self, tmp_path, capsys, grid):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"threshold_grid": grid}))
+        rc = main(["eval", "--config", str(cfg_path), "--seed", "5", "--model", "m",
+                   "--weather", "w", "--outages", "o", "--report", str(tmp_path / "r.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: threshold_grid {self.SYNTAX}{grid!r}\n"
 
     def test_flags_override_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -176,6 +203,18 @@ def scenario_dir(tmp_path_factory):
 
 
 class TestGen:
+    @pytest.mark.parametrize("flags,given", [
+        ([], {}),
+        (["--hours", "50", "--factors", "3", "--parents", "F3,,F1", "--outage-rate", "0.1"],
+         {"hours": 50, "n_factors": 3, "outage_parents": ("F3", "F1"), "outage_rate": 0.1}),
+    ], ids=["defaults", "flags"])
+    def test_scenario_flags_left_out_keep_the_spec_defaults(self, monkeypatch, flags, given):
+        specs = []
+        monkeypatch.setattr(cli, "cmd_gen", lambda spec, *files: specs.append(spec) or 0)
+        assert main(["gen", "--seed", "7", "--out-weather", "w", "--out-outages", "o",
+                     *flags]) == 0
+        assert specs == [synthgen.ScenarioSpec(seed=7, **given)]
+
     def test_files_and_flags(self, scenario_dir):
         with open(scenario_dir / "weather.csv") as fh:
             header = fh.readline().strip().split(",")
@@ -342,7 +381,8 @@ class TestPredict:
         bn, _ = bayesnet.load_model(scenario_dir / "model.json")
         table = ingest.interpolate_missing(
             ingest.parse_weather_csv(scenario_dir / "weather.csv"))
-        probs = bayesnet.predict_rows(bn, *_binned_evidence(bn, table))[:, 1]
+        ds = model_codes(bn, table)
+        probs = bayesnet.predict_rows(bn, ds.rows, ds.columns)[:, 1]
         ingest.write_text_columns(plain, ["timestamp", "p_outage"],
                                   table.timestamps, [probs])
         assert out.read_bytes() == plain.read_bytes()
@@ -556,7 +596,7 @@ class TestStartup:
             "scipy loaded: False False"
 
 
-class TestBinnedEvidence:
+class TestCodedHours:
     def test_peak_memory_is_codes_plus_one_column(self):
         hours = 100_000
         table, truth = synthgen.weather_outage_scenario(
@@ -567,7 +607,7 @@ class TestBinnedEvidence:
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            rows, cols = _binned_evidence(truth, table)
+            rows = model_codes(truth, table).rows
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if started:

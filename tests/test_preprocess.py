@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import preprocess
+from outagebn import bayesnet, ingest, pcalg, preprocess, synthgen
 from outagebn.ingest import TimeSeriesTable
 from outagebn.preprocess import (DiscreteDataset, ImbalanceError,
                                  SynthesisError, apply_bins,
@@ -70,6 +70,30 @@ class TestEdgesAndBins:
         ds = discretize(table, 10)
         again = apply_bins(ds.bin_edges, [table.factors["a"], table.factors["b"]])
         assert np.array_equal(again, ds.rows)
+
+    def test_a_saved_model_recodes_learns_hours_exactly(self, tmp_path):
+        # learn's coding, then the edges as a model file gives them back: its
+        # float lists must code the training hours, the values on the edges
+        # and those past both ends as the dataset's own arrays do
+        rng = np.random.default_rng(3)
+        table = make_table({"a": rng.normal(size=300), "b": rng.uniform(5, 9, size=300)},
+                           label=rng.random(300) < 0.2)
+        ds = discretize(table, 7)
+        aug = attach_label_column(ds, "outage")
+        bayesnet.save_model(bayesnet.fit_cpts(pcalg.naive_bayes_dag(aug.columns, "outage"),
+                                              aug, 1.0), tmp_path / "m.json")
+        bn, _ = bayesnet.load_model(tmp_path / "m.json")
+        edges = {c: bn.bin_edges[c] for c in ds.columns}
+        assert all(type(e) is list for e in edges.values())
+        again = preprocess.coded_hours(table, edges)
+        assert again.rows.dtype == ds.rows.dtype and np.array_equal(again.rows, ds.rows)
+        probe = {c: np.concatenate([ds.bin_edges[k], [table.factors[c].min(),
+                                    table.factors[c].max(), -1e9, 1e9]])
+                 for k, c in enumerate(ds.columns)}
+        coded = preprocess.coded_hours(make_table(probe), edges)
+        learned = apply_bins(ds.bin_edges, list(probe.values()))
+        assert coded.rows.dtype == learned.dtype and np.array_equal(coded.rows, learned)
+        assert coded.rows[-2:].tolist() == [[0, 0], [6, 6]]
 
     def test_clamping_out_of_range(self):
         ds = discretize(make_table({"x": [0.0, 10.0]}), 10)
@@ -392,3 +416,33 @@ def test_equal_width_edges_properties(values, bins):
     coded = apply_bins([edges], [np.asarray(values)])
     assert coded.min() >= 0
     assert coded.max() <= bins - 1
+
+
+class TestLabelCodes:
+    """Every label the package makes is one ``code_dtype([2])`` array, shared
+    from then on rather than copied."""
+
+    LABEL = preprocess.code_dtype([2])
+
+    def test_every_maker_codes_labels_in_the_label_dtype(self):
+        assert self.LABEL == np.uint8
+        stamps = np.datetime64("2021-01-01T00", "us") + np.arange(4) * ingest.HOUR
+        raw = ingest.RawWeatherTable(stamps[[0, 1, 3]], {"x": [1.0, np.nan, 3.0]})
+        table = ingest.interpolate_missing(raw)
+        labelled = ingest.attach_outage_labels(table, stamps[2:3])
+        scenario, _ = synthgen.weather_outage_scenario(synthgen.ScenarioSpec(hours=500,
+                                                                             seed=1))
+        sampled = synthgen.forward_sample(synthgen.random_network(3, 0.5, 2, target="X1"),
+                                          50, seed=3)
+        unlabelled = synthgen.forward_sample(synthgen.random_network(3, 0.5, 2), 50, seed=3)
+        for labels in (TimeSeriesTable(stamps, {}).label, table.label, labelled.label,
+                       scenario.label, sampled.labels, unlabelled.labels):
+            assert labels.dtype == self.LABEL
+        assert labelled.label.tolist() == [0, 0, 1, 0]
+
+    def test_discretize_and_the_label_column_share_the_labels(self):
+        table = make_table({"x": [0.0, 1.0, 2.0, 3.0]}, label=[0, 1, 0, 1])
+        table.label = table.label.astype(self.LABEL)
+        ds = discretize(table, 2)
+        assert ds.labels is table.label
+        assert attach_label_column(ds).labels is table.label
