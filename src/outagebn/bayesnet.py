@@ -195,19 +195,29 @@ def _tables_reading(bn: BayesianNetwork, unknown: set) -> list[str]:
 
     A table that reads only evidence is a factor of every term and cancels.
     """
-    return [bn.target] + [n for n in bn.dag.nodes if n != bn.target and (
+    target = bn.target
+    return [target] + [n for n in bn.dag.nodes if n != target and (
         n in unknown or not unknown.isdisjoint(bn.cpts[n].parents))]
 
 
 def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int) -> np.ndarray:
-    """Product of the ``nodes``' entries in order; each state is n ints or one shared int."""
-    p = np.ones(n)
+    """Product of the ``nodes``' entries in order, as n floats; each state is n ints or one shared int.
+
+    The product starts from the first table's entries, not from ones:
+    ``1.0 * x`` is ``x``, so every term keeps its bits.
+    """
+    p = None
     for node in nodes:
         cpt = bn.cpts[node]
         code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
             if cpt.parents else 0
-        p *= cpt.lookup(code, states[node])
-    return p
+        entries = cpt.lookup(code, states[node])
+        if p is None:
+            # a lookup by an int array is a new array; by ints alone, one float
+            p = entries if isinstance(entries, np.ndarray) else np.full(n, entries)
+        else:
+            p *= entries
+    return np.ones(n) if p is None else p
 
 
 def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> float:
@@ -241,10 +251,11 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.nda
             f"enumeration needs {n_terms} terms, above the cap of {ENUMERATION_CAP}")
 
     def blocks():
-        # C order over ``dims``: each target state's terms form one run
+        # C order over ``dims``: each target state's terms form one run;
+        # each block's unobserved states replace the last block's
+        states = dict(evidence)
         for lo in range(0, n_terms, _BLOCK):
             hi = min(lo + _BLOCK, n_terms)
-            states = dict(evidence)
             states.update(zip(unobserved,
                               np.unravel_index(np.arange(lo, hi), dims)))
             yield _joint(bn, tables, states, hi - lo).tolist()

@@ -124,14 +124,15 @@ def sweep_best_f1(probs, labels, grid: Sequence[float] | None = None) -> EvalRep
 
 
 def split_validation(ds: DiscreteDataset, fraction: float = 0.05,
-                     seed: int = 0) -> tuple[DiscreteDataset, DiscreteDataset]:
+                     seed: int = 0) -> tuple[np.ndarray, DiscreteDataset]:
     """Carve a validation set of about ``fraction`` of the rows.
 
     Every positive row goes to validation and uniformly sampled negatives
     top the set up to ceil(fraction * n); the validation set is never
     smaller than the positive count. With no positives (which logs a
-    warning) the split is a plain uniform sample. Row order is preserved
-    on both sides.
+    warning) the split is a plain uniform sample. Returns the ascending
+    positions of the validation rows in ``ds`` and the validation set, in
+    row order; every other row is training, and no copy of it is made.
     """
     if not 0 < fraction < 1:
         raise ValueError("fraction must lie in (0, 1)")
@@ -151,11 +152,7 @@ def split_validation(ds: DiscreteDataset, fraction: float = 0.05,
         log.warning("no positive rows; falling back to a plain uniform split")
         val_idx = np.sort(rng.choice(n, size=min(quota, n), replace=False))
 
-    mask = np.zeros(n, dtype=bool)
-    mask[val_idx] = True
-    train = replace(ds, rows=ds.rows[~mask], labels=ds.labels[~mask])
-    val = replace(ds, rows=ds.rows[mask], labels=ds.labels[mask])
-    return train, val
+    return val_idx, replace(ds, rows=ds.rows[val_idx], labels=ds.labels[val_idx])
 
 
 def write_report_csv(report: EvalReport, path) -> None:

@@ -62,16 +62,26 @@ class DiscreteDataset:
             raise KeyError(f"unknown column {name!r}") from None
 
     def validate(self) -> None:
-        assert self.rows.ndim == 2
-        assert self.rows.shape == (len(self.labels), len(self.columns))
-        assert len(self.cardinalities) == len(self.columns) == len(self.bin_edges)
-        for c, card in enumerate(self.cardinalities):
-            assert card >= 1
-            assert len(self.bin_edges[c]) == card - 1
-            if self.rows.shape[0]:
-                assert self.rows[:, c].min() >= 0
-                assert self.rows[:, c].max() < card
-        assert set(np.unique(self.labels)) <= {0, 1}
+        """Refuse, with a ValueError naming it, the first invariant above that fails."""
+        rows = self.rows
+        if rows.ndim != 2:
+            raise ValueError(f"rows are {rows.ndim}-D, not 2-D")
+        if rows.shape != (len(self.labels), len(self.columns)):
+            raise ValueError(f"rows have shape {rows.shape}, not one row per label and "
+                             f"one column per name {(len(self.labels), len(self.columns))}")
+        if not len(self.cardinalities) == len(self.columns) == len(self.bin_edges):
+            raise ValueError(f"{len(self.columns)} columns have {len(self.cardinalities)} "
+                             f"cardinalities and {len(self.bin_edges)} edge lists")
+        for name, card, edges, col in zip(self.columns, self.cardinalities, self.bin_edges,
+                                          rows.T):
+            if card < 1:
+                raise ValueError(f"column {name!r}: cardinality {card} is below 1")
+            if len(edges) != card - 1:
+                raise ValueError(f"column {name!r}: {len(edges)} bin edges for {card} bins")
+            if len(col) and not 0 <= col.min() <= col.max() < card:
+                raise ValueError(f"column {name!r}: a code lies outside 0..{card - 1}")
+        if not set(np.unique(self.labels)) <= {0, 1}:
+            raise ValueError("a label is neither 0 nor 1")
 
 
 def code_space(cards: Sequence[int], owner: str) -> int:
@@ -101,27 +111,38 @@ def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     """Mixed-radix code per row, first column most significant (the CPT row order).
 
     Each column is an integer array of length ``n`` or one Python int
-    shared by all rows. The first array is copied as int64 and the code
-    accumulates in that copy, in place, so a narrow column never wraps and
-    is widened a buffer at a time (numpy refuses a later uint64 column,
-    which the package never makes). When every column is an int, so is the
-    code; with no columns it is ``n`` zeros. The codes wrap silently unless
-    ``code_space(cards, ...)`` holds.
+    shared by all rows. By Horner's rule over the columns, the ints fold
+    into one Python-int offset, so an int column costs no numpy call. The
+    first array is copied as int64 and the array columns accumulate in
+    that copy, in place, each step multiplying by the product of the
+    cards since the previous array column; a narrow column never wraps
+    and is widened a buffer at a time (numpy refuses a later uint64
+    column, which the package never makes). The cards after the last
+    array column and the offset are applied once, at the end. With only
+    array columns these are the numpy calls of plain Horner's rule. When
+    every column is an int, so is the code; with no columns it is ``n``
+    zeros. The codes wrap silently unless ``code_space(cards, ...)`` holds.
     """
     if not len(columns):
         return np.zeros(n, dtype=np.int64)
-    code = 0
-    rest = iter(zip(columns, cards))
-    for col, card in rest:
-        if isinstance(col, np.ndarray):
-            lead, code = code * card, col.astype(np.int64)
-            if lead:
-                code += lead
-            break
-        code = code * card + col
-    for col, card in rest:
-        code *= card
-        code += col
+    offset, code, scale = 0, None, 1
+    for col, card in zip(columns, cards):
+        offset *= card
+        if not isinstance(col, np.ndarray):
+            offset += col
+            scale *= card
+        elif code is None:
+            code, scale = col.astype(np.int64), 1
+        else:
+            code *= scale * card
+            code += col
+            scale = 1
+    if code is None:
+        return offset
+    if scale != 1:
+        code *= scale
+    if offset:
+        code += offset
     return code
 
 

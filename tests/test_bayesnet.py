@@ -351,6 +351,63 @@ class TestJointAndPosterior:
                                                     for p in bn.dag.parents[target])
         assert multi_block >= 20 and ragged >= 10 and row_shaped >= 20
 
+    def test_stock_shape_bit_exact_with_parents_hidden_anywhere(self):
+        # the stock network's shape at 10 bins, with a 10-state target: six
+        # 10-state parents, so 10^6 configurations, of which the target's
+        # sparse table stores 3,000 and searches them; F4 -> F5 -> F6 and
+        # F4 -> F6 among the factors. Hidden parents sit first, in the middle
+        # and last, so observed parents fold into an offset before, between
+        # and after the hidden ones.
+        rng = np.random.default_rng(2025)
+        factors = [f"F{k}" for k in range(1, 7)]
+        parents = {"F1": [], "F2": [], "F3": [], "F4": [], "F5": ["F4"],
+                   "F6": ["F4", "F5"], "T": factors}
+
+        def rows(n_configs):
+            raw = rng.random((n_configs, 10)) + 0.05
+            return raw / raw.sum(axis=1, keepdims=True)
+
+        cpts = {n: Cpt.dense(n, ps, [10] * len(ps), 10, rows(10 ** len(ps)))
+                for n, ps in parents.items() if n != "T"}
+        stored = np.sort(rng.choice(10 ** 6, size=3000, replace=False))
+        cpts["T"] = Cpt("T", factors, [10] * 6, 10, stored, rows(3000), rows(1)[0])
+        assert cpts["T"]._pos is None and not cpts["T"]._complete
+        bn = BayesianNetwork(LearnedDag(nodes=[*factors, "T"], parents=parents, target="T"),
+                             cpts, {n: 10 for n in parents})
+        # the oracle reads the stored rows through a dict, coding by hand
+        target_rows = dict(zip(stored.tolist(), cpts["T"].rows.tolist()))
+        default = cpts["T"].default.tolist()
+
+        def table_entry(n, ps, s):
+            config = int("".join(map(str, ps)) or "0")  # the digits of 10-state parents
+            if n == "T":
+                return target_rows.get(config, default)[s]
+            return float(cpts[n].rows[config, s])
+
+        hidden_sets = [(), ("F1",), ("F3",), ("F6",), ("F1", "F6"), ("F3", "F4"),
+                       ("F1", "F2"), ("F5", "F6"), ("F1", "F4", "F6"), ("F2", "F3", "F4")]
+        for hidden in hidden_sets:
+            for _ in range(2):
+                # evidence from a stored configuration, so completions both
+                # hit stored rows and fall to the default
+                digits = f"{int(rng.choice(stored)):06d}"
+                evidence = {f: int(d) for f, d in zip(factors, digits) if f not in hidden}
+                unknown = {"T", *hidden}
+                got = posterior_target(bn, evidence)
+
+                # evidence nodes enumerate one state, 0, which stands for
+                # the observed one, so the oracle's joint has 10^(h+1) terms
+                def entry(n, ps, s):
+                    if n not in unknown and unknown.isdisjoint(parents[n]):
+                        return 1.0
+                    ps = [evidence.get(q, v) for q, v in zip(parents[n], ps)]
+                    return table_entry(n, ps, evidence.get(n, s))
+
+                cards = {n: 1 if n in evidence else 10 for n in parents}
+                want = oracles.fsum_posterior(["T", *factors], parents, cards, entry, "T",
+                                              dict.fromkeys(evidence, 0))
+                assert got.tobytes() == np.array(want).tobytes(), (hidden, evidence)
+
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
         for trial in range(20):

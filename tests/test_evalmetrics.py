@@ -133,54 +133,71 @@ class TestSweep:
         assert lines[2].startswith("0.5,1,0,1,0,1.0,1.0,1.0")
 
 
+def training_positions(n, val_idx):
+    """Every row the split leaves out of validation."""
+    return np.setdiff1d(np.arange(n), val_idx)
+
+
 class TestSplit:
     def test_all_positives_kept_plus_sampled_negatives(self):
         labels = [1] * 10 + [0] * 990
         ds = make_ds(1000, labels)
-        train, val = split_validation(ds, 0.05, seed=3)
+        val_idx, val = split_validation(ds, 0.05, seed=3)
         assert int(val.labels.sum()) == 10
-        assert val.n_rows == 50  # ceil(0.05 * 1000)
-        assert train.n_rows == 950
-        assert int(train.labels.sum()) == 0
+        assert val.n_rows == len(val_idx) == 50  # ceil(0.05 * 1000)
+        train = training_positions(1000, val_idx)
+        assert len(train) == 950
+        assert int(ds.labels[train].sum()) == 0
 
     def test_more_positives_than_quota(self):
         labels = [1] * 100 + [0] * 100
         ds = make_ds(200, labels)
-        train, val = split_validation(ds, 0.05, seed=1)
+        _, val = split_validation(ds, 0.05, seed=1)
         assert val.n_rows == 100
         assert int(val.labels.sum()) == 100
 
     def test_no_positives_falls_back_with_warning(self, caplog):
         ds = make_ds(100, [0] * 100)
         with caplog.at_level("WARNING", logger="outagebn.evalmetrics"):
-            train, val = split_validation(ds, 0.1, seed=2)
+            _, val = split_validation(ds, 0.1, seed=2)
         assert val.n_rows == 10
         assert any("plain uniform split" in r.message for r in caplog.records)
 
     def test_plain_split_sizes(self):
         # without positives the split is a plain uniform sample of the quota
         ds = make_ds(100, [0] * 100)
-        train, val = split_validation(ds, 0.25, seed=5)
+        val_idx, val = split_validation(ds, 0.25, seed=5)
         assert val.n_rows == 25
-        assert train.n_rows == 75
+        assert len(training_positions(100, val_idx)) == 75
 
     def test_partition_is_exact(self):
-        rng = np.random.default_rng(6)
-        labels = (rng.random(400) < 0.08).astype(int)
-        ds = DiscreteDataset(columns=["x"], cardinalities=[10],
-                             rows=rng.integers(0, 10, size=(400, 1)),
-                             labels=labels,
-                             bin_edges=[np.arange(1, 10) - 0.5])
-        train, val = split_validation(ds, 0.05, seed=8)
-        assert train.n_rows + val.n_rows == 400
-        # row multiset is preserved
-        both = np.sort(np.concatenate([train.rows[:, 0], val.rows[:, 0]]))
-        assert np.array_equal(both, np.sort(ds.rows[:, 0]))
+        # with positives, and without (the plain uniform split)
+        for rate in (0.08, 0.0):
+            rng = np.random.default_rng(6)
+            labels = (rng.random(400) < rate).astype(np.uint8)
+            rows = np.column_stack([np.arange(400) % 10, rng.integers(0, 3, size=400)])
+            ds = DiscreteDataset(columns=["x", "y"], cardinalities=[10, 3],
+                                 rows=rows.astype(np.uint8), labels=labels,
+                                 bin_edges=[np.arange(1, 10) - 0.5, np.array([0.5, 1.5])])
+            val_idx, val = split_validation(ds, 0.05, seed=8)
+            # ascending positions: the validation rows keep their order
+            assert np.all(np.diff(val_idx) > 0)
+            train = training_positions(400, val_idx)
+            assert len(train) + val.n_rows == 400
+            assert np.array_equal(np.sort(np.concatenate([train, val_idx])), np.arange(400))
+            # every positive is a validation row
+            assert not labels[train].any()
+            assert int(val.labels.sum()) == int(labels.sum())
+            assert val.rows.dtype == ds.rows.dtype and val.labels.dtype == ds.labels.dtype
+            assert np.array_equal(val.rows, ds.rows[val_idx])
+            assert np.array_equal(val.labels, ds.labels[val_idx])
+            assert val.columns == ds.columns and val.cardinalities == ds.cardinalities
 
     def test_deterministic(self):
         ds = make_ds(300, [1] * 5 + [0] * 295)
         a = split_validation(ds, 0.05, seed=11)
         b = split_validation(ds, 0.05, seed=11)
+        assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1].labels, b[1].labels)
         assert np.array_equal(a[1].rows, b[1].rows)
 

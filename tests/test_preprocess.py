@@ -1,6 +1,11 @@
 """Discretization and rebalancing contracts."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +141,44 @@ class TestEdgesAndBins:
             ds.validate()
 
 
+class TestValidate:
+    """``validate`` raises, so ``python -O`` checks a dataset as plain ``python`` does."""
+
+    GOOD = make_ds([[0, 1], [2, 0], [1, 1]], [0, 1, 0], cards=[3, 2])
+
+    @pytest.mark.parametrize("broken, message", [
+        (replace(GOOD, rows=GOOD.rows.ravel()), "rows are 1-D, not 2-D"),
+        (replace(GOOD, labels=GOOD.labels[:2]), r"rows have shape \(3, 2\), not one row"),
+        (replace(GOOD, cardinalities=[3]), "2 columns have 1 cardinalities and 2 edge lists"),
+        (replace(GOOD, cardinalities=[0, 2], bin_edges=[np.zeros(0), np.array([0.5])],
+                 rows=GOOD.rows[:0], labels=GOOD.labels[:0]),
+         "column 'c0': cardinality 0 is below 1"),
+        (replace(GOOD, bin_edges=[np.array([0.5]), np.array([0.5])]),
+         "column 'c0': 1 bin edges for 3 bins"),
+        (replace(GOOD, rows=GOOD.rows + [0, 1]), r"column 'c1': a code lies outside 0\.\.1"),
+        (replace(GOOD, rows=GOOD.rows - [1, 0]), r"column 'c0': a code lies outside 0\.\.2"),
+        (replace(GOOD, labels=np.array([0, 2, 0])), "a label is neither 0 nor 1"),
+    ], ids=["1-D", "shape", "cardinalities", "card-0", "edges", "code-above", "code-below",
+            "label"])
+    def test_names_the_broken_invariant(self, broken, message):
+        self.GOOD.validate()
+        with pytest.raises(ValueError, match=message):
+            broken.validate()
+
+    def test_holds_under_optimize(self):
+        # -O strips assert statements; validate must still refuse
+        probe = ("import numpy as np; from outagebn.preprocess import DiscreteDataset as D; "
+                 "D(['x'], [2], np.array([[0], [2]]), np.array([0, 1]), [np.array([0.5])])"
+                 ".validate()")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(preprocess.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().endswith(
+            "ValueError: column 'x': a code lies outside 0..1"), proc.stderr
+
+
 class TestConfigCodes:
     def test_matches_c_order_ravel(self):
         # first column most significant, like a C-order multi-index
@@ -192,6 +235,66 @@ class TestConfigCodes:
         assert preprocess.code_dtype([257, 2]) == np.uint16
         assert preprocess.code_dtype([300]) == np.uint16
         assert preprocess.code_dtype([65_537]) == np.uint32
+
+
+# Column kinds for the encoder property: a Python int shared by all rows, or
+# an array of one of the dtypes the package codes in, with the most states
+# that dtype holds.
+_CODE_KINDS = {"int": (None, 2**62), "uint8": (np.uint8, 2**8),
+               "uint16": (np.uint16, 2**16), "int64": (np.int64, 2**62)}
+
+
+@st.composite
+def mixed_code_columns(draw):
+    """Up to 8 columns of mixed kinds over n rows, their cards, and n.
+
+    The cards' product stays below 2**63; with ``top_up`` the last column
+    takes every state left, so the product reaches just below it.
+    """
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CODE_KINDS)), max_size=8))
+    top_up = draw(st.booleans())
+    cols, cards, space = [], [], 1
+    for k, kind in enumerate(kinds):
+        dtype, most = _CODE_KINDS[kind]
+        most = min(most, (2**63 - 1) // space)
+        card = most if top_up and k == len(kinds) - 1 else draw(
+            st.one_of(st.integers(1, min(most, 12)), st.integers(1, most)))
+        states = st.integers(0, card - 1)
+        cols.append(draw(states) if dtype is None else
+                    np.array(draw(st.lists(states, min_size=n, max_size=n)), dtype=dtype))
+        cards.append(card)
+        space *= card
+    return cols, cards, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_code_columns())
+def test_config_codes_match_python_int_reference(case):
+    cols, cards, n = case
+    assert preprocess.code_space(cards, "t") < 2**63
+    before = [c.copy() if isinstance(c, np.ndarray) else c for c in cols]
+    got = preprocess.config_codes(cols, cards, n)
+    want = []
+    for r in range(n):
+        code = 0
+        for col, card in zip(cols, cards):
+            code = code * card + int(col[r] if isinstance(col, np.ndarray) else col)
+        want.append(code)
+    if not cols:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == [0] * n
+    elif not any(isinstance(c, np.ndarray) for c in cols):
+        code = 0
+        for col, card in zip(cols, cards):
+            code = code * card + col
+        assert type(got) is int and got == code
+    else:
+        # int64 codes equal to the Python ints: no narrow column wrapped
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.shape == (n,)
+        assert got.tolist() == want
+    for col, old in zip(cols, before):  # the columns are read, never written
+        assert np.array_equal(col, old)
 
 
 class TestNarrowCodes:
