@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .pcalg import LearnedDag
+from .pcalg import GraphStateError, LearnedDag
 from .preprocess import DiscreteDataset, code_space, config_codes
 
 # Exact inference enumerates completions of the unobserved nodes; beyond
@@ -43,6 +44,10 @@ class Cpt:
     ``rows`` by code directly; a sparse one of at most ``_INDEX_LIMIT``
     configurations maps each code to its row through an index, and a
     larger one searches ``configs``.
+
+    A fitted table (:meth:`fitted`) also keeps the integer ``counts`` its
+    rows were smoothed from, one row per config, and its Laplace ``alpha``;
+    a table given as probabilities has neither.
     """
 
     node: str
@@ -52,6 +57,8 @@ class Cpt:
     configs: np.ndarray
     rows: np.ndarray
     default: np.ndarray
+    counts: np.ndarray | None = None
+    alpha: float | None = None
 
     def __post_init__(self):
         n_configs = code_space(self.parent_cards, f"node {self.node!r}")
@@ -71,6 +78,16 @@ class Cpt:
             # every code's row, and the default row's for a missed configuration
             self._pos = np.full(n_configs, len(codes), dtype=np.int32)
             self._pos[codes] = np.arange(len(codes), dtype=np.int32)
+
+    @classmethod
+    def fitted(cls, node: str, parents: Sequence[str], parent_cards: Sequence[int],
+               card: int, configs, counts, alpha: float) -> "Cpt":
+        """Table smoothed by :func:`smoothed` from one count row per code in ``configs``."""
+        counts = np.asarray(counts, dtype=np.int64).reshape(len(configs), card)
+        alpha = float(alpha)
+        table = smoothed(counts, alpha)
+        return cls(node, list(parents), list(parent_cards), card, configs,
+                   table[:-1], table[-1], counts, alpha)
 
     @classmethod
     def dense(cls, node: str, parents: Sequence[str], parent_cards: Sequence[int],
@@ -129,17 +146,32 @@ class BayesianNetwork:
         return self.dag.target
 
 
+def smoothed(counts, alpha: float) -> np.ndarray:
+    """Each count row's (count + alpha) / (row_total + alpha * card), then the zero-count row's.
+
+    The one smoothing expression: :func:`fit_cpts` and :func:`load_model`
+    both derive a table's rows and its default (the last row, which is
+    uniform) from its counts here, so a loaded table holds the fitted bits.
+    """
+    counts = np.asarray(counts, dtype=float)
+    card = counts.shape[1]
+    counts = np.vstack([counts, np.zeros((1, card))])
+    totals = counts.sum(axis=1, keepdims=True)
+    return (counts + alpha) / (totals + alpha * card)
+
+
 def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
              laplace_alpha: float = 1.0) -> BayesianNetwork:
     """Estimate every node's table from integer-coded data of any integer dtype.
 
-    Each cell gets (count + alpha) / (config_total + alpha * card). Only
-    configurations seen in ``ds`` get a row; every other one shares the
-    default row, the same expression on zero counts (a uniform row).
-    ``alpha`` must be positive so that every probability stays above zero.
+    Each cell gets (count + alpha) / (config_total + alpha * card) by
+    :func:`smoothed`. Only configurations seen in ``ds`` get a row; every
+    other one shares the default row, the same expression on zero counts (a
+    uniform row). ``alpha`` must be positive so that every probability
+    stays above zero, and finite so that every row is a distribution.
     """
-    if laplace_alpha <= 0:
-        raise ValueError("laplace_alpha must be positive")
+    if not 0 < laplace_alpha < math.inf:
+        raise ValueError("laplace_alpha must be positive and finite")
     col_of = {name: k for k, name in enumerate(ds.columns)}
     for node in dag.nodes:
         if node not in col_of:
@@ -155,14 +187,11 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
         codes = config_codes([ds.rows[:, col_of[p]] for p in parents], parent_cards, n)
         configs, config_of_row = np.unique(codes, return_inverse=True)
-        # one count row per observed configuration, then a zero row whose
-        # smoothed value is the default for every unobserved configuration
+        # one count row per observed configuration
         counts = np.bincount(config_of_row * card + ds.rows[:, col_of[node]],
-                             minlength=(len(configs) + 1) * card).astype(float)
-        counts = counts.reshape(len(configs) + 1, card)
-        totals = counts.sum(axis=1, keepdims=True)
-        table = (counts + laplace_alpha) / (totals + laplace_alpha * card)
-        cpts[node] = Cpt(node, parents, parent_cards, card, configs, table[:-1], table[-1])
+                             minlength=len(configs) * card)
+        cpts[node] = Cpt.fitted(node, parents, parent_cards, card, configs, counts,
+                                laplace_alpha)
 
     cardinalities = {node: ds.cardinalities[col_of[node]] for node in dag.nodes}
     bin_edges = {node: [float(e) for e in ds.bin_edges[col_of[node]]]
@@ -322,23 +351,32 @@ nb_predict_rows = predict_rows
 
 
 MODEL_FORMAT = "outagebn-model"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
+
+
+def _distinct(rows: np.ndarray) -> tuple[list, list]:
+    """The bitwise-distinct ``rows`` once each, in order of first use, and each row's index."""
+    # a void view compares rows by their bytes, so -0.0 and 0.0 stay apart
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct rows in order of first use
+    rank = np.argsort(order)  # each distinct row's place in that order
+    return rows[first[order]].tolist(), rank[inverse.ravel()].tolist()
 
 
 def _cpt_doc(bn: BayesianNetwork) -> dict:
-    """Each table's bitwise-distinct rows once, in order of first use, and each code's row."""
+    """Each table's entry: its configs as gaps, then a fitted table's distinct count rows
+    and alpha, or a given table's distinct probability rows and default."""
     doc = {}
     for n, c in bn.cpts.items():
-        # a void view compares rows by their bytes, so -0.0 and 0.0 stay apart
-        keys = np.ascontiguousarray(c.rows).view(np.dtype((np.void, c.rows.itemsize * c.card)))
-        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the distinct rows in order of first use
-        rank = np.argsort(order)  # each distinct row's place in that order
-        doc[n] = {"parents": c.parents,
-                  "configs": c.configs.tolist(),
-                  "rows": c.rows[first[order]].tolist(),
-                  "row_of": rank[inverse.ravel()].tolist(),
-                  "default": c.default.tolist()}
+        entry = {"parents": c.parents, "configs": np.diff(c.configs, prepend=0).tolist()}
+        if c.counts is None:
+            entry["rows"], entry["row_of"] = _distinct(c.rows)
+            entry["default"] = c.default.tolist()
+        else:
+            entry["counts"], entry["row_of"] = _distinct(c.counts)
+            entry["alpha"] = c.alpha
+        doc[n] = entry
     return doc
 
 
@@ -374,59 +412,125 @@ def save_model(bn: BayesianNetwork, path, baseline: BayesianNetwork | None = Non
         fh.write(text + "\n")
 
 
-_CPT_KEYS = ("parents", "configs", "rows", "row_of", "default")
+# an entry's keys, by its kind: a fitted table's counts or a given table's rows
+_CPT_KEYS = {"counts": ("parents", "configs", "counts", "row_of", "alpha"),
+             "rows": ("parents", "configs", "rows", "row_of", "default")}
 
 
-def _table(path, node: str, cardinalities: dict, entry) -> np.ndarray:
-    """The row of each of ``entry``'s configs, expanded from its distinct rows.
+def _cpt(path, node: str, cardinalities: dict, entry) -> Cpt:
+    """The table of ``entry``: its configs summed from their gaps and each config's row
+    taken from the distinct rows through ``row_of``; count rows are smoothed on the way.
 
     Refuses, with a ``ValueError`` that names the file and the node, a
-    missing entry, a missing key, parents that are not the file's nodes,
-    a config or ``row_of`` value that is not an integer, a row that is not
-    a list of ``card`` numbers, and a ``row_of`` that does not index one
-    row per config.
+    missing entry, a missing key or one of the other kind, parents that
+    are not the file's nodes or include the node, a config gap or
+    ``row_of`` value that is not an integer, gaps that repeat a code or
+    leave the code space, a ``row_of`` that does not index one row per
+    config, a count row that is not ``card`` integers of at least 0, an
+    alpha that is not a positive finite number, and a probability row that
+    is not ``card`` numbers in [0, 1].
     """
     where = f"model file {path}, node {node!r}"
     if not isinstance(entry, dict):
         raise ValueError(f"{where}: the file holds no table for it")
-    for key in _CPT_KEYS:
+    kind = "counts" if "counts" in entry else "rows"
+    for key in _CPT_KEYS[kind]:
         if key not in entry:
             raise ValueError(f"{where}: its table has no {key!r}")
-    parents, rows, row_of = entry["parents"], entry["rows"], entry["row_of"]
+    extra = sorted(set(entry) - set(_CPT_KEYS[kind]))
+    if extra:
+        raise ValueError(f"{where}: its table of {kind} also holds {extra[0]!r}")
+    parents, rows = entry["parents"], entry[kind]
     if not isinstance(parents, list) or not all(
             isinstance(q, str) and q in cardinalities for q in parents):
         raise ValueError(f"{where}: its parents are not a list of the file's nodes")
+    if node in parents:
+        raise ValueError(f"{where}: its parents include the node itself")
+    parent_cards = [cardinalities[q] for q in parents]
+    n_configs = code_space(parent_cards, where)
+    ints = {}
     for key in ("configs", "row_of"):
-        ints = np.asarray(entry[key]) if entry[key] else np.zeros(0, dtype=np.intp)
-        if ints.dtype.kind not in "iu" or ints.ndim != 1:
+        value = np.asarray(entry[key]) if entry[key] else np.zeros(0, dtype=np.int64)
+        if value.dtype.kind not in "iu" or value.ndim != 1:
             raise ValueError(f"{where}: {key} holds a value that is not an integer")
-    if len(row_of) != len(entry["configs"]):
-        raise ValueError(f"{where}: row_of has {len(row_of)} entries "
-                         f"for {len(entry['configs'])} configs")
+        ints[key] = value.astype(np.int64)  # a value of 2**63 or more wraps below zero
+    configs = np.cumsum(ints["configs"])
+    # compared, not subtracted: a sum that wraps past 2**63 comes out smaller
+    if len(configs) and (configs[0] < 0 or configs[-1] >= n_configs
+                         or np.any(configs[1:] <= configs[:-1])):
+        raise ValueError(f"{where}: configs hold gaps that repeat a code or leave "
+                         f"the codes 0..{n_configs - 1}")
+    index = ints["row_of"]
+    if len(index) != len(configs):
+        raise ValueError(f"{where}: row_of has {len(index)} entries "
+                         f"for {len(configs)} configs")
     card = cardinalities[node]
-    for row in (*(rows if isinstance(rows, list) else [None]), entry["default"]):
-        if not isinstance(row, list) or len(row) != card \
-                or not all(type(v) in (int, float) for v in row):
-            raise ValueError(f"{where}: a row is not a list of {card} probabilities")
-    index = np.asarray(row_of, dtype=np.intp)
+    if kind == "counts":
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == card
+                and all(type(v) is int and 0 <= v < 2**63 for v in row) for row in rows):
+            raise ValueError(f"{where}: a count row is not a list of {card} integers "
+                             "of at least 0")
+        # an int too large for a float is no finite alpha either
+        if type(entry["alpha"]) not in (int, float) \
+                or not 0 < entry["alpha"] <= sys.float_info.max:
+            raise ValueError(f"{where}: its alpha is not a positive finite number")
+    else:
+        for row in (*(rows if isinstance(rows, list) else [None]), entry["default"]):
+            if not isinstance(row, list) or len(row) != card \
+                    or not all(type(v) in (int, float) for v in row):
+                raise ValueError(f"{where}: a row is not a list of {card} probabilities")
+            if not all(0 <= v <= 1 for v in row):  # NaN fails both comparisons
+                raise ValueError(f"{where}: a row holds a value that is not a "
+                                 "probability in [0, 1]")
     if len(index) and not 0 <= index.min() <= index.max() < len(rows):
         raise ValueError(f"{where}: row_of holds an index outside 0..{len(rows) - 1}")
-    return np.asarray(rows, dtype=float).reshape(len(rows), card)[index]
+    table = np.asarray(rows, dtype=np.int64 if kind == "counts" else float)
+    table = table.reshape(len(rows), card)[index]
+    if kind == "counts":
+        return Cpt.fitted(node, parents, parent_cards, card, configs, table, entry["alpha"])
+    return Cpt(node, parents, parent_cards, card, configs, table, entry["default"])
 
 
 def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
-    """The network and, when the file holds one, its baseline network."""
+    """The network and, when the file holds one, its baseline network.
+
+    Besides each table's defects (see :func:`_cpt`), refuses, with a
+    ``ValueError`` that names the file, text that is not JSON, a document
+    of another format or version, one without nodes, cardinalities or
+    tables, nodes that are not distinct names, a target that is not a
+    node, a node without a positive integer cardinality or with bin edges
+    that are not numbers, a provenance key that is not ``parent->child``,
+    and parents that form a cycle.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"not a recognized model file: {path} ({err})") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a recognized model file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"model file {path} has version {doc.get('version')}, but this "
-                         f"program reads version {MODEL_VERSION}; re-run `learn` to rebuild it")
-    nodes = list(doc["nodes"])
+                         f"program reads version {MODEL_VERSION}; re-run `learn`, or "
+                         "`gen --out-truth` for a generating network, to rebuild it")
+    for key in ("nodes", "cardinalities", "cpts"):
+        if key not in doc:
+            raise ValueError(f"model file {path} has no {key!r}")
+    for key in ("cardinalities", "cpts", "bin_edges", "provenance", "baseline"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"model file {path}: its {key!r} is not a map")
+    nodes, target = doc["nodes"], doc.get("target")
+    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        raise ValueError(f"model file {path}: its nodes are not a list of names")
+    for k, n in enumerate(nodes):
+        if n in nodes[:k]:
+            raise ValueError(f"model file {path}: node {n!r} is listed twice")
+    if target is not None and target not in nodes:
+        raise ValueError(f"model file {path}: its target {target!r} is not one of its nodes")
     cardinalities, bin_edges = {}, {}
     for n in nodes:
-        card = doc.get("cardinalities", {}).get(n)
+        card = doc["cardinalities"].get(n)
         if type(card) is not int or card < 1:
             raise ValueError(f"model file {path}, node {n!r}: its cardinality is missing "
                              "or not a positive integer")
@@ -436,21 +540,23 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
             raise ValueError(f"model file {path}, node {n!r}: its bin edges are not numbers")
         bin_edges[n] = [float(v) for v in edges]
 
-    def network(cpt_doc: dict, provenance: dict) -> BayesianNetwork:
-        cpts = {}
-        for n in nodes:
-            entry = cpt_doc.get(n)
-            table = _table(path, n, cardinalities, entry)
-            parents = entry["parents"]
-            cpts[n] = Cpt(n, parents, [cardinalities[p] for p in parents], cardinalities[n],
-                          entry["configs"], table, entry["default"])
+    def network(key: str, provenance: dict) -> BayesianNetwork:
+        cpts = {n: _cpt(path, n, cardinalities, doc[key].get(n)) for n in nodes}
         dag = LearnedDag(nodes=list(nodes), parents={n: list(cpts[n].parents) for n in nodes},
-                         provenance=provenance, target=doc.get("target"))
+                         provenance=provenance, target=target)
+        try:
+            dag.topological_order()
+        except GraphStateError:
+            raise ValueError(f"model file {path}: the parents in its {key!r} tables "
+                             "form a cycle") from None
         return BayesianNetwork(dag, cpts, cardinalities, bin_edges)
 
     provenance = {}
-    for key, tag in doc.get("provenance", {}).items():
-        a, b = key.split("->", 1)
+    for edge, tag in doc.get("provenance", {}).items():
+        if "->" not in edge:
+            raise ValueError(f"model file {path}: provenance key {edge!r} is not "
+                             "'parent->child'")
+        a, b = edge.split("->", 1)
         provenance[(a, b)] = tag
-    bn = network(doc["cpts"], provenance)
-    return bn, network(doc["baseline"], {}) if "baseline" in doc else None
+    bn = network("cpts", provenance)
+    return bn, network("baseline", {}) if "baseline" in doc else None

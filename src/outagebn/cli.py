@@ -57,7 +57,8 @@ def _setting(default, kind, commands: str, must=None, rule=None, help=None):
 class PipelineConfig:
     bins: int = _setting(10, int, "gen learn", "be at least 2", lambda v: v >= 2)
     alpha: float = _setting(0.05, float, "learn", "lie in (0, 1)", lambda v: 0 < v < 1)
-    laplace: float = _setting(1.0, float, "learn", "be positive", lambda v: v > 0)
+    laplace: float = _setting(1.0, float, "learn", "be positive and finite",
+                              lambda v: 0 < v < float("inf"))
     downsample_ratio: float = _setting(10.0, float, "learn", "be positive", lambda v: v > 0)
     smote_target: float = _setting(1.0, float, "learn", "be nonnegative", lambda v: v >= 0,
                                    "minority:majority ratio after synthesis; 0 disables")

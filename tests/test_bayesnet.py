@@ -1,5 +1,6 @@
 """CPT fitting, table lookup, exact inference and its plans, the naive Bayes star, model files."""
 
+import functools
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import bayesnet, synthgen
+from outagebn import bayesnet, cli, preprocess, synthgen
 from outagebn.bayesnet import (BayesianNetwork, Cpt, fit_cpts, joint_probability,
                                load_model, posterior_target, predict_rows, save_model)
 from outagebn.pcalg import LearnedDag, naive_bayes_dag
@@ -159,8 +160,9 @@ class TestFitCpts:
     def test_alpha_validation(self):
         ds = make_ds(["x"], [[0]], cards=[2])
         dag = LearnedDag(nodes=["x"], parents={"x": []})
-        with pytest.raises(ValueError):
-            fit_cpts(dag, ds, laplace_alpha=0.0)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fit_cpts(dag, ds, laplace_alpha=alpha)
 
     def test_missing_column(self):
         ds = make_ds(["x"], [[0]], cards=[2])
@@ -525,8 +527,50 @@ class TestNaiveBayes:
                 assert got[r].tobytes() == np.array(want).tobytes()
 
 
+def given_copy(bn, nodes):
+    """The network with the tables of ``nodes`` given as their probability rows, without counts."""
+    cpts = dict(bn.cpts)
+    for node in nodes:
+        c = bn.cpts[node]
+        cpts[node] = Cpt(node, c.parents, c.parent_cards, c.card, c.configs, c.rows, c.default)
+    return replace(bn, cpts=cpts)
+
+
+def assert_same_table(got, want):
+    """Every part of two tables holds the same bits, and both have counts or neither."""
+    assert got.parents == want.parents and got.alpha == want.alpha
+    assert (got.counts is None) == (want.counts is None)
+    for part in ("configs", "rows", "default", "table", "counts"):
+        a, b = getattr(got, part), getattr(want, part)
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def edit_json(path, keys, value):
+    """Set the item at ``keys`` of the JSON file at ``path`` to ``value``; None deletes it."""
+    doc = json.loads(path.read_text())
+    *outer, last = keys
+    inner = doc
+    for key in outer:
+        inner = inner[key]
+    if value is None:
+        del inner[last]
+    else:
+        inner[last] = value
+    path.write_text(json.dumps(doc))
+
+
+# what load_model says of a malformed table of TestModelFile's network
+COUNT_ROW = "a count row is not a list of 2 integers of at least 0"
+ALPHA = "its alpha is not a positive finite number"
+NOT_A_PROBABILITY = "a row holds a value that is not a probability in [0, 1]"
+GAPS = "configs hold gaps that repeat a code or leave the codes 0..5"
+
+
 class TestModelFile:
-    def build(self):
+    def build(self, kind="counts"):
+        """A fitted network and its naive Bayes baseline; with kind "rows", the
+        network's tables of b and t are given as probability rows instead."""
         ds_rows = [[0, 1, 0], [1, 0, 1], [1, 1, 1], [0, 0, 0]] * 4
         labels = [r[2] for r in ds_rows]
         # a's third state never occurs, so b's and t's tables are sparse
@@ -538,48 +582,51 @@ class TestModelFile:
                                      ("b", "t"): "target-augmented"},
                          target="t")
         bn = fit_cpts(dag, ds, laplace_alpha=1.0)
+        if kind == "rows":
+            bn = given_copy(bn, ["b", "t"])
         return bn, fit_cpts(naive_bayes_dag(ds.columns, "t"), ds, laplace_alpha=1.0)
 
     def test_round_trip_preserves_everything(self, tmp_path):
-        bn, nb = self.build()
-        path = tmp_path / "m.json"
-        save_model(bn, path, baseline=nb)
-        bn2, nb2 = load_model(path)
-        assert bn2.dag.nodes == bn.dag.nodes
-        assert bn2.dag.parents == bn.dag.parents
-        assert bn2.dag.provenance == bn.dag.provenance
-        assert bn2.dag.target == "t"
-        assert len(bn.cpts["t"].configs) == 4  # of 6 configurations
-        for node in bn.dag.nodes:
-            for part in ("configs", "rows", "default", "table"):
-                assert np.array_equal(getattr(bn2.cpts[node], part),
-                                      getattr(bn.cpts[node], part))
-            assert bn2.bin_edges[node] == bn.bin_edges[node]
-        # parents are stored once, in each table's entry
-        assert "parents" not in json.loads(path.read_text())
-        assert nb2.dag.nodes == bn.dag.nodes
-        assert nb2.dag.parents == {"a": ["t"], "b": ["t"], "t": []}
-        assert nb2.target == "t" and nb2.bin_edges == bn.bin_edges
-        for node in nb.dag.nodes:
-            for part in ("configs", "rows", "default"):
-                assert np.array_equal(getattr(nb2.cpts[node], part),
-                                      getattr(nb.cpts[node], part))
-        grid = np.array([[a, b] for a in range(3) for b in range(2)])
-        for net, net2 in ((bn, bn2), (nb, nb2)):
-            assert predict_rows(net2, grid, ["a", "b"]).tobytes() == \
-                predict_rows(net, grid, ["a", "b"]).tobytes()
-        for evidence in ({}, {"a": 2}, {"b": 1}, {"a": 2, "b": 0}, {"a": 1, "b": 1}):
-            assert posterior_target(bn2, evidence).tobytes() == \
-                posterior_target(bn, evidence).tobytes()
+        for kind in ("counts", "rows"):
+            bn, nb = self.build(kind)
+            path = tmp_path / f"{kind}.json"
+            save_model(bn, path, baseline=nb)
+            bn2, nb2 = load_model(path)
+            assert bn2.dag.nodes == bn.dag.nodes
+            assert bn2.dag.parents == bn.dag.parents
+            assert bn2.dag.provenance == bn.dag.provenance
+            assert bn2.dag.target == "t"
+            assert len(bn.cpts["t"].configs) == 4  # of 6 configurations
+            assert (bn.cpts["t"].counts is None) == (kind == "rows")
+            for node in bn.dag.nodes:
+                assert_same_table(bn2.cpts[node], bn.cpts[node])
+                assert bn2.bin_edges[node] == bn.bin_edges[node]
+            # parents are stored once, in each table's entry
+            doc = json.loads(path.read_text())
+            assert "parents" not in doc
+            assert sorted(doc["cpts"]["t"]) == sorted(bayesnet._CPT_KEYS[kind])
+            assert nb2.dag.nodes == bn.dag.nodes
+            assert nb2.dag.parents == {"a": ["t"], "b": ["t"], "t": []}
+            assert nb2.target == "t" and nb2.bin_edges == bn.bin_edges
+            for node in nb.dag.nodes:
+                assert_same_table(nb2.cpts[node], nb.cpts[node])
+            grid = np.array([[a, b] for a in range(3) for b in range(2)])
+            for net, net2 in ((bn, bn2), (nb, nb2)):
+                assert predict_rows(net2, grid, ["a", "b"]).tobytes() == \
+                    predict_rows(net, grid, ["a", "b"]).tobytes()
+            for evidence in ({}, {"a": 2}, {"b": 1}, {"a": 2, "b": 0}, {"a": 1, "b": 1}):
+                assert posterior_target(bn2, evidence).tobytes() == \
+                    posterior_target(bn, evidence).tobytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        bn, nb = self.build()
-        p1 = tmp_path / "m1.json"
-        p2 = tmp_path / "m2.json"
-        save_model(bn, p1, baseline=nb)
-        bn2, nb2 = load_model(p1)
-        save_model(bn2, p2, baseline=nb2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for kind in ("counts", "rows"):
+            bn, nb = self.build(kind)
+            p1 = tmp_path / f"{kind}1.json"
+            p2 = tmp_path / f"{kind}2.json"
+            save_model(bn, p1, baseline=nb)
+            bn2, nb2 = load_model(p1)
+            save_model(bn2, p2, baseline=nb2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_baseline_must_share_the_network_metadata(self, tmp_path):
         # the file keeps one set of nodes, cardinalities and bin edges for both
@@ -596,29 +643,44 @@ class TestModelFile:
         doc = json.loads(path.read_text())
         # version 2 kept a top-level parent map and a naive Bayes model of its own
         # version 3 wrote every configuration's row in full
-        for version in (2, 3, bayesnet.MODEL_VERSION + 1, None):
+        # version 4 wrote smoothed probabilities, and configs as codes
+        for version in (2, 3, 4, bayesnet.MODEL_VERSION + 1, None):
             doc["version"] = version
             path.write_text(json.dumps(doc))
-            with pytest.raises(ValueError, match="re-run `learn`"):
+            with pytest.raises(ValueError, match="re-run `learn`, or `gen --out-truth`"):
                 load_model(path)
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text("{}")
-        with pytest.raises(ValueError, match="not a recognized model file"):
-            load_model(path)
+        for text in ("{}", "[]", "not json"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a recognized model file"):
+                load_model(path)
 
     def test_repeated_rows_are_stored_once(self, tmp_path):
-        bn, _ = self.build()
+        for kind in ("counts", "rows"):
+            bn, _ = self.build(kind)
+            path = tmp_path / f"{kind}.json"
+            save_model(bn, path)
+            entry = json.loads(path.read_text())["cpts"]["t"]
+            # t is 0 after a=0 and 1 after a=1, four times each, whatever b is
+            assert entry["row_of"] == [0, 0, 1, 1]
+            assert len(entry[kind]) == 2 < len(entry["configs"]) == 4
+            if kind == "counts":
+                assert entry["counts"] == [[4, 0], [0, 4]] and entry["alpha"] == 1.0
+            assert_same_table(load_model(path)[0].cpts["t"], bn.cpts["t"])
+
+    def test_configs_are_stored_as_gaps(self, tmp_path):
+        dag = LearnedDag(nodes=["a", "t"], parents={"a": [], "t": ["a"]}, target="t")
+        rows = [[0.25, 0.75], [0.5, 0.5], [0.25, 0.75]]
+        bn = BayesianNetwork(dag, {"a": Cpt.dense("a", [], [], 10, [[0.1] * 10]),
+                                   "t": Cpt("t", ["a"], [10], 2, [3, 4, 9], rows, [0.5, 0.5])},
+                             {"a": 10, "t": 2})
         path = tmp_path / "m.json"
         save_model(bn, path)
-        entry = json.loads(path.read_text())["cpts"]["t"]
-        # t is 0 after a=0 and 1 after a=1, four times each, whatever b is
-        assert entry["row_of"] == [0, 0, 1, 1]
-        assert len(entry["rows"]) == 2 < len(entry["configs"]) == 4
-        t2 = load_model(path)[0].cpts["t"]
-        for part in ("configs", "rows", "default"):
-            assert getattr(t2, part).tobytes() == getattr(bn.cpts["t"], part).tobytes()
+        cpts = json.loads(path.read_text())["cpts"]
+        assert cpts["t"]["configs"] == [3, 1, 5] and cpts["a"]["configs"] == [0]
+        assert load_model(path)[0].cpts["t"].configs.tolist() == [3, 4, 9]
 
     def test_rows_differing_in_the_sign_of_zero_stay_apart(self, tmp_path):
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
@@ -654,59 +716,126 @@ class TestModelFile:
             save_model(bad, path)
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("node,key,value,message", [
-        ("t", "row_of", [0, 1, 1], "row_of has 3 entries for 4 configs"),
-        ("t", "row_of", [0, -1, 1, 0], r"row_of holds an index outside 0\.\.1"),
-        ("t", "row_of", [0, 1, 1.5, 0], "row_of holds a value that is not an integer"),
-        ("t", "row_of", [0, 1, 2, 0], r"row_of holds an index outside 0\.\.1"),
-        ("b", "rows", [[0.5, 0.5], [0.25, 0.5, 0.25]], "a row is not a list of 2 probabilities"),
-    ], ids=["row_of-length", "row_of-negative", "row_of-fraction", "row_of-past-rows",
-            "row-width"])
-    def test_refuses_malformed_tables(self, tmp_path, node, key, value, message):
-        bn, _ = self.build()
+    @pytest.mark.parametrize("kind,node,key,value,message", [
+        # each case about a key of both kinds runs on a table of counts, then,
+        # as "given-...", on a table of probability rows
+        *(pytest.param(kind, "t", key, value, message, id=prefix + name)
+          for kind, prefix in (("counts", ""), ("rows", "given-"))
+          for name, key, value, message in (
+              ("row_of-length", "row_of", [0, 1, 1], "row_of has 3 entries for 4 configs"),
+              ("row_of-negative", "row_of", [0, -1, 1, 0], "row_of holds an index outside 0..1"),
+              ("row_of-fraction", "row_of", [0, 1, 1.5, 0],
+               "row_of holds a value that is not an integer"),
+              ("row_of-past-rows", "row_of", [0, 1, 2, 0], "row_of holds an index outside 0..1"),
+              ("gaps-repeat", "configs", [0, 1, 0, 1], GAPS),
+              ("gaps-past-end", "configs", [0, 1, 1, 4], GAPS),
+              ("gaps-negative-start", "configs", [-1, 1, 1, 1], GAPS),
+              ("gaps-negative", "configs", [1, -1, 1, 1], GAPS),
+              ("gaps-sum-wraps-past-int64", "configs", [0, 2**63 - 1, 1, 1], GAPS),
+              ("self-parent", "parents", ["a", "t"], "its parents include the node itself"))),
+        pytest.param("rows", "b", "rows", [[0.5, 0.5], [0.25, 0.5, 0.25]],
+                     "a row is not a list of 2 probabilities", id="row-width"),
+        pytest.param("rows", "b", "rows", [[0.5, 0.5], [-0.5, 1.5]], NOT_A_PROBABILITY,
+                     id="row-negative"),
+        pytest.param("rows", "t", "rows", [[0.5, 0.5], [math.inf, 0.0]], NOT_A_PROBABILITY,
+                     id="row-infinite"),
+        pytest.param("rows", "t", "default", [math.nan, 0.5], NOT_A_PROBABILITY,
+                     id="default-nan"),
+        *(pytest.param("counts", "b", "counts", [[1, 1], row], COUNT_ROW, id=f"count-{name}")
+          for name, row in (("row-width", [1, 2, 1]), ("negative", [-1, 2]),
+                            ("fraction", [1.5, 2]), ("float", [2.0, 2]), ("bool", [True, 2]),
+                            ("past-int64", [2**63, 2]))),
+        *(pytest.param("counts", "t", "alpha", alpha, ALPHA, id=f"alpha-{name}")
+          for name, alpha in (("zero", 0), ("negative", -1.0), ("infinite", math.inf),
+                              ("nan", math.nan), ("huge-int", 10**400), ("text", "1"))),
+        pytest.param("counts", "t", "rows", [[0.5, 0.5]], "its table of counts also holds 'rows'",
+                     id="counts-and-rows"),
+        pytest.param("rows", "t", "alpha", 1.0, "its table of rows also holds 'alpha'",
+                     id="rows-and-alpha"),
+    ])
+    def test_refuses_malformed_tables(self, tmp_path, kind, node, key, value, message):
+        bn, _ = self.build(kind)
         path = tmp_path / "m.json"
         save_model(bn, path)
-        doc = json.loads(path.read_text())
-        doc["cpts"][node][key] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(f"model file {path}, node {node!r}: ")
-                           + message):
-            load_model(path)
-
-    @pytest.mark.parametrize("keys,value,node,message", [
-        (["cpts", "t", "row_of"], None, "t", "its table has no 'row_of'"),
-        (["cpts", "b", "rows", 0, 1], "x", "b", "a row is not a list of 2 probabilities"),
-        (["cpts", "t", "default", 0], None, "t", "a row is not a list of 2 probabilities"),
-        (["cpts", "t", "configs", 0], "x", "t", "configs holds a value that is not an integer"),
-        (["cpts", "b", "configs", 1], 1.5, "b", "configs holds a value that is not an integer"),
-        (["cpts", "b"], None, "b", "the file holds no table for it"),
-        (["cardinalities", "a"], None, "a", "its cardinality is missing or not a positive integer"),
-        (["cardinalities", "b"], "2", "b", "its cardinality is missing or not a positive integer"),
-        (["cpts", "t", "parents", 1], "z", "t", "its parents are not a list of the file's nodes"),
-        (["bin_edges", "a", 0], "x", "a", "its bin edges are not numbers"),
-        (["bin_edges", "b", 0], True, "b", "its bin edges are not numbers"),
-    ], ids=["row_of-missing", "rows-cell", "default-cell", "configs-text", "configs-fraction",
-            "table-missing", "cardinality-missing", "cardinality-text", "parent-unknown",
-            "edge-text", "edge-bool"])
-    def test_refuses_missing_keys_and_cells_of_the_wrong_type(self, tmp_path, keys, value,
-                                                             node, message):
-        # a value of None deletes the key, or the list item
-        bn, nb = self.build()
-        path = tmp_path / "m.json"
-        save_model(bn, path, baseline=nb)
-        doc = json.loads(path.read_text())
-        *outer, last = keys
-        inner = doc
-        for key in outer:
-            inner = inner[key]
-        if value is None:
-            del inner[last]
-        else:
-            inner[last] = value
-        path.write_text(json.dumps(doc))
+        edit_json(path, ["cpts", node, key], value)
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value) == f"model file {path}, node {node!r}: {message}"
+
+    @pytest.mark.parametrize("kind,keys,value,node,message", [
+        *(pytest.param(kind, keys, value, node, message, id=prefix + name)
+          for kind, prefix in (("counts", ""), ("rows", "given-"))
+          for name, keys, value, node, message in (
+              ("row_of-missing", ["cpts", "t", "row_of"], None, "t", "its table has no 'row_of'"),
+              ("configs-text", ["cpts", "t", "configs", 0], "x", "t",
+               "configs holds a value that is not an integer"),
+              ("configs-fraction", ["cpts", "b", "configs", 1], 1.5, "b",
+               "configs holds a value that is not an integer"),
+              ("parent-unknown", ["cpts", "t", "parents", 1], "z", "t",
+               "its parents are not a list of the file's nodes"))),
+        pytest.param("rows", ["cpts", "b", "rows", 0, 1], "x", "b",
+                     "a row is not a list of 2 probabilities", id="rows-cell"),
+        pytest.param("rows", ["cpts", "t", "default", 0], None, "t",
+                     "a row is not a list of 2 probabilities", id="default-cell"),
+        pytest.param("rows", ["cpts", "t", "default"], None, "t", "its table has no 'default'",
+                     id="default-missing"),
+        pytest.param("counts", ["cpts", "b", "counts", 0, 1], "x", "b", COUNT_ROW,
+                     id="counts-cell"),
+        pytest.param("counts", ["baseline", "a", "counts", 0, 0], -1, "a",
+                     "a count row is not a list of 3 integers of at least 0",
+                     id="baseline-counts-cell"),
+        pytest.param("counts", ["cpts", "t", "alpha"], None, "t", "its table has no 'alpha'",
+                     id="alpha-missing"),
+        # without counts, an entry is a table of rows
+        pytest.param("counts", ["cpts", "t", "counts"], None, "t", "its table has no 'rows'",
+                     id="counts-missing"),
+        pytest.param("counts", ["cpts", "b"], None, "b", "the file holds no table for it",
+                     id="table-missing"),
+        pytest.param("counts", ["cardinalities", "a"], None, "a",
+                     "its cardinality is missing or not a positive integer",
+                     id="cardinality-missing"),
+        pytest.param("counts", ["cardinalities", "b"], "2", "b",
+                     "its cardinality is missing or not a positive integer",
+                     id="cardinality-text"),
+        pytest.param("counts", ["bin_edges", "a", 0], "x", "a", "its bin edges are not numbers",
+                     id="edge-text"),
+        pytest.param("counts", ["bin_edges", "b", 0], True, "b", "its bin edges are not numbers",
+                     id="edge-bool"),
+    ])
+    def test_refuses_missing_keys_and_cells_of_the_wrong_type(self, tmp_path, kind, keys, value,
+                                                             node, message):
+        # a value of None deletes the key, or the list item
+        bn, nb = self.build(kind)
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        edit_json(path, keys, value)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"model file {path}, node {node!r}: {message}"
+
+    @pytest.mark.parametrize("keys,value,message", [
+        (["target"], "F9", ": its target 'F9' is not one of its nodes"),
+        (["nodes"], None, " has no 'nodes'"),
+        (["cpts"], None, " has no 'cpts'"),
+        (["cardinalities"], None, " has no 'cardinalities'"),
+        (["nodes"], "abt", ": its nodes are not a list of names"),
+        (["cpts"], [], ": its 'cpts' is not a map"),
+        (["nodes", 2], "a", ": node 'a' is listed twice"),
+        (["provenance", "a>b"], "v-structure", ": provenance key 'a>b' is not 'parent->child'"),
+        (["cpts", "a", "parents"], ["t"], ": the parents in its 'cpts' tables form a cycle"),
+        (["baseline", "t", "parents"], ["a"],
+         ": the parents in its 'baseline' tables form a cycle"),
+    ], ids=["target-unknown", "nodes-missing", "cpts-missing", "cardinalities-missing",
+            "nodes-text", "cpts-list", "node-twice", "provenance-arrow", "cycle",
+            "baseline-cycle"])
+    def test_refuses_malformed_documents(self, tmp_path, keys, value, message):
+        bn, nb = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path, baseline=nb)
+        edit_json(path, keys, value)
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"model file {path}{message}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -722,12 +851,47 @@ def test_model_file_stores_each_distinct_row_once(tmp_path_factory, n, seed, car
     first = path.read_bytes()
     cpts = json.loads(first)["cpts"]
     for node, cpt in bn.cpts.items():
-        assert len(cpts[node]["rows"]) == len({r.tobytes() for r in cpt.rows})
+        assert len(cpts[node]["counts"]) == len({r.tobytes() for r in cpt.counts})
     bn2, _ = load_model(path)
     for node, cpt in bn.cpts.items():
         assert bn2.cpts[node].rows.tobytes() == cpt.rows.tobytes()
     save_model(bn2, path)
     assert path.read_bytes() == first
+
+
+@functools.cache
+def rebalanced_hours():
+    """A small scenario's coded hours, rebalanced as `learn` rebalances them (SMOTE included)."""
+    table, truth = synthgen.weather_outage_scenario(synthgen.ScenarioSpec(
+        n_factors=3, hours=3000, outage_parents=("F1", "F2"), outage_rate=0.02, seed=3,
+        bins=4))
+    ds = preprocess.discretize(table, 4)
+    balanced = cli._rebalance(ds, cli.PipelineConfig(), seed=3)
+    assert np.count_nonzero(balanced.labels) > np.count_nonzero(ds.labels)  # SMOTE added rows
+    return truth.dag, preprocess.attach_label_column(balanced, truth.target)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 300),
+       st.sampled_from([0.37, 0.5, 1, 3]))
+def test_fitted_tables_load_bit_for_bit(tmp_path_factory, n, seed, card, n_rows, alpha):
+    truth = synthgen.random_network(n, 0.6, seed=seed, card=card)
+    fits = [fit_cpts(truth.dag, synthgen.forward_sample(truth, n_rows, seed=seed + 1), alpha)]
+    dag, smoted = rebalanced_hours()
+    fits.append(fit_cpts(dag, smoted, alpha))
+    # every example holds complete tables and a sparse one (the SMOTE fit's target)
+    sparse = [len(c.configs) < math.prod(c.parent_cards) for c in fits[1].cpts.values()]
+    assert any(sparse) and not all(sparse)
+    for bn in fits:
+        path = tmp_path_factory.mktemp("model") / "m.json"
+        save_model(bn, path)
+        bn2, _ = load_model(path)
+        for node, cpt in bn.cpts.items():
+            assert cpt.alpha == float(alpha)
+            assert_same_table(bn2.cpts[node], cpt)
+        again = path.with_name("again.json")
+        save_model(bn2, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestSparseScale:

@@ -32,6 +32,7 @@ class TestConfig:
         ("alpha", 0.0),
         ("alpha", 1.0),
         ("laplace", 0.0),
+        ("laplace", float("inf")),  # every table would be NaN
         ("downsample_ratio", 0.0),
         ("smote_target", -0.5),
         ("smote_k", 0),
@@ -428,7 +429,7 @@ class TestPredict:
     def test_malformed_table_rejected(self, scenario_dir, tmp_path, capsys):
         doc = json.loads((scenario_dir / "model.json").read_text())
         entry = doc["cpts"][doc["target"]]
-        entry["row_of"][0] = len(entry["rows"])
+        entry["row_of"][0] = len(entry["counts"])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         out = tmp_path / "p.csv"
@@ -437,6 +438,25 @@ class TestPredict:
         assert rc == 1
         assert (f"error during load-model: model file {bad}, node {doc['target']!r}: "
                 "row_of holds an index outside") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["target", "cycle"])
+    def test_malformed_document_rejected_at_load(self, scenario_dir, tmp_path, capsys, defect):
+        # an unknown target used to fail in ingest, asking for a weather column
+        # of that name; a cycle used to predict and exit 0
+        doc = json.loads((scenario_dir / "model.json").read_text())
+        if defect == "target":
+            doc["target"], message = "storm", "its target 'storm' is not one of its nodes"
+        else:
+            doc["cpts"]["F1"]["parents"] = [doc["target"]]
+            message = "the parents in its 'cpts' tables form a cycle"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(bad),
+                   "--weather", str(scenario_dir / "weather.csv"), "--out", str(out)])
+        assert rc == 1
+        assert f"error during load-model: model file {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
