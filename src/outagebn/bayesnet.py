@@ -229,13 +229,15 @@ def _tables_reading(bn: BayesianNetwork, unknown: set) -> list[str]:
         n in unknown or not unknown.isdisjoint(bn.cpts[n].parents))]
 
 
-def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int) -> np.ndarray:
+def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int,
+           start: np.ndarray | None = None) -> np.ndarray:
     """Product of the ``nodes``' entries in order, as n floats; each state is n ints or one shared int.
 
-    The product starts from the first table's entries, not from ones:
-    ``1.0 * x`` is ``x``, so every term keeps its bits.
+    The product is taken in ``start``, in place, or starts from the first
+    table's entries, not from ones: ``1.0 * x`` is ``x``, so every term
+    keeps its bits. One table's codes are held at a time.
     """
-    p = None
+    p = start
     for node in nodes:
         cpt = bn.cpts[node]
         code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
@@ -246,6 +248,7 @@ def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int) -
             p = entries if isinstance(entries, np.ndarray) else np.full(n, entries)
         else:
             p *= entries
+        del code, entries
     return np.ones(n) if p is None else p
 
 
@@ -305,8 +308,8 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
     Every non-target node needs a column of in-range states, of any integer
     dtype; the matrix is read in place, never widened as a whole. As in
     :func:`posterior_target`, a float state is not an integer, even 1.0.
-    The posterior multiplies the tables that read the target, vectorized
-    across rows.
+    Each target state's column multiplies the tables that read the target
+    by :func:`_joint`, as in :func:`posterior_target`, vectorized across rows.
     """
     target = bn.target
     if target is None:
@@ -335,12 +338,10 @@ def predict_rows(bn: BayesianNetwork, rows: np.ndarray,
     t_cpt = bn.cpts[target]
     scores = t_cpt.lookup(config_codes([states[q] for q in t_cpt.parents],
                                        t_cpt.parent_cards, n))
-    for node in _tables_reading(bn, {target})[1:]:
-        cpt = bn.cpts[node]
-        for t in range(bn.cardinalities[target]):
-            states[target] = t
-            code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n)
-            scores[:, t] *= cpt.lookup(code, states[node])
+    others = _tables_reading(bn, {target})[1:]
+    for t in range(bn.cardinalities[target]):
+        states[target] = t
+        _joint(bn, others, states, n, scores[:, t])
     scores /= scores.sum(axis=1, keepdims=True)
     return scores
 
@@ -499,9 +500,10 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
     ``ValueError`` that names the file, text that is not JSON, a document
     of another format or version, one without nodes, cardinalities or
     tables, nodes that are not distinct names, a target that is not a
-    node, a node without a positive integer cardinality or with bin edges
-    that are not numbers, a provenance key that is not ``parent->child``,
-    and parents that form a cycle.
+    node, a node without a positive integer cardinality, bin edges that
+    are not finite numbers, a non-empty edge list that is not the node's
+    cardinality - 1 edges in ascending order, a provenance key that is not
+    ``parent->child``, and parents that form a cycle.
     """
     with open(path) as fh:
         try:
@@ -538,6 +540,14 @@ def load_model(path) -> tuple[BayesianNetwork, BayesianNetwork | None]:
         edges = doc.get("bin_edges", {}).get(n, [])
         if not isinstance(edges, list) or not all(type(v) in (int, float) for v in edges):
             raise ValueError(f"model file {path}, node {n!r}: its bin edges are not numbers")
+        # NaN fails the comparison; an int too large for a float is not finite either
+        if not all(abs(v) <= sys.float_info.max for v in edges):
+            raise ValueError(f"model file {path}, node {n!r}: its bin edges are not "
+                             "finite numbers")
+        # no edges at all is legal: a network saved for inference alone
+        if edges and (len(edges) != card - 1 or any(b < a for a, b in zip(edges, edges[1:]))):
+            raise ValueError(f"model file {path}, node {n!r}: its bin edges are not "
+                             f"{card - 1} numbers in ascending order")
         bin_edges[n] = [float(v) for v in edges]
 
     def network(key: str, provenance: dict) -> BayesianNetwork:

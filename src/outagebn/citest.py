@@ -312,10 +312,7 @@ def d_separated(dag, x: str, y: str, given=frozenset()) -> bool:
     if x in given or y in given:
         raise ValueError("query nodes cannot be in the conditioning set")
 
-    children: dict[str, list[str]] = {n: [] for n in parents}
-    for node, pars in parents.items():
-        for p in pars:
-            children[p].append(node)
+    children = dag.children_map()
 
     # Ancestors of the conditioning set (inclusive) decide which colliders
     # pass the trail through.

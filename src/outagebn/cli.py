@@ -112,9 +112,12 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"config file {args.config} is not JSON ({err})") from None
         if not isinstance(values, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         settings = {f.name: f for f in fields(PipelineConfig)}
         for key, value in values.items():
             if key not in settings:
@@ -218,14 +221,18 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
 
 
 def _scoring_model(model_path):
-    """A model's network, baseline and factor bin edges, each card - 1 ascending numbers."""
+    """A model's network, baseline and factor bin edges, each card - 1 ascending numbers.
+
+    ``load_model`` checks every edge list it holds; a factor with none
+    (a network saved for inference alone) cannot code hours, so is refused.
+    """
     bn, baseline = bayesnet.load_model(model_path)
     if bn.target is None:
         raise ValueError("model has no target node")
     edges = {c: bn.bin_edges[c] for c in bn.dag.nodes if c != bn.target}
     for c, cuts in edges.items():
         card = bn.cardinalities[c]
-        if len(cuts) != card - 1 or not all(b >= a for a, b in zip(cuts, cuts[1:])):
+        if len(cuts) != card - 1:
             raise ValueError(f"model file {model_path}, node {c!r}: its bin edges are not "
                              f"{card - 1} numbers in ascending order")
     return bn, baseline, edges

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .preprocess import DiscreteDataset
+from .preprocess import DiscreteDataset, keep_and_draw
 
 log = logging.getLogger(__name__)
 
@@ -143,15 +143,9 @@ def split_validation(ds: DiscreteDataset, fraction: float = 0.05,
     quota = math.ceil(fraction * n)
 
     pos = np.flatnonzero(ds.labels == 1)
-    if pos.size:
-        neg = np.flatnonzero(ds.labels == 0)
-        extra = min(max(quota - pos.size, 0), neg.size)
-        sampled = neg[np.sort(rng.choice(neg.size, size=extra, replace=False))]
-        val_idx = np.sort(np.concatenate([pos, sampled]))
-    else:
+    if not pos.size:
         log.warning("no positive rows; falling back to a plain uniform split")
-        val_idx = np.sort(rng.choice(n, size=min(quota, n), replace=False))
-
+    val_idx = keep_and_draw(pos, n, min(max(quota - pos.size, 0), n - pos.size), rng)
     return val_idx, replace(ds, rows=ds.rows[val_idx], labels=ds.labels[val_idx])
 
 

@@ -229,7 +229,8 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
 def _open_csv(path, kind: str, required: Sequence[str]):
     """Open the ``kind`` CSV at ``path``: yields its path, its header names,
     stripped, and its rows (:func:`_stamped_rows`). Refuses, in this order, a
-    file that is not there, an empty one and a header short of ``required``."""
+    file that is not there, an empty one, a header that names a column
+    twice and a header short of ``required``."""
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{kind} file not found", path=p)
@@ -239,6 +240,9 @@ def _open_csv(path, kind: str, required: Sequence[str]):
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"empty {kind} file", path=p) from None
+        for k, col in enumerate(header):
+            if col in header[:k]:
+                raise ParseError("column named twice in the header", path=p, column=col)
         for col in required:
             if col not in header:
                 raise ParseError("missing required column", path=p, column=col)

@@ -340,14 +340,19 @@ def naive_bayes_dag(nodes: Sequence[str], target: str) -> LearnedDag:
                       parents={n: [] if n == target else [target] for n in nodes})
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted Graphviz ID: each backslash and double quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(dag: LearnedDag, name: str = "learned") -> str:
     """Graphviz text form; edges added by target augmentation are dashed."""
     lines = [f"digraph {name} {{"]
     for node in dag.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for a, b in dag.edges():
         style = " [style=dashed]" if dag.provenance.get((a, b)) == PROV_AUGMENTED \
             else ""
-        lines.append(f'  "{a}" -> "{b}"{style};')
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,14 +42,17 @@ class DiscreteDataset:
     dtype; the package makes it in :func:`code_dtype`, and ``labels`` in
     ``code_dtype([2])``, which coding and :func:`attach_label_column` share
     rather than copy. ``bin_edges[c]`` holds the interior cut points that
-    produced the column.
+    produced the column, which has one more state than it has edges.
     """
 
     columns: list[str]
-    cardinalities: list[int]
     rows: np.ndarray
     labels: np.ndarray
     bin_edges: list[np.ndarray]
+
+    @property
+    def cardinalities(self) -> list[int]:
+        return [len(e) + 1 for e in self.bin_edges]
 
     @property
     def n_rows(self) -> int:
@@ -69,15 +72,10 @@ class DiscreteDataset:
         if rows.shape != (len(self.labels), len(self.columns)):
             raise ValueError(f"rows have shape {rows.shape}, not one row per label and "
                              f"one column per name {(len(self.labels), len(self.columns))}")
-        if not len(self.cardinalities) == len(self.columns) == len(self.bin_edges):
-            raise ValueError(f"{len(self.columns)} columns have {len(self.cardinalities)} "
-                             f"cardinalities and {len(self.bin_edges)} edge lists")
-        for name, card, edges, col in zip(self.columns, self.cardinalities, self.bin_edges,
-                                          rows.T):
-            if card < 1:
-                raise ValueError(f"column {name!r}: cardinality {card} is below 1")
-            if len(edges) != card - 1:
-                raise ValueError(f"column {name!r}: {len(edges)} bin edges for {card} bins")
+        if len(self.bin_edges) != len(self.columns):
+            raise ValueError(f"{len(self.columns)} columns have {len(self.bin_edges)} "
+                             "edge lists")
+        for name, card, col in zip(self.columns, self.cardinalities, rows.T):
             if len(col) and not 0 <= col.min() <= col.max() < card:
                 raise ValueError(f"column {name!r}: a code lies outside 0..{card - 1}")
         if not set(np.unique(self.labels)) <= {0, 1}:
@@ -206,7 +204,6 @@ def coded_hours(table: TimeSeriesTable, bin_edges: Mapping[str, Sequence]) -> Di
     edges = [np.asarray(e, dtype=float) for e in bin_edges.values()]
     return DiscreteDataset(
         columns=list(bin_edges),
-        cardinalities=[len(e) + 1 for e in edges],
         rows=apply_bins(edges, [table.factors[c] for c in bin_edges]),
         labels=np.asarray(table.label),
         bin_edges=edges,
@@ -237,7 +234,6 @@ def attach_label_column(ds: DiscreteDataset, name: str = "outage") -> DiscreteDa
     rows[:, -1] = ds.labels
     return DiscreteDataset(
         columns=[*ds.columns, name],
-        cardinalities=cards,
         rows=rows,
         labels=ds.labels,
         bin_edges=[*ds.bin_edges, np.array([0.5])],
@@ -264,16 +260,19 @@ def downsample_majority(ds: DiscreteDataset, ratio: float, seed: int) -> Discret
     if counts[0] == 0 or counts[1] == 0:
         raise ImbalanceError("down-sampling needs both classes present")
     _, min_idx = _class_split(ds.labels)
-    n_min = len(min_idx)
-    n_maj = len(ds.labels) - n_min
-    want = min(n_maj, math.ceil(ratio * n_min))
-    rng = np.random.default_rng(seed)
-    ranks = np.sort(rng.choice(n_maj, size=want, replace=False))
-    # the majority row of rank r follows every minority row with at most
-    # r majority rows before it
-    chosen = ranks + np.searchsorted(min_idx - np.arange(n_min), ranks, side="right")
-    keep = np.sort(np.concatenate([min_idx, chosen]))
+    want = min(ds.n_rows - len(min_idx), math.ceil(ratio * len(min_idx)))
+    keep = keep_and_draw(min_idx, ds.n_rows, want, np.random.default_rng(seed))
     return replace(ds, rows=ds.rows[keep], labels=ds.labels[keep])
+
+
+def keep_and_draw(kept: np.ndarray, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending positions of ``range(n)``: all of ascending ``kept``, and ``k`` others
+    drawn uniformly without replacement by their ranks, so none are listed."""
+    ranks = np.sort(rng.choice(n - len(kept), size=k, replace=False))
+    # the other position of rank r follows every kept position with at most
+    # r others before it
+    drawn = ranks + np.searchsorted(kept - np.arange(len(kept)), ranks, side="right")
+    return np.sort(np.concatenate([kept, drawn]))
 
 
 def smote_upsample(ds: DiscreteDataset, target_minority_count: int,

@@ -102,7 +102,6 @@ def forward_sample(bn: BayesianNetwork, n_rows: int, seed: int) -> DiscreteDatas
         else np.zeros(n_rows, dtype=code_dtype([2]))
     return DiscreteDataset(
         columns=columns,
-        cardinalities=cards,
         rows=rows,
         labels=labels,
         bin_edges=[np.arange(1, bn.cardinalities[c]) - 0.5 for c in columns],
@@ -251,7 +250,7 @@ def weather_outage_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesTable, Bayesi
     table = TimeSeriesTable(start + np.arange(spec.hours) * HOUR, factors)
     # the factors are coded once: the risk reads the parents' codes, the truth fits all
     coded = discretize(table, spec.bins) if names else DiscreteDataset(
-        columns=[], cardinalities=[], rows=np.empty((spec.hours, 0), dtype=code_dtype([])),
+        columns=[], rows=np.empty((spec.hours, 0), dtype=code_dtype([])),
         labels=table.label, bin_edges=[])
     parent_list = list(spec.outage_parents)
     u = coded.rows[:, [coded.column_index(p) for p in parent_list]] / (spec.bins - 1)

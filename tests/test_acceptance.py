@@ -175,7 +175,7 @@ def test_04_everything_normalizes():
         rows = np.column_stack([rng.integers(0, c, size=m)
                                 for c in cards]).astype(np.int64)
         ds = DiscreteDataset(
-            columns=list(dag.nodes), cardinalities=cards, rows=rows,
+            columns=list(dag.nodes), rows=rows,
             labels=np.zeros(m, dtype=np.int64),
             bin_edges=[np.arange(1, c) - 0.5 for c in cards])
         bn = fit_cpts(dag, ds, float(rng.uniform(0.05, 4.0)))

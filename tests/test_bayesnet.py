@@ -26,8 +26,8 @@ def make_ds(columns, rows, labels=None, cards=None):
         cards = [int(rows[:, c].max()) + 1 for c in range(rows.shape[1])]
     if labels is None:
         labels = np.zeros(rows.shape[0], dtype=np.int64)
-    return DiscreteDataset(columns=list(columns), cardinalities=list(cards),
-                           rows=rows, labels=np.asarray(labels, dtype=np.int64),
+    return DiscreteDataset(columns=list(columns), rows=rows,
+                           labels=np.asarray(labels, dtype=np.int64),
                            bin_edges=[np.arange(1, c) - 0.5 for c in cards])
 
 
@@ -560,8 +560,10 @@ def edit_json(path, keys, value):
     path.write_text(json.dumps(doc))
 
 
-# what load_model says of a malformed table of TestModelFile's network
+# what load_model says of a malformed table or edge list of TestModelFile's network
 COUNT_ROW = "a count row is not a list of 2 integers of at least 0"
+NOT_FINITE = "its bin edges are not finite numbers"
+NOT_TWO_EDGES = "its bin edges are not 2 numbers in ascending order"
 ALPHA = "its alpha is not a positive finite number"
 NOT_A_PROBABILITY = "a row holds a value that is not a probability in [0, 1]"
 GAPS = "configs hold gaps that repeat a code or leave the codes 0..5"
@@ -801,6 +803,15 @@ class TestModelFile:
                      id="edge-text"),
         pytest.param("counts", ["bin_edges", "b", 0], True, "b", "its bin edges are not numbers",
                      id="edge-bool"),
+        *(pytest.param("counts", ["bin_edges", "b", 0], edge, "b", NOT_FINITE, id=f"edge-{name}")
+          for name, edge in (("nan", math.nan), ("infinity", math.inf),
+                             ("minus-infinity", -math.inf), ("int-past-float", 10**400))),
+        pytest.param("counts", ["bin_edges", "a", 0], 2.0, "a", NOT_TWO_EDGES,
+                     id="edges-descending"),
+        pytest.param("counts", ["bin_edges", "a", 1], None, "a", NOT_TWO_EDGES,
+                     id="edges-too-few"),
+        pytest.param("counts", ["bin_edges", "b"], [0.5, 1.5], "b",
+                     "its bin edges are not 1 numbers in ascending order", id="edges-too-many"),
     ])
     def test_refuses_missing_keys_and_cells_of_the_wrong_type(self, tmp_path, kind, keys, value,
                                                              node, message):
@@ -812,6 +823,14 @@ class TestModelFile:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value) == f"model file {path}, node {node!r}: {message}"
+
+    def test_a_node_without_bin_edges_loads(self, tmp_path):
+        # a network saved for inference alone has no edges to check
+        bn, _ = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        edit_json(path, ["bin_edges", "a"], [])
+        assert load_model(path)[0].bin_edges == {**bn.bin_edges, "a": []}
 
     @pytest.mark.parametrize("keys,value,message", [
         (["target"], "F9", ": its target 'F9' is not one of its nodes"),
@@ -962,7 +981,7 @@ class TestNarrowCodes:
         factors = [f"F{k}" for k in range(1, 7)]
         rows = rng.integers(0, 10, size=(n, 6)).astype(np.uint8)
         ds = attach_label_column(DiscreteDataset(
-            columns=factors, cardinalities=[10] * 6, rows=rows,
+            columns=factors, rows=rows,
             labels=(rng.random(n) < 0.3).astype(np.int64),
             bin_edges=[np.arange(1, 10) - 0.5] * 6), "t")
         two_parents = LearnedDag(nodes=ds.columns,

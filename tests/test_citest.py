@@ -249,8 +249,7 @@ class TestGStatistic:
 
 
 def dataset(rows, cards, names="abcdefghijklmnop"):
-    return DiscreteDataset(columns=list(names[:len(cards)]),
-                           cardinalities=list(cards), rows=rows,
+    return DiscreteDataset(columns=list(names[:len(cards)]), rows=rows,
                            labels=np.zeros(len(rows), dtype=np.int64),
                            bin_edges=[np.arange(c - 1, dtype=float) for c in cards])
 

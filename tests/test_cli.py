@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -173,6 +174,17 @@ class TestConfig:
         err = capsys.readouterr().err
         key, value = next(iter(doc.items()))
         assert err == f"error: {key} must be {self.EXPECTED[key]}, not {json.dumps(value)}\n"
+
+    def test_a_config_file_that_is_not_json_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{'seed': 7}")
+        rc = main(["learn", "--config", str(cfg_path),
+                   "--weather", str(tmp_path / "w.csv"), "--outages", str(tmp_path / "o.csv"),
+                   "--model", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg_path} is not JSON (Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1))\n")
 
     def test_config_float_settings_take_ints_and_null_keeps_a_none_default(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -483,6 +495,25 @@ class TestBinEdges:
                 f"error during load-model: model file {bad}, node 'F1': its bin edges are "
                 "not 9 numbers in ascending order\n")
         assert not out.exists() and not report.exists()
+
+    def test_a_nan_edge_of_a_two_state_factor_is_refused(self, scenario_dir, tmp_path, capsys):
+        # one edge is ascending on its own, so only the load's finiteness check sees it
+        model = tmp_path / "m2.json"
+        assert main(["learn", "--seed", "5", "--bins", "2", "--model", str(model),
+                     "--weather", str(scenario_dir / "weather.csv"),
+                     "--outages", str(scenario_dir / "outages.csv")]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        assert len(doc["bin_edges"]["F1"]) == 1
+        doc["bin_edges"]["F1"] = [math.nan]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(bad), "--weather",
+                     str(scenario_dir / "weather.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error during load-model: model file {bad}, "
+                                           "node 'F1': its bin edges are not finite numbers\n")
+        assert not out.exists()
 
     def test_a_non_numeric_edge_names_the_file_and_node(self, scenario_dir, tmp_path, capsys):
         doc = json.loads((scenario_dir / "model.json").read_text())

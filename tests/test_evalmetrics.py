@@ -13,7 +13,7 @@ from outagebn.preprocess import DiscreteDataset
 
 
 def make_ds(n, labels):
-    return DiscreteDataset(columns=["x"], cardinalities=[4],
+    return DiscreteDataset(columns=["x"],
                            rows=np.zeros((n, 1), dtype=np.int64),
                            labels=np.asarray(labels, dtype=np.int64),
                            bin_edges=[np.array([0.5, 1.5, 2.5])])
@@ -176,7 +176,7 @@ class TestSplit:
             rng = np.random.default_rng(6)
             labels = (rng.random(400) < rate).astype(np.uint8)
             rows = np.column_stack([np.arange(400) % 10, rng.integers(0, 3, size=400)])
-            ds = DiscreteDataset(columns=["x", "y"], cardinalities=[10, 3],
+            ds = DiscreteDataset(columns=["x", "y"],
                                  rows=rows.astype(np.uint8), labels=labels,
                                  bin_edges=[np.arange(1, 10) - 0.5, np.array([0.5, 1.5])])
             val_idx, val = split_validation(ds, 0.05, seed=8)

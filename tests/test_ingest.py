@@ -104,6 +104,24 @@ class TestParseWeather:
         assert err.value.row == 3
         assert err.value.column == "timestamp"
 
+    @pytest.mark.parametrize("header,cell,per_cell", [
+        ("timestamp,F1,F1,F3", "1", False),
+        # stripped, " F1 " is F1; a cell of 1_000 sends the body to the per-cell reader
+        ("timestamp,F1, F1 ,F3", "1_000", True),
+    ], ids=["fast", "per-cell"])
+    def test_a_column_named_twice_is_refused(self, tmp_path, header, cell, per_cell):
+        body = f"2021-03-01T00:00:00Z,{cell},2,3\n"
+        p = write(tmp_path, "w.csv", f"{header}\n{body}")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_weather_csv(p)
+        assert str(err.value) == f"column named twice in the header ({p}, column 'F1')"
+        # with the second name changed, the body takes the reader the id names
+        unique = write(tmp_path, "unique.csv", f"timestamp,F1,F2,F3\n{body}")
+        with mock.patch.object(ingest, "_parse_weather_rows",
+                               wraps=ingest._parse_weather_rows) as reader:
+            ingest.parse_weather_csv(unique)
+        assert reader.called == per_cell
+
     def test_missing_required_column(self, tmp_path):
         p = write(tmp_path, "w.csv", "timestamp,temp\n2021-03-01T00:00:00Z,1\n")
         with pytest.raises(ParseError, match="missing required column"):
@@ -1108,6 +1126,14 @@ class TestOutageCsv:
                   "timestamp,weather_related\n2021-03-01T00:00:00Z,yes\n")
         with pytest.raises(ParseError, match="must be 0 or 1"):
             ingest.parse_outage_csv(p)
+
+    def test_a_column_named_twice_is_refused(self, tmp_path):
+        p = write(tmp_path, "o.csv", "timestamp,weather_related,weather_related\n"
+                                     "2021-03-01T00:00:00Z,1,0\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_outage_csv(p)
+        assert str(err.value) == \
+            f"column named twice in the header ({p}, column 'weather_related')"
 
     def test_missing_flag_column(self, tmp_path):
         p = write(tmp_path, "o.csv", "timestamp\n2021-03-01T00:00:00Z\n")

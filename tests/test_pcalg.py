@@ -85,7 +85,7 @@ class TestSkeleton:
         b = np.where(rng.random(n) < 0.85, a, 1 - a)
         c = rng.integers(0, 2, size=n)
         from outagebn.preprocess import DiscreteDataset
-        ds = DiscreteDataset(columns=["a", "b", "c"], cardinalities=[2, 2, 2],
+        ds = DiscreteDataset(columns=["a", "b", "c"],
                              rows=np.column_stack([a, b, c]),
                              labels=np.zeros(n, dtype=np.int64),
                              bin_edges=[np.array([0.5])] * 3)
@@ -291,7 +291,6 @@ class TestFullRun:
         t = ((a == 2) & (c == 0)).astype(int)
         from outagebn.preprocess import DiscreteDataset
         ds = DiscreteDataset(columns=["a", "b", "c", "t"],
-                             cardinalities=[3, 3, 3, 2],
                              rows=np.column_stack([a, b, c, t]),
                              labels=t.astype(np.int64),
                              bin_edges=[np.array([0.5, 1.5])] * 3 + [np.array([0.5])])
@@ -307,6 +306,19 @@ class TestFullRun:
         assert dot.startswith("digraph learned {")
         assert '"a" -> "t" [style=dashed];' in dot
         assert dot.endswith("}\n")
+
+    def test_dot_escapes_quotes_and_backslashes(self):
+        # a header the per-cell reader takes may quote any name
+        gust, back = 'wind "gust"', "dir\\"
+        dag = LearnedDag(nodes=[gust, back, "t"], parents={gust: [], back: [], "t": [gust, back]},
+                         target="t")
+        assert to_dot(dag) == ('digraph learned {\n'
+                               '  "wind \\"gust\\"";\n'
+                               '  "dir\\\\";\n'
+                               '  "t";\n'
+                               '  "wind \\"gust\\"" -> "t";\n'
+                               '  "dir\\\\" -> "t";\n'
+                               '}\n')
 
     def test_dot_solid_for_discovered(self):
         parents = {"a": [], "b": [], "e": ["a", "b"]}
