@@ -143,14 +143,11 @@ def _stage(name: str):
     except StageError:
         raise
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        raise StageError(f"error during {name}: {exc}") from exc
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"error during {stage}: {cause}")
-        self.stage = stage
-        self.cause = cause
+    """An error tagged with the pipeline stage it came from."""
 
 
 def _coded_hours(weather_path, outage_path=None, bins=None, edges=None):
@@ -221,20 +218,20 @@ def cmd_learn(cfg: PipelineConfig, weather_path, outage_path, model_path,
 
 
 def _scoring_model(model_path):
-    """A model's network, baseline and factor bin edges, each card - 1 ascending numbers.
+    """A model's network, baseline and factor bin edges.
 
-    ``load_model`` checks every edge list it holds; a factor with none
-    (a network saved for inference alone) cannot code hours, so is refused.
+    ``load_model`` judges every edge list it holds; a factor of two or more
+    states with none (a network saved for inference alone) cannot code
+    hours, so is refused.
     """
     bn, baseline = bayesnet.load_model(model_path)
     if bn.target is None:
         raise ValueError("model has no target node")
     edges = {c: bn.bin_edges[c] for c in bn.dag.nodes if c != bn.target}
     for c, cuts in edges.items():
-        card = bn.cardinalities[c]
-        if len(cuts) != card - 1:
-            raise ValueError(f"model file {model_path}, node {c!r}: its bin edges are not "
-                             f"{card - 1} numbers in ascending order")
+        if not cuts and bn.cardinalities[c] > 1:
+            raise ValueError(f"model file {model_path}, node {c!r}: it has no bin edges, "
+                             "so its hours cannot be coded")
     return bn, baseline, edges
 
 

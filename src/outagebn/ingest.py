@@ -119,8 +119,9 @@ class RawWeatherTable:
 
 
 @dataclass
-class TimeSeriesTable:
-    """Complete hourly table: uniform grid, no missing cells, binary labels.
+class TimeSeriesTable(RawWeatherTable):
+    """Complete hourly table: a raw table on a uniform grid, with no missing
+    cell, plus binary labels.
 
     Invariants: ``timestamps`` is a ``datetime64[us]`` array that strictly
     increases with a constant one-hour step; every factor series is finite
@@ -128,21 +129,12 @@ class TimeSeriesTable:
     the package makes it in ``preprocess.code_dtype([2])``.
     """
 
-    timestamps: np.ndarray
-    factors: dict[str, np.ndarray]
     label: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        super().__post_init__()
         if self.label is None:
             self.label = np.zeros(len(self.timestamps), dtype=code_dtype([2]))
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.timestamps)
-
-    @property
-    def factor_names(self) -> list[str]:
-        return list(self.factors)
 
 
 def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime:
@@ -234,7 +226,7 @@ def _open_csv(path, kind: str, required: Sequence[str]):
     p = Path(path)
     if not p.is_file():
         raise ParseError(f"{kind} file not found", path=p)
-    with open(p, newline="") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -774,7 +766,7 @@ def _row_ranges(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def write_weather_csv(table: RawWeatherTable | TimeSeriesTable, path) -> None:
+def write_weather_csv(table: RawWeatherTable, path) -> None:
     names = table.factor_names
     write_text_columns(path, [TIMESTAMP_COLUMN, *names], table.timestamps,
                        [table.factors[c] for c in names])

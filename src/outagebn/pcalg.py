@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 log = logging.getLogger(__name__)
@@ -58,14 +58,14 @@ class PartialGraph:
         return (self.pair(a, b) in self.undirected
                 or (a, b) in self.directed or (b, a) in self.directed)
 
+    def in_order(self, edges) -> list[tuple[str, str]]:
+        """``edges`` sorted by their endpoints' positions in ``nodes``."""
+        order = self.order()
+        return sorted(edges, key=lambda e: (order[e[0]], order[e[1]]))
+
     def neighbors(self, x: str) -> set[str]:
         out = set()
-        for a, b in self.undirected:
-            if a == x:
-                out.add(b)
-            elif b == x:
-                out.add(a)
-        for a, b in self.directed:
+        for a, b in chain(self.undirected, self.directed):
             if a == x:
                 out.add(b)
             elif b == x:
@@ -139,12 +139,9 @@ def learn_skeleton(ci: CiCallable, nodes: Sequence[str]) -> PartialGraph:
     node_list = list(nodes)
     if len(set(node_list)) != len(node_list):
         raise ValueError("node names must be unique")
-    order = {n: k for k, n in enumerate(node_list)}
+    g = PartialGraph(nodes=node_list)
+    order = g.order()
     adjacency: dict[str, set[str]] = {n: set(node_list) - {n} for n in node_list}
-    sepsets: dict[tuple[str, str], frozenset] = {}
-
-    def key(a: str, b: str) -> tuple[str, str]:
-        return (a, b) if order[a] < order[b] else (b, a)
 
     depth = 0
     while True:
@@ -168,17 +165,16 @@ def learn_skeleton(ci: CiCallable, nodes: Sequence[str]) -> PartialGraph:
                     if ci(x, y, fs):
                         adjacency[x].discard(y)
                         adjacency[y].discard(x)
-                        sepsets[key(x, y)] = fs
+                        g.sepsets[(x, y)] = fs
                         removed = True
                         break
                 if removed:
                     break
         depth += 1
 
-    undirected = {key(x, y) for i, x in enumerate(node_list)
-                  for y in node_list[i + 1:] if y in adjacency[x]}
-    return PartialGraph(nodes=node_list, undirected=undirected,
-                        sepsets=sepsets)
+    g.undirected = {(x, y) for i, x in enumerate(node_list)
+                    for y in node_list[i + 1:] if y in adjacency[x]}
+    return g
 
 
 def _commit_direction(g: PartialGraph, a: str, b: str, prov: str) -> bool:
@@ -255,7 +251,6 @@ def propagate_orientations(g: PartialGraph) -> PartialGraph:
     is deterministic.
     """
     out = g.copy()
-    order = out.order()
 
     def directed_two_step(a: str, b: str) -> bool:
         return any((a, m) in out.directed and (m, b) in out.directed
@@ -269,7 +264,7 @@ def propagate_orientations(g: PartialGraph) -> PartialGraph:
     changed = True
     while changed:
         changed = False
-        for a, b in sorted(out.undirected, key=lambda e: (order[e[0]], order[e[1]])):
+        for a, b in out.in_order(out.undirected):
             if (a, b) not in out.undirected:
                 continue
             if directed_two_step(a, b):
@@ -296,9 +291,8 @@ def complete_to_dag(g: PartialGraph, target: str) -> LearnedDag:
     if target not in g.nodes:
         raise ValueError(f"target {target!r} is not a graph node")
     out = g.copy()
-    order = out.order()
 
-    for a, b in sorted(out.undirected, key=lambda e: (order[e[0]], order[e[1]])):
+    for a, b in out.in_order(out.undirected):
         if not _reaches(out, b, a):
             _commit_direction(out, a, b, PROV_CANONICAL)
         elif not _reaches(out, a, b):
@@ -319,7 +313,7 @@ def complete_to_dag(g: PartialGraph, target: str) -> LearnedDag:
         out.provenance[(node, target)] = PROV_AUGMENTED
 
     parents: dict[str, list[str]] = {n: [] for n in out.nodes}
-    for a, b in sorted(out.directed, key=lambda e: (order[e[0]], order[e[1]])):
+    for a, b in out.in_order(out.directed):
         parents[b].append(a)
     dag = LearnedDag(nodes=list(out.nodes), parents=parents,
                      provenance=dict(out.provenance), target=target)

@@ -285,7 +285,8 @@ def weather_per_cell(path, schema=None) -> tuple:
     """
     from outagebn.ingest import ParseError, _parse_cell, parse_timestamp
 
-    with open(path, newline="") as fh:
+    # a UTF-8 byte order mark is an encoding mark, not part of a name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = list(csv.reader(fh))
     if not records:
         raise ParseError("empty weather file", path=path)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import outagebn
-from outagebn import bayesnet, cli, ingest, preprocess, synthgen
+from outagebn import bayesnet, cli, ingest, pcalg, preprocess, synthgen
 from outagebn.cli import PipelineConfig, _parse_grid, build_config, build_parser, main
 
 
@@ -491,10 +491,31 @@ class TestBinEdges:
         for argv in (["predict", "--out", str(out)],
                      ["eval", "--seed", "5", "--outages", outages, "--report", str(report)]):
             assert main([*argv, "--model", str(bad), "--weather", weather]) == 1
+            fault = "it has no bin edges, so its hours cannot be coded" \
+                if change == "deleted" else "its bin edges are not 9 numbers in ascending order"
             assert capsys.readouterr().err == (
-                f"error during load-model: model file {bad}, node 'F1': its bin edges are "
-                "not 9 numbers in ascending order\n")
+                f"error during load-model: model file {bad}, node 'F1': {fault}\n")
         assert not out.exists() and not report.exists()
+
+    def test_a_one_state_factor_needs_no_edges(self, tmp_path, capsys):
+        # its one state codes every hour, so its empty edge list is whole
+        ds = preprocess.attach_label_column(preprocess.DiscreteDataset(
+            columns=["a", "b"], rows=np.array([[0, k % 2] for k in range(6)]),
+            labels=np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8),
+            bin_edges=[np.array([]), np.array([0.5])]))
+        bn = bayesnet.fit_cpts(pcalg.naive_bayes_dag(ds.columns, "outage"), ds, 1.0)
+        model, weather, out = tmp_path / "m.json", tmp_path / "w.csv", tmp_path / "p.csv"
+        bayesnet.save_model(bn, model)
+        assert json.loads(model.read_text())["bin_edges"]["a"] == []
+        stamps = np.datetime64("2021-03-01T00", "us") + np.arange(2) * ingest.HOUR
+        ingest.write_weather_csv(
+            ingest.RawWeatherTable(stamps, {"a": [5.0, -5.0], "b": [0.0, 1.0]}), weather)
+        assert main(["predict", "--model", str(model), "--weather", str(weather),
+                     "--out", str(out)]) == 0
+        with out.open() as fh:
+            probs = [float(r["p_outage"]) for r in csv.DictReader(fh)]
+        assert probs == [bayesnet.posterior_target(bn, {"a": 0, "b": b})[1] for b in (0, 1)]
+        capsys.readouterr()
 
     def test_a_nan_edge_of_a_two_state_factor_is_refused(self, scenario_dir, tmp_path, capsys):
         # one edge is ascending on its own, so only the load's finiteness check sees it

@@ -266,14 +266,19 @@ class TestFastPath:
                 err = assert_matches_per_cell(p)
             assert str(err) == f"weather file has no data rows ({p})"
 
-    def test_byte_order_mark_hides_the_timestamp_column(self, tmp_path):
+    @pytest.mark.parametrize("header, row", [("timestamp,x", "2021-03-01T00:00:00Z,1"),
+                                             ("x,timestamp", "1,2021-03-01T00:00:00Z")],
+                             ids=["timestamp-first", "timestamp-second"])
+    def test_byte_order_mark_is_an_encoding_mark(self, tmp_path, header, row):
         p = tmp_path / "w.csv"
-        p.write_bytes("timestamp,x\n2021-03-01T00:00:00Z,1\n".encode("utf-8-sig"))
-        err = assert_matches_per_cell(p)
-        assert str(err) == f"missing required column ({p}, column 'timestamp')"
-        p.write_bytes("x,timestamp\n1,2021-03-01T00:00:00Z\n".encode("utf-8-sig"))
-        raw = assert_matches_per_cell(p)
-        assert raw.factor_names == ["﻿x"] and same(raw.factors["﻿x"], [1.0])
+        p.write_bytes(f"{header}\n{row}\n".encode("utf-8-sig"))
+        # the header is not ASCII, so the per-cell reader reads the file
+        with mock.patch.object(ingest, "_parse_weather_rows",
+                               wraps=ingest._parse_weather_rows) as reader:
+            raw = assert_matches_per_cell(p)
+        assert reader.called
+        assert same(raw.timestamps, hours(0))
+        assert raw.factor_names == ["x"] and same(raw.factors["x"], [1.0])
 
     def test_non_ascii_cells(self, tmp_path):
         # float reads full-width digits; numpy's reader never sees them
@@ -932,6 +937,27 @@ class TestInterpolate:
         assert list(table.factors["y"]) == [7.0, 7.0, 7.0]
         assert list(table.label) == [0, 0, 0]
 
+    def test_a_complete_table_is_a_raw_table(self, tmp_path):
+        x, y = np.array([1.5, -2.0, 0.25]), np.array([3.0, 4.0, 5.0])
+        table = ingest.TimeSeriesTable(hours(0, 1, 2), {"x": x, "y": y})
+        assert isinstance(table, RawWeatherTable)
+        assert table.n_rows == 3 and table.factor_names == ["x", "y"]
+        # float64 columns are taken as they are, so a refill copies none
+        assert table.factors["x"] is x
+        again = ingest.interpolate_missing(table)
+        assert again.timestamps is table.timestamps
+        assert again.factors["x"] is x and again.factors["y"] is y
+        labelled = ingest.attach_outage_labels(again, hours(1))
+        assert labelled.factors["x"] is x and list(labelled.label) == [0, 1, 0]
+        p = tmp_path / "w.csv"
+        ingest.write_weather_csv(labelled, p)
+        assert p.read_bytes() == (b"timestamp,x,y\r\n"
+                                  b"2021-03-01T00:00:00Z,1.5,3.0\r\n"
+                                  b"2021-03-01T01:00:00Z,-2.0,4.0\r\n"
+                                  b"2021-03-01T02:00:00Z,0.25,5.0\r\n")
+        # other columns are converted, as a raw table's are
+        assert same(ingest.TimeSeriesTable(hours(0), {"z": [2]}).factors["z"], [2.0])
+
     def test_unrecoverable_column(self):
         raw = RawWeatherTable(hours(0, 1), {"x": [None, None]})
         with pytest.raises(UnrecoverableColumnError):
@@ -1134,6 +1160,14 @@ class TestOutageCsv:
             ingest.parse_outage_csv(p)
         assert str(err.value) == \
             f"column named twice in the header ({p}, column 'weather_related')"
+
+    def test_byte_order_mark_is_an_encoding_mark(self, tmp_path):
+        p = tmp_path / "o.csv"
+        p.write_bytes("timestamp,weather_related\n2021-03-01T00:00:00Z,1\n"
+                      .encode("utf-8-sig"))
+        events = ingest.parse_outage_csv(p)
+        assert same(events.timestamps, hours(0))
+        assert same(events.weather_related, [True])
 
     def test_missing_flag_column(self, tmp_path):
         p = write(tmp_path, "o.csv", "timestamp\n2021-03-01T00:00:00Z\n")

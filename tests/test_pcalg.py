@@ -93,9 +93,36 @@ class TestSkeleton:
         assert ("a", "b") in g.undirected
         assert ("a", "c") not in g.undirected
 
+    def test_sepset_keys_are_node_order_pairs(self):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            dag = synthgen.random_dag(int(rng.integers(4, 7)),
+                                      float(rng.uniform(0.2, 0.6)), seed=trial + 900)
+            nodes = [dag.nodes[k] for k in rng.permutation(len(dag.nodes))]
+            g = learn_skeleton(independence_oracle(dag), nodes=nodes)
+            pos = {n: k for k, n in enumerate(nodes)}
+            assert g.nodes == nodes
+            assert all(pos[a] < pos[b] for a, b in [*g.sepsets, *g.undirected])
+            assert len(g.sepsets) + len(g.undirected) == len(nodes) * (len(nodes) - 1) // 2
+
     def test_unique_nodes_required(self):
         with pytest.raises(ValueError):
             learn_skeleton(lambda x, y, s: True, nodes=["a", "a"])
+
+
+class TestPartialGraph:
+    def test_neighbors_span_both_edge_kinds(self):
+        g = PartialGraph(nodes=["a", "b", "c", "d", "e"],
+                         undirected={("a", "b"), ("b", "c")},
+                         directed={("d", "b"), ("b", "e"), ("d", "e")})
+        assert g.neighbors("b") == {"a", "c", "d", "e"}
+        assert g.neighbors("d") == {"b", "e"}
+        assert g.neighbors("a") == {"b"}
+
+    def test_in_order_sorts_by_node_position(self):
+        g = PartialGraph(nodes=["c", "a", "b"])
+        assert g.in_order({("a", "b"), ("c", "b"), ("c", "a"), ("b", "c")}) == \
+            [("c", "a"), ("c", "b"), ("a", "b"), ("b", "c")]
 
 
 class TestVStructures:
