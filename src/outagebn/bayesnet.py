@@ -4,16 +4,20 @@ The joint distribution factorizes into one conditional probability table
 per node given its parents. Tables are estimated by maximum likelihood
 with additive smoothing, so every entry stays strictly positive and
 parent configurations never seen in training fall back to uniform rows.
+A table stores the configurations it saw; a small one is filled in as
+dense rows, a large one is searched. Exact queries read a dense table as
+a strided view, batch posteriors gather its rows by configuration code.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,10 +30,12 @@ from .preprocess import DiscreteDataset, code_space, config_codes
 ENUMERATION_CAP = 10_000_000
 # Completions scored per vectorized pass, which bounds a query's memory.
 _BLOCK = 4096
-# A sparse table of at most this many configurations gets an int32 index
-# from code to row (256 KB at most), so its lookups skip the search. The
-# stock target's 10^6 configurations would take 4 MB and keep searching.
-_INDEX_LIMIT = 2**16
+# A sparse table of at most this many entries (configurations x states)
+# is filled in as dense rows, 256 KB of floats at most, and read by code.
+# The stock target's 10^6 configurations take more and keep searching.
+_DENSE_LIMIT = 2**15
+# The index that takes a whole axis of a table view.
+_ALL = slice(None)
 
 
 @dataclass
@@ -40,10 +46,13 @@ class Cpt:
     significant, i.e. code = (((s1) * c2 + s2) * c3 + s3)... ``configs`` are
     the sorted codes that have their own row in ``rows`` (one column per node
     state, rows sum to one); every other configuration has the ``default``
-    row. A table that lists every configuration is complete and indexes
-    ``rows`` by code directly; a sparse one of at most ``_INDEX_LIMIT``
-    configurations maps each code to its row through an index, and a
-    larger one searches ``configs``.
+    row. A table is one of two kinds. A dense table holds a row for every
+    code: a complete table, or a sparse one of at most ``_DENSE_LIMIT``
+    entries (configurations x states), whose missing rows are filled in
+    from the default once, here; :func:`posterior_target` reads it as a
+    view. A larger sparse table searches ``configs`` for a code's row.
+    Either way a lookup reads entry ``row * card + state`` of the flat
+    table, the default row sitting last (row -1).
 
     A fitted table (:meth:`fitted`) also keeps the integer ``counts`` its
     rows were smoothed from, one row per config, and its Laplace ``alpha``;
@@ -62,22 +71,25 @@ class Cpt:
 
     def __post_init__(self):
         n_configs = code_space(self.parent_cards, f"node {self.node!r}")
-        codes = np.asarray(self.configs, dtype=np.int64)
+        codes = np.array(self.configs, dtype=np.int64)
         if np.any(np.diff(codes) <= 0) or np.any((codes < 0) | (codes >= n_configs)):
             raise ValueError(f"{self.node}: configs must be sorted unique codes below {n_configs}")
-        # a sentinel above every code ends the search keys, so no search overruns
-        self._keys = np.append(codes, np.iinfo(np.int64).max)
-        # the default row sits last, so a missed configuration indexes it as -1
-        self._lut = np.vstack([
-            np.asarray(self.rows, dtype=float).reshape(len(codes), self.card),
-            np.asarray(self.default, dtype=float).reshape(1, self.card)])
-        self.configs, self.rows, self.default = self._keys[:-1], self._lut[:-1], self._lut[-1]
-        self._complete = len(codes) == n_configs
-        self._pos = None
-        if not self._complete and n_configs <= _INDEX_LIMIT:
-            # every code's row, and the default row's for a missed configuration
-            self._pos = np.full(n_configs, len(codes), dtype=np.int32)
-            self._pos[codes] = np.arange(len(codes), dtype=np.int32)
+        rows = np.asarray(self.rows, dtype=float).reshape(len(codes), self.card)
+        dense = len(codes) == n_configs or n_configs * self.card <= _DENSE_LIMIT
+        # a searched table's keys end in a sentinel above every code, so no search overruns
+        self._keys = None if dense else np.append(codes, np.iinfo(np.int64).max)
+        # one row per code of a dense table, per config of a searched one, then the default
+        lut = np.empty(((n_configs if dense else len(codes)) + 1, self.card))
+        lut[-1] = np.asarray(self.default, dtype=float).reshape(self.card)
+        if len(lut) == len(codes) + 1:
+            lut[:-1] = rows
+            rows = lut[:-1]
+        else:
+            lut[:-1] = lut[-1]
+            lut[codes] = rows
+            rows = lut[codes]  # a copy, as the other kinds hold
+        self.configs, self.rows, self.default = codes, rows, lut[-1]
+        self._lut, self._flat = lut, lut.ravel()
 
     @classmethod
     def fitted(cls, node: str, parents: Sequence[str], parent_cards: Sequence[int],
@@ -100,18 +112,39 @@ class Cpt:
                    np.arange(math.prod(parent_cards), dtype=np.int64), table,
                    np.full(card, 1.0 / card))
 
-    def lookup(self, codes, states=slice(None)):
-        """Entries for configuration ``codes`` (an int or an int array) and node ``states``."""
-        if self._complete:
-            return self._lut[codes, states]
-        if self._pos is not None:
-            return self._lut[self._pos[codes], states]
+    def _row_of(self, codes):
+        """Each code's row of the flat table: the code itself in a dense table; in a searched
+        one its position in ``configs``, or -1 (the default row) for a code not there."""
+        if self._keys is None:
+            return codes
         pos = self._keys.searchsorted(codes)
         if isinstance(codes, np.ndarray):
             pos[self._keys[pos] != codes] = -1
         elif self._keys[pos] != codes:
             pos = -1
-        return self._lut[pos, states]
+        return pos
+
+    def _entries(self, rows, states):
+        """Entries ``row * card + state`` of the flat table, for ``rows`` from :meth:`_row_of`.
+
+        ``states`` is one int or an array of the rows' shape. One int row is
+        read as a row, so no index array is made; an array of rows takes the
+        index in place, so the caller gives it up.
+        """
+        if not isinstance(rows, np.ndarray):
+            return self._lut[rows][states]
+        rows *= self.card
+        rows += states
+        return self._flat[rows]
+
+    def lookup(self, codes, states=None):
+        """Rows for configuration ``codes`` (an int or an int array), or their entries at
+        node ``states`` (an int, or an int array of the codes' shape or with one int code)."""
+        if states is None:
+            return self._lut[self._row_of(codes)]
+        if isinstance(codes, np.ndarray):
+            codes = codes.astype(np.int64)  # the index is made in this copy
+        return self._entries(self._row_of(codes), states)
 
     @property
     def table(self) -> np.ndarray:
@@ -140,6 +173,8 @@ class BayesianNetwork:
     cpts: dict[str, Cpt]
     cardinalities: dict[str, int]
     bin_edges: dict[str, list[float]] = field(default_factory=dict)
+    # each dense table's view for exact queries (see _view), by node
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def target(self) -> str | None:
@@ -235,14 +270,15 @@ def _joint(bn: BayesianNetwork, nodes: Sequence[str], states: Mapping, n: int,
 
     The product is taken in ``start``, in place, or starts from the first
     table's entries, not from ones: ``1.0 * x`` is ``x``, so every term
-    keeps its bits. One table's codes are held at a time.
+    keeps its bits. One table's codes are held at a time, and its entry
+    index is made in them.
     """
     p = start
     for node in nodes:
         cpt = bn.cpts[node]
         code = config_codes([states[q] for q in cpt.parents], cpt.parent_cards, n) \
             if cpt.parents else 0
-        entries = cpt.lookup(code, states[node])
+        entries = cpt._entries(cpt._row_of(code), states[node])
         if p is None:
             # a lookup by an int array is a new array; by ints alone, one float
             p = entries if isinstance(entries, np.ndarray) else np.full(n, entries)
@@ -258,13 +294,45 @@ def joint_probability(bn: BayesianNetwork, assignment: Mapping[str, int]) -> flo
     return float(_joint(bn, bn.dag.nodes, assignment, 1)[0])
 
 
+def _view(bn: BayesianNetwork, cpt: Cpt) -> tuple:
+    """A dense table as an array with one axis per node it reads, in network order; those
+    nodes as a set; and a getter of their indices from a node -> index map.
+
+    Network order is the target, then the other nodes in ``dag.nodes``
+    order: the order of :func:`posterior_target`'s grid. The array is a
+    reshape and transpose of the table's rows, not a copy. It is made once
+    per network and table object and kept on the network with the table and
+    the target, so a table replaced in ``bn.cpts``, or a new target, gets a
+    new one.
+    """
+    rank = {n: k for k, n in enumerate(bn.dag.nodes)}
+    rank[bn.target] = -1
+    scope = [*cpt.parents, cpt.node]
+    axes = sorted(range(len(scope)), key=lambda k: rank[scope[k]])
+    view = cpt._lut[:-1].reshape(*cpt.parent_cards, cpt.card).transpose(axes)
+    # a getter of one key gives the index itself, as a 1-d view wants
+    read = (view, frozenset(scope), operator.itemgetter(*(scope[k] for k in axes)))
+    bn._views[cpt.node] = (cpt, bn.target, read)
+    return read
+
+
 def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.ndarray:
     """Exact conditional distribution of the target given observed nodes.
 
     The unobserved nodes are summed out by full enumeration with
     compensated summation; each term multiplies only the tables that read
-    the target or an unobserved node. A query whose completion count
-    exceeds ``ENUMERATION_CAP`` is refused.
+    the target or an unobserved node. The terms form a grid over the
+    unobserved nodes in network order (see :func:`_view`), scored a block
+    at a time: the trailing nodes whose states number at most ``_BLOCK``
+    (at least one node) are the block's axes, and the ones before them
+    are enumerated as ints, like evidence. A dense table's factor is a
+    basic-indexing slice of its view, an int per fixed node and the whole
+    axis per block node, with a new axis for each block node it does not
+    read. A searched table codes its rows over its block parents' states,
+    each laid along its axis, and its node's states go to the node's axis.
+    The factors multiply out of place, the target's first, then node order,
+    so every term keeps its bits. A query whose completion count exceeds
+    ``ENUMERATION_CAP`` is refused.
     """
     target = bn.target
     if target is None:
@@ -275,30 +343,100 @@ def posterior_target(bn: BayesianNetwork, evidence: Mapping[str, int]) -> np.nda
 
     unobserved = [target] + [n for n in bn.dag.nodes
                              if n != target and n not in evidence]
-    tables = _tables_reading(bn, set(unobserved))
     dims = [bn.cardinalities[n] for n in unobserved]
     n_terms = math.prod(dims)
     if n_terms > ENUMERATION_CAP:
         raise ValueError(
             f"enumeration needs {n_terms} terms, above the cap of {ENUMERATION_CAP}")
+    lead, size = 0, n_terms
+    while size > _BLOCK and lead < len(dims) - 1:
+        size //= dims[lead]
+        lead += 1
+    axes = unobserved[lead:]
+    at = evidence  # _checked's own copy, now each node's index into a view
+    for q in axes:
+        at[q] = _ALL
+    coded = None  # as ``at``, with a searched table's block parents' states along their axes
+    factors = []  # in table order: (view, nodes, getter) or (searched table, None, axis)
+    cpts, views = bn.cpts, bn._views
+    for node in _tables_reading(bn, set(unobserved)):
+        cpt = cpts[node]
+        if cpt._keys is None:
+            hit = views.get(node)
+            factors.append(hit[2] if hit is not None and hit[0] is cpt and hit[1] == target
+                           else _view(bn, cpt))
+            continue
+        coded = coded or dict(at)
+        for k, q in enumerate(axes):
+            if q in cpt.parents and coded[q] is _ALL:
+                coded[q] = _states(dims[lead + k], k, len(axes))
+        factors.append((cpt, None, axes.index(node) if node in axes else None))
 
-    def blocks():
-        # C order over ``dims``: each target state's terms form one run;
-        # each block's unobserved states replace the last block's
-        states = dict(evidence)
-        for lo in range(0, n_terms, _BLOCK):
-            hi = min(lo + _BLOCK, n_terms)
-            states.update(zip(unobserved,
-                              np.unravel_index(np.arange(lo, hi), dims)))
-            yield _joint(bn, tables, states, hi - lo).tolist()
-
-    terms = chain.from_iterable(blocks())
+    terms = chain.from_iterable(_blocks(factors, at, coded, axes, unobserved[:lead],
+                                        dims[:lead], bn.cardinalities))
     per_state = n_terms // dims[0]
     totals = [math.fsum(islice(terms, per_state)) for _ in range(dims[0])]
     norm = math.fsum(totals)
     if norm <= 0:
         raise ValueError("evidence has zero probability under the model")
     return np.array([t / norm for t in totals])
+
+
+def _blocks(factors: list, at: dict, coded: dict | None, axes: list, lead_nodes: list,
+            lead_dims: list, cards: Mapping[str, int]):
+    """Each block's terms, as a list, in C order over the grid of ``lead_nodes`` then ``axes``.
+
+    The lead nodes take their states as ints, block by block, in ``at``
+    and ``coded``; then every factor of :func:`posterior_target`'s plan is
+    read over ``axes`` and multiplied in, out of place. With the target
+    first in the grid, each target state's terms form one run.
+    """
+    for states in product(*map(range, lead_dims)):
+        if states:
+            at.update(zip(lead_nodes, states))
+            if coded:
+                coded.update(zip(lead_nodes, states))
+        p = None
+        for source, scope, index in factors:
+            if scope is None:  # a searched table, and its node's axis
+                f = _searched_factor(source, coded, index, len(axes))
+            else:  # a dense table's view, the nodes it reads, their index getter
+                f = source[index(at)]
+                # factors broadcast from the right: a new axis goes in for
+                # each block node the table does not read, when one follows
+                if f.ndim != len(axes) and not scope.issuperset(axes[-f.ndim:]):
+                    f = f.reshape([cards[q] if q in scope else 1 for q in axes])
+            p = f if p is None else p * f
+        yield p.ravel().tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _states(card: int, k: int, n_axes: int) -> np.ndarray:
+    """A node's states 0..card-1 laid along axis ``k`` of ``n_axes``, read-only.
+
+    A constant of its three ints, so it is made once per process for each.
+    """
+    states = np.arange(card)
+    states.flags.writeable = False
+    return states[(None,) * k + (_ALL,) + (None,) * (n_axes - k - 1)]
+
+
+def _searched_factor(cpt: Cpt, coded: dict, k: int | None, n_axes: int):
+    """A searched table's factor over a block of ``n_axes`` axes.
+
+    Its rows are coded from ``coded``: an int per fixed node, and a block
+    node's states laid along its axis. With its node fixed, the node's
+    entry of each row is read; otherwise the rows' axis ``k`` has size 1,
+    and the node's states take its place.
+    """
+    code = config_codes([coded[q] for q in cpt.parents], cpt.parent_cards, 1) \
+        if cpt.parents else 0
+    rows = cpt._row_of(code)
+    if k is None:
+        return cpt._entries(rows, coded[cpt.node])
+    if isinstance(rows, np.ndarray):
+        return cpt._lut.take(rows, axis=0).swapaxes(k, -1)[..., 0]
+    return cpt._lut[rows][(_ALL,) + (None,) * (n_axes - k - 1)]
 
 
 def predict_rows(bn: BayesianNetwork, rows: np.ndarray,

@@ -109,17 +109,19 @@ def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     """Mixed-radix code per row, first column most significant (the CPT row order).
 
     Each column is an integer array of length ``n`` or one Python int
-    shared by all rows. By Horner's rule over the columns, the ints fold
-    into one Python-int offset, so an int column costs no numpy call. The
-    first array is copied as int64 and the array columns accumulate in
-    that copy, in place, each step multiplying by the product of the
-    cards since the previous array column; a narrow column never wraps
-    and is widened a buffer at a time (numpy refuses a later uint64
-    column, which the package never makes). The cards after the last
-    array column and the offset are applied once, at the end. With only
-    array columns these are the numpy calls of plain Horner's rule. When
-    every column is an int, so is the code; with no columns it is ``n``
-    zeros. The codes wrap silently unless ``code_space(cards, ...)`` holds.
+    shared by all rows; arrays of other shapes broadcast, and the codes
+    take their broadcast shape. By Horner's rule over the columns, the
+    ints fold into one Python-int offset, so an int column costs no numpy
+    call. The first array is copied as int64 and the array columns
+    accumulate in that copy, in place while the shapes allow, each step
+    multiplying by the product of the cards since the previous array
+    column; a narrow column never wraps and is widened a buffer at a time
+    (numpy refuses a later uint64 column, which the package never makes).
+    The cards after the last array column and the offset are applied once,
+    at the end. With only array columns these are the numpy calls of plain
+    Horner's rule. When every column is an int, so is the code; with no
+    columns it is ``n`` zeros. The codes wrap silently unless
+    ``code_space(cards, ...)`` holds.
     """
     if not len(columns):
         return np.zeros(n, dtype=np.int64)
@@ -133,7 +135,8 @@ def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
             code, scale = col.astype(np.int64), 1
         else:
             code *= scale * card
-            code += col
+            code = np.add(code, col, out=code if code.shape == col.shape else None,
+                          dtype=np.int64)
             scale = 1
     if code is None:
         return offset

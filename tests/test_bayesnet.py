@@ -172,7 +172,7 @@ class TestFitCpts:
 
 
 class TestCptLookup:
-    def test_indexed_searched_and_complete_tables_agree(self, monkeypatch):
+    def test_filled_searched_and_complete_tables_agree(self, monkeypatch):
         # two 3-state parents: 9 configurations, 4 of them with their own row
         rng = np.random.default_rng(31)
         dense = rng.random((9, 2)) + 0.05
@@ -183,64 +183,114 @@ class TestCptLookup:
         def sparse():
             return Cpt("x", ["a", "b"], [3, 3], 2, configs, dense[configs], default)
 
-        indexed = sparse()
-        monkeypatch.setattr(bayesnet, "_INDEX_LIMIT", 8)
+        filled = sparse()
+        monkeypatch.setattr(bayesnet, "_DENSE_LIMIT", 17)  # 9 configurations x 2 states
         searched = sparse()
         complete = Cpt.dense("x", ["a", "b"], [3, 3], 2, dense)
-        assert indexed._pos is not None and searched._pos is None and complete._complete
+        assert filled._keys is None and searched._keys is not None and complete._keys is None
+        # a filled table still holds only the rows it was given
+        for cpt in (filled, searched):
+            assert cpt.configs.tolist() == configs.tolist()
+            assert cpt.rows.tobytes() == dense[configs].tobytes()
+            assert cpt.default.tobytes() == default.tobytes()
         codes = np.arange(9)
         missed = np.vstack([dense[c] if c in configs else default for c in codes])
-        for cpt, want in ((indexed, missed), (searched, missed), (complete, dense)):
+        for cpt, want in ((filled, missed), (searched, missed), (complete, dense)):
             assert cpt.lookup(codes).tobytes() == want.tobytes()
             assert cpt.lookup(codes, codes % 2).tobytes() == want[codes, codes % 2].tobytes()
+            assert cpt.table.tobytes() == want.tobytes()
             for c in codes.tolist():
                 for code in (c, np.int64(c)):
                     assert cpt.lookup(code).tobytes() == want[c].tobytes()
                     assert cpt.lookup(code, c % 2) == want[c, c % 2]
                     assert cpt.lookup(code, codes[:3] % 2).tobytes() == \
                         want[c, codes[:3] % 2].tobytes()
+            # the caller's codes are read, never written
+            assert codes.tolist() == list(range(9))
 
-    def test_refuses_bad_codes_with_and_without_an_index(self, monkeypatch):
-        for limit in (2**16, 8):
-            monkeypatch.setattr(bayesnet, "_INDEX_LIMIT", limit)
+    def test_refuses_bad_codes_dense_and_searched(self, monkeypatch):
+        for limit in (2**15, 8):
+            monkeypatch.setattr(bayesnet, "_DENSE_LIMIT", limit)
             for bad in ([4, 1], [1, 1], [-1, 4], [4, 9]):
                 with pytest.raises(ValueError, match="sorted unique codes below 9"):
                     Cpt("x", ["a", "b"], [3, 3], 2, np.array(bad), np.full((2, 2), 0.5),
                         np.full(2, 0.5))
 
-    def test_queries_on_indexed_and_searched_tables_are_bit_exact(self, monkeypatch):
+    def test_queries_on_dense_and_searched_tables_are_bit_exact(self, monkeypatch):
         # about half of each table's configurations on a default row, blocks
         # of 3 completions: whole queries give the same bytes whether the
-        # sparse tables are indexed or searched, and those are the oracle's
+        # sparse tables are filled in or searched, and those are the oracle's
         monkeypatch.setattr(bayesnet, "_BLOCK", 3)
         rng = np.random.default_rng(83)
-        indexed_tables = 0
+        filled_tables = 0
         for trial in range(20):
             n = int(rng.integers(2, 7))
             card = int(rng.integers(2, 4))
             target = f"X{int(rng.integers(n)) + 1}"
             dense = synthgen.random_network(n, 0.5, seed=trial + 500, card=card, target=target)
-            indexed = sparse_copy(dense, np.random.default_rng(trial))
+            filled = sparse_copy(dense, np.random.default_rng(trial))
             with monkeypatch.context() as m:
-                m.setattr(bayesnet, "_INDEX_LIMIT", 0)
+                m.setattr(bayesnet, "_DENSE_LIMIT", 0)
                 searched = sparse_copy(dense, np.random.default_rng(trial))
-            assert all(c._pos is None for c in searched.cpts.values())
-            indexed_tables += sum(c._pos is not None for c in indexed.cpts.values())
+            assert all(c._keys is not None for c in searched.cpts.values()
+                       if len(c.configs) < math.prod(c.parent_cards))
+            filled_tables += sum(c._keys is None and len(c.configs) < math.prod(c.parent_cards)
+                                 for c in filled.cpts.values())
             others = [v for v in dense.dag.nodes if v != target]
             for _ in range(8):
                 hidden = list(rng.choice(others, size=int(rng.integers(0, len(others) + 1)),
                                          replace=False))
                 evidence = {v: int(rng.integers(card)) for v in others if v not in hidden}
-                got = posterior_target(indexed, evidence)
+                got = posterior_target(filled, evidence)
                 assert got.tobytes() == posterior_target(searched, evidence).tobytes()
                 want = oracles.fsum_posterior(
-                    [target, *others], indexed.dag.parents, indexed.cardinalities,
-                    kept_entry(indexed, {target, *hidden}), target, evidence)
+                    [target, *others], filled.dag.parents, filled.cardinalities,
+                    kept_entry(filled, {target, *hidden}), target, evidence)
                 assert got.tobytes() == np.array(want).tobytes()
             rows = rng.integers(card, size=(50, len(others)))
-            assert predict_rows(indexed, rows, others).tobytes() == \
+            assert predict_rows(filled, rows, others).tobytes() == \
                 predict_rows(searched, rows, others).tobytes()
-        assert indexed_tables >= 40
+        assert filled_tables >= 40
+
+    def test_replaced_table_is_read_afresh_across_blocks(self, monkeypatch):
+        # 3-term blocks and 5- and 4-state nodes: some queries enumerate
+        # nodes as ints before a block of one 4-state axis; a table swapped
+        # into bn.cpts after a query is read, not its old view
+        monkeypatch.setattr(bayesnet, "_BLOCK", 3)
+        rng = np.random.default_rng(29)
+
+        def rows(n_configs, card):
+            raw = rng.random((n_configs, card)) + 0.05
+            return raw / raw.sum(axis=1, keepdims=True)
+
+        parents = {"a": [], "b": ["a"], "t": ["a", "b"], "c": ["t", "b"], "d": ["c"]}
+        cards = {"a": 5, "b": 2, "t": 3, "c": 4, "d": 2}
+        cpts = {n: Cpt.dense(n, ps, [cards[q] for q in ps], cards[n],
+                             rows(math.prod(cards[q] for q in ps), cards[n]))
+                for n, ps in parents.items()}
+        bn = BayesianNetwork(LearnedDag(nodes=list(parents), parents=parents, target="t"),
+                             cpts, cards)
+
+        def check(evidence):
+            got = posterior_target(bn, evidence)
+            unknown = {"t", *(v for v in parents if v != "t" and v not in evidence)}
+            want = oracles.fsum_posterior(["t", "a", "b", "c", "d"], parents, cards,
+                                          kept_entry(bn, unknown), "t", evidence)
+            assert got.tobytes() == np.array(want).tobytes(), evidence
+            return got
+
+        queries = [{}, {"d": 1}, {"b": 1}, {"a": 4, "d": 0}, {"a": 2, "b": 0, "c": 3}]
+        before = [check(e) for e in queries]
+        view = bn._views["c"]
+        assert [check(e).tobytes() for e in queries] == [b.tobytes() for b in before]
+        assert bn._views["c"] is view  # made once, not per query
+        # c's table replaced by a sparse one, filled in; then by a searched one
+        for limit in (2**15, 0):
+            monkeypatch.setattr(bayesnet, "_DENSE_LIMIT", limit)
+            bn.cpts["c"] = Cpt("c", ["t", "b"], [3, 2], 4, np.array([1, 4]), rows(2, 4),
+                               rows(1, 4)[0])
+            after = [check(e) for e in queries]
+            assert any(a.tobytes() != b.tobytes() for a, b in zip(after, before))
 
 
 class TestJointAndPosterior:
@@ -373,7 +423,7 @@ class TestJointAndPosterior:
                 for n, ps in parents.items() if n != "T"}
         stored = np.sort(rng.choice(10 ** 6, size=3000, replace=False))
         cpts["T"] = Cpt("T", factors, [10] * 6, 10, stored, rows(3000), rows(1)[0])
-        assert cpts["T"]._pos is None and not cpts["T"]._complete
+        assert cpts["T"]._keys is not None  # searched, not filled in
         bn = BayesianNetwork(LearnedDag(nodes=[*factors, "T"], parents=parents, target="T"),
                              cpts, {n: 10 for n in parents})
         # the oracle reads the stored rows through a dict, coding by hand
@@ -997,3 +1047,29 @@ class TestNarrowCodes:
                 tracemalloc.stop()
             # the two score columns plus two int64 columns
             assert peak < scores.nbytes + 2 * n * np.dtype(np.int64).itemsize
+
+    def test_peak_memory_holds_one_table_index_at_a_time(self):
+        # each table's entry index is made in its codes, one table at a time:
+        # a table read by codes holds one int64 column and its entries, one
+        # read by a single row only its entries (measured 16.03 and 8.70
+        # bytes a row; the 2-d gather peaked at 16.71 for the first)
+        n = 100_000
+        rng = np.random.default_rng(22)
+        factors = [f"F{k}" for k in range(1, 7)]
+        rows = rng.integers(0, 10, size=(n, 6)).astype(np.uint8)
+        ds = attach_label_column(DiscreteDataset(
+            columns=factors, rows=rows,
+            labels=(rng.random(n) < 0.3).astype(np.int64),
+            bin_edges=[np.arange(1, 10) - 0.5] * 6), "t")
+        children = LearnedDag(nodes=ds.columns, parents={
+            "F1": [], "F2": ["F1"], "F3": ["F2", "t"], "F4": ["t", "F3"], "F5": [],
+            "F6": ["t"], "t": ["F1", "F5"]}, target="t")
+        for dag, bytes_a_row in ((children, 16.25), (naive_bayes_dag(ds.columns, "t"), 9)):
+            bn = fit_cpts(dag, ds)
+            tracemalloc.start()
+            try:
+                scores = predict_rows(bn, rows, factors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < scores.nbytes + bytes_a_row * n

@@ -225,6 +225,23 @@ class TestConfigCodes:
             assert np.array_equal(got, np.ravel_multi_index(
                 (wide[:, 0], np.full(500, 7), wide[:, 2]), [10, 10, 10]))
 
+    def test_broadcast_columns_code_their_grid(self):
+        # columns laid along different axes code every combination, in place
+        # where the shapes allow; the ints fold into the offset
+        a = np.arange(3)[:, None, None]
+        b = np.arange(4, dtype=np.uint8)[None, :, None]
+        c = np.arange(5)[None, None, :]
+        grid = np.stack(np.meshgrid(np.arange(3), 2, np.arange(4), np.arange(5), 1,
+                                    indexing="ij"), axis=-1).reshape(-1, 5)
+        want = np.ravel_multi_index(grid.T, [3, 4, 4, 5, 2]).reshape(3, 4, 5)
+        got = preprocess.config_codes([a, 2, b, c, 1], [3, 4, 4, 5, 2], 1)
+        assert got.dtype == np.int64 and got.shape == (3, 4, 5)
+        assert np.array_equal(got, want)
+        assert a.ravel().tolist() == [0, 1, 2] and b.ravel().tolist() == [0, 1, 2, 3]
+        # one array laid along the second of two axes
+        got = preprocess.config_codes([1, c[0]], [2, 5], 1)
+        assert got.shape == (1, 5) and got.tolist() == [[5, 6, 7, 8, 9]]
+
     def test_code_dtype_holds_every_state(self):
         assert preprocess.code_dtype([10, 4, 2]) == np.uint8
         assert preprocess.code_dtype([256]) == np.uint8
