@@ -35,13 +35,16 @@ HOUR = np.timedelta64(1, "h")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 # Rows that write_text_columns formats and writes at a time. Formatting a
-# whole file at once held one str per cell: at 1M hours that lifted
-# `predict` from 282 to 467 MB. A block of 4,096 rows adds 1-2 MB; 16,384
-# added 5-8 MB at 65k-100k rows and wrote no faster.
+# whole file at once, one str per cell, lifted `predict` from 282 to 467 MB
+# at 1M hours. A block of 4,096 rows is one byte matrix of under 1 MB,
+# beside the formatter's temporaries for one column of it, about 1 MB.
 WRITE_BLOCK_ROWS = 4_096
-# A write that formats rows in Python splits them into parts of at least
-# _MIN_PART_ROWS rows: one float column of 16,384 rows took 28.5 ms in one
-# part and 24.1 ms in two, 8,192 rows 14.2 and 21.6 ms.
+# A write that formats rows per row splits them into parts of at least
+# _MIN_PART_ROWS rows. With repr, one float column of 16,384 rows took
+# 28.5 ms in one part and 24.1 ms in two. With floattext.fields it takes
+# 9.7 ms in one and 31 ms in two, as the fork costs more than half the
+# work, but the README scenario's 100k rows of six floats still write in
+# 0.12 s in two parts against 0.16 s in one.
 _MIN_PART_ROWS = 8_192
 
 TIMESTAMP_COLUMN = "timestamp"
@@ -99,7 +102,8 @@ class RawWeatherTable:
     increasing but not necessarily contiguous. ``factors`` maps column name
     to a float64 array with one value per row; ``NaN`` marks a missing
     measurement. Sequences given for ``factors`` are converted, with
-    ``None`` read as missing.
+    ``None`` read as missing; a factor that does not hold one value per
+    row is refused with a ``ValueError`` that names it.
     """
 
     timestamps: np.ndarray
@@ -108,6 +112,8 @@ class RawWeatherTable:
     def __post_init__(self):
         self.factors = {name: np.asarray(values, dtype=np.float64)
                         for name, values in self.factors.items()}
+        for name, values in self.factors.items():
+            _check_per_row(f"factor {name!r}", values, self.n_rows)
 
     @property
     def n_rows(self) -> int:
@@ -135,6 +141,14 @@ class TimeSeriesTable(RawWeatherTable):
         super().__post_init__()
         if self.label is None:
             self.label = np.zeros(len(self.timestamps), dtype=code_dtype([2]))
+        _check_per_row("label", self.label, self.n_rows)
+
+
+def _check_per_row(what: str, values, n_rows: int) -> None:
+    """Refuse ``values`` unless it is a 1-D array of ``n_rows`` values."""
+    if np.shape(values) != (n_rows,):
+        raise ValueError(f"{what} has shape {np.shape(values)}, "
+                         f"not one value for each of {n_rows} rows")
 
 
 def parse_timestamp(text: str, *, path=None, row: int | None = None) -> datetime:
@@ -162,14 +176,19 @@ def format_timestamps(stamps: np.ndarray) -> list[str]:
     index: a block of an hourly file spans a few hundred days and 24 times
     of day.
     """
+    day_text, day_of, time_text, time_of = _stamp_parts(stamps)
+    return (day_text.astype(object)[day_of] + time_text.astype(object)[time_of]).tolist()
+
+
+def _stamp_parts(stamps: np.ndarray):
+    """The texts of a timeline's distinct days and times of day, as two str
+    arrays, each beside the index of every stamp's text in it."""
     days = stamps.astype("datetime64[D]")
     day, day_of = np.unique(days, return_inverse=True)
     time_us, time_of = np.unique((stamps - days) // np.timedelta64(1, "us"),
                                  return_inverse=True)
-    day_text = np.datetime_as_string(day).astype(object)
-    time_text = np.array([_time_of_day_text(*divmod(us, 1_000_000))
-                          for us in time_us.tolist()], dtype=object)
-    return (day_text[day_of] + time_text[time_of]).tolist()
+    time_text = [_time_of_day_text(*divmod(us, 1_000_000)) for us in time_us.tolist()]
+    return np.datetime_as_string(day), day_of, np.array(time_text, dtype=str), time_of
 
 
 def _time_of_day_text(s: int, us: int) -> str:
@@ -679,29 +698,27 @@ def parse_outage_csv(path) -> OutageEvents:
                         np.array(flags, dtype=bool))
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    # repr round-trips float64 exactly, which keeps parse -> write -> parse
-    # bit-identical; a missing (NaN) cell is written empty.
-    text = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)):
-        text[i] = ""
-    return text
-
-
 def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
                        columns: Sequence[np.ndarray | tuple[np.ndarray, np.ndarray]]
                        ) -> None:
     """Write a CSV of a timeline and float columns, one row per timestamp.
 
     Each row is the :func:`format_timestamps` text of its timestamp and the
-    ``repr`` of its floats, a NaN written as an empty cell. A column is a
-    float array, or a pair ``(values, index)`` that stands for
-    ``values[index]``: each of ``values`` is then formatted once, which
-    pays off when few distinct values repeat over many rows. The header
-    goes through :mod:`csv`; the cells are joined as they are, with csv's
-    CRLF line ends, as they never need quoting. Rows are formatted and
-    written :data:`WRITE_BLOCK_ROWS` at a time, so the texts held in memory
-    stay one block long, beside those of the paired columns' ``values``.
+    ``repr`` text of its floats (:func:`floattext.fields`), a NaN written as
+    an empty cell. A column is a float array, or a pair ``(values,
+    index)`` that stands for ``values[index]``: each of ``values`` is then
+    formatted once, which pays off when few distinct values repeat over
+    many rows. The header goes through :mod:`csv`; the cells are joined as
+    they are, with csv's CRLF line ends, as they never need quoting. A
+    header that does not name the timestamp and every column, and a
+    column or index that does not hold one value per timestamp, are
+    refused with a ``ValueError`` before the file is opened.
+
+    Rows are formatted and written :data:`WRITE_BLOCK_ROWS` at a time:
+    each block is one matrix of NUL-padded bytes, a row's cells side by
+    side, from which the NULs are dropped. So the text held in memory
+    stays one block long, beside the formatted ``values`` of the paired
+    columns.
 
     When some column is a float array, formatted per row, the rows are
     split into one range per usable CPU (:func:`_row_ranges`). This process
@@ -712,25 +729,32 @@ def write_text_columns(path, header: Sequence[str], timestamps: np.ndarray,
     on the split, and no worker outlives this call. A write of paired
     columns only, or to a pipe, stays in this process.
     """
-    # each column as the texts of its values, or None to format per row,
-    # beside the array a block slices
+    from . import floattext  # on first use: learn and eval write no float
+
+    n = len(timestamps)
+    if len(header) != 1 + len(columns):
+        raise ValueError(f"header {list(header)!r} names {len(header)} columns, "
+                         f"but a row has {1 + len(columns)}")
+    # each column as the array a block slices, beside what makes the
+    # block's fields of that slice: the fields of each of a pair's values,
+    # gathered by index, or those of each float
     parts = []
-    for c in columns:
+    for name, c in zip(header[1:], columns):
         if isinstance(c, tuple):
             values, index = c
-            parts.append((np.array(_format_column(np.asarray(values, dtype=np.float64)),
-                                   dtype=object), np.asarray(index)))
+            parts.append((floattext.fields(values).__getitem__, np.asarray(index)))
+            _check_per_row(f"index of column {name!r}", parts[-1][1], n)
         else:
-            parts.append((None, np.asarray(c, dtype=np.float64)))
+            parts.append((floattext.fields, np.asarray(c, dtype=np.float64)))
+            _check_per_row(f"column {name!r}", parts[-1][1], n)
     blocks = functools.partial(_text_blocks, timestamps, parts)
-    n = len(timestamps)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.flush()
         out = fh.buffer
         # a dead worker's range is cut off by seeking back, which a pipe
         # cannot do
-        split = out.seekable() and any(texts is None for texts, _ in parts)
+        split = out.seekable() and any(fields is floattext.fields for fields, _ in parts)
         ranges = _row_ranges(n) if split else [(0, n)]
         with workers.forked(blocks, ranges[1:]) as pipes:
             out.writelines(blocks(*ranges[0]))
@@ -749,10 +773,28 @@ def _text_blocks(timestamps: np.ndarray, parts, start: int, stop: int):
     :data:`WRITE_BLOCK_ROWS` rows from ``start`` at a time."""
     for b in range(start, stop, WRITE_BLOCK_ROWS):
         block = slice(b, min(b + WRITE_BLOCK_ROWS, stop))
-        cells = [format_timestamps(timestamps[block]),
-                 *(_format_column(c[block]) if texts is None
-                   else texts[c[block]].tolist() for texts, c in parts)]
-        yield ("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode("ascii")
+        day_text, day_of, time_text, time_of = _stamp_parts(timestamps[block])
+        yield _join_rows([_text_rows(day_text)[day_of], _text_rows(time_text)[time_of],
+                          *(fields(c[block]) for fields, c in parts)])
+
+
+def _text_rows(texts: np.ndarray) -> np.ndarray:
+    """A str array's ASCII texts as NUL-padded rows of one ``uint8`` matrix."""
+    raw = np.array(texts.tolist(), dtype="S")
+    return raw.view(np.uint8).reshape(raw.size, raw.dtype.itemsize)
+
+
+def _join_rows(pieces: list[np.ndarray]) -> bytes:
+    """CSV lines from NUL-padded ``uint8`` rows: the rows of ``pieces`` side
+    by side, then CRLF, without the NULs."""
+    rows = np.empty((len(pieces[0]), sum(m.shape[1] for m in pieces) + 2), np.uint8)
+    at = 0
+    for m in pieces:
+        rows[:, at:at + m.shape[1]] = m
+        at += m.shape[1]
+    rows[:, at] = ord("\r")
+    rows[:, at + 1] = ord("\n")
+    return rows[rows != 0].tobytes()
 
 
 def _row_ranges(n: int) -> list[tuple[int, int]]:

@@ -3,10 +3,12 @@ and the one path that forks them, carries their replies and reaps them.
 
 The weather CSV's parse and write both split their work into ranges, do
 the first range in the calling process and hand each other range to a
-worker made with ``os.fork``. A worker's reply is ``job(start, stop)``,
-an iterable of bytes, or ``None`` to send nothing, and goes back through
-a pipe after its length. The caller does itself each range that has no
-full reply: its fork failed, or its worker sent nothing or died first.
+worker made with ``os.fork``. A write's worker formats its rows' floats
+in numpy, as ``repr`` would write them, and sends the bytes. A worker's
+reply is ``job(start, stop)``, an iterable of bytes, or ``None`` to send
+nothing, and goes back through a pipe after its length. The caller does
+itself each range that has no full reply: its fork failed, or its worker
+sent nothing or died first.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def _fork(job, start: int, stop: int) -> tuple[int, io.BufferedReader]:
     went would wait at its first one.
 
     Fork, not spawn: the worker needs the parent's imported numpy and
-    arrays and nothing else, and runs only numpy, ``repr`` and a pipe
-    write.
+    arrays and nothing else, and runs only numpy (with ``repr`` for the
+    rare float cell that numpy does not settle) and a pipe write.
     """
     r, w = os.pipe()
     try:

@@ -57,11 +57,13 @@ def test_checker_flags_unused_and_keeps_used():
 
 def test_cli_import_loads_only_shared_modules():
     # each command imports its own module (citest for learn, evalmetrics for
-    # eval, synthgen for gen); the package's names load on first use
+    # eval, synthgen for gen, floattext for a write of floats); the
+    # package's names load on first use
     probe = ("import sys\n"
              "import outagebn.cli\n"
              "print(sorted(m for m in ('outagebn.citest', 'outagebn.synthgen',\n"
-             "                         'outagebn.evalmetrics') if m in sys.modules))\n"
+             "                         'outagebn.evalmetrics', 'outagebn.floattext')\n"
+             "             if m in sys.modules))\n"
              "from outagebn import ScenarioSpec, EvalReport, LearnedDag\n"
              "print(ScenarioSpec.__module__, EvalReport.__module__, LearnedDag.__module__)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

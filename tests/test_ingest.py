@@ -4,7 +4,9 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import cli, ingest
+from outagebn import cli, floattext, ingest, synthgen
 from outagebn.ingest import (EventOutOfRangeError, ParseError,
                              RawWeatherTable, UnrecoverableColumnError)
 
@@ -1364,3 +1366,196 @@ class TestRoundTrip:
         table = ingest.attach_outage_labels(ingest.interpolate_missing(back),
                                             again.timestamps[again.weather_related])
         assert list(table.label) == [0, 1, 0, 1]
+
+
+def kernel_cells(values):
+    """The comma-led cells ``floattext.fields`` makes of ``values``, as bytes,
+    formatted 2**16 values at a time."""
+    values = np.asarray(values, dtype=np.float64)
+    out = []
+    for b in range(0, values.size, 1 << 16):
+        fields = floattext.fields(values[b:b + (1 << 16)])
+        assert fields.shape == (min(1 << 16, values.size - b), floattext.FIELD_BYTES)
+        out.append(fields[fields != 0].tobytes())
+    return b"".join(out)
+
+
+def repr_cells(values):
+    """The same from ``repr``, one value at a time: a comma before each, and
+    nothing for a NaN."""
+    return "".join("," + ("" if v != v else repr(v))
+                   for v in np.asarray(values, dtype=np.float64).tolist()).encode()
+
+
+def assert_text_is_repr(values):
+    """``floattext.fields`` writes ``repr``'s text for every value; the commas
+    mark each cell's end, so equal bytes mean equal cells."""
+    got, want = kernel_cells(values), repr_cells(values)
+    if got != want:
+        bad = [(g, w) for g, w in zip(got.split(b","), want.split(b",")) if g != w]
+        pytest.fail(f"{len(bad)} cells differ from repr, such as {bad[:5]}")
+
+
+def neighbours(values, ulps=2):
+    """``values`` and the doubles up to ``ulps`` steps either side of each."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+class TestFloatText:
+    """A float cell's text is ``repr``'s, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(30)
+        # 10**6 patterns whose binary exponent lies about the positional
+        # range, 1e-6 to 1e18, so that nearly all take the vectorized path,
+        # and 10**5 of any bits at all
+        near = (rng.integers(0, 1 << 52, size=10**6, dtype=np.uint64)
+                | (rng.integers(1003, 1083, size=10**6).astype(np.uint64) << np.uint64(52))
+                | (rng.integers(0, 2, size=10**6).astype(np.uint64) << np.uint64(63)))
+        wild = rng.integers(0, np.iinfo(np.uint64).max, size=10**5, dtype=np.uint64,
+                            endpoint=True)
+        assert_text_is_repr(near.view(np.float64))
+        assert_text_is_repr(wild.view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-7, 18)])
+        assert_text_is_repr(neighbours(np.concatenate([powers, -powers]), ulps=1))
+
+    @pytest.mark.parametrize("places", range(1, 18))
+    def test_decimals_of_each_length(self, places):
+        # numbers written with 1 to 17 significant digits, at every
+        # exponent of the positional range and one beyond each end
+        rng = np.random.default_rng(places)
+        mantissas = rng.integers(10 ** (places - 1), 10 ** places, size=3000, dtype=np.int64)
+        exponents = rng.integers(-6, 18, size=3000)
+        values = np.array([float(f"{m}e{e - places + 1}")
+                           for m, e in zip(mantissas.tolist(), exponents.tolist())])
+        assert_text_is_repr(neighbours(values))
+
+    @pytest.mark.parametrize("places", [15, 16, 17])
+    def test_cells_at_a_rounding_tie(self, places):
+        # the double nearest a number halfway between two of ``places``
+        # digits, and its neighbours: cells at a tie or 1e-9 from one
+        rng = np.random.default_rng(places)
+        mantissas = rng.integers(10 ** (places - 1), 10 ** places, size=5000, dtype=np.int64)
+        exponents = rng.integers(-4, 16, size=5000)
+        values = np.array([float(f"{m}5e{e - places}")
+                           for m, e in zip(mantissas.tolist(), exponents.tolist())])
+        assert_text_is_repr(neighbours(values, ulps=3))
+
+    @pytest.mark.parametrize("low, power, modulus, targets, sides", [
+        # x = m * 2**(low - 52) in [8, 10): y = x * 1e16 = m * 5**16 / 2**33,
+        # and half the gap between doubles is 8.88 (as y). y on a 17-digit
+        # tie, or 2**-33 either side of one: m * 5**16 = 2**32 + e (mod 2**33)
+        (3, 16, 1 << 33, [(1 << 32) - 1, 1 << 32, (1 << 32) + 1], [0]),
+        # y mod 10 on 5, or 5 * 2**-33 either side: a 16-digit tie
+        (3, 15, 1 << 34, [(1 << 33) - 1, 1 << 33, (1 << 33) + 1], [0]),
+        # x in [1, 2), where half the gap is 1.11: the midpoint between x
+        # and its neighbour below or above, (2m -+ 1) / 2**53, is 5 * 2**-37
+        # or 15 * 2**-37 (as y) from a multiple of 10, or 25 * 2**-37 from
+        # a multiple of 100. x's interval ends there, and a 16- or 15-digit
+        # text lies just in it or just out of it
+        (0, 15, 1 << 38, [-3, -1, 1, 3], [-1, 1]),
+        (0, 14, 1 << 39, [-1, 1], [-1, 1]),
+        # in [8, 10), 25 * 2**-34 from a multiple of 100: outside the margin
+        (3, 14, 1 << 36, [-1, 1], [-1, 1]),
+    ])
+    def test_cells_at_a_tie_or_an_interval_end(self, low, power, modulus, targets, sides):
+        # m solves (2m + side) * 5**power = target (mod modulus), or
+        # m * 5**power = target where side is 0
+        values = []
+        for target, side in itertools.product(targets, sides):
+            k = target * pow(5 ** power, -1, modulus) % modulus
+            step = modulus >> (side != 0)
+            root = (k - side) // 2 % step if side else k
+            first = root + ((1 << 52) - root + step - 1) // step * step
+            values += [m * 2.0 ** (low - 52) for m in range(first, 5 << 50, step)][:300]
+        values = np.array(values)
+        assert values.size == 300 * len(targets) * len(sides)
+        assert np.all((2 ** low <= values) & (values < 2 ** low * 1.25))
+        assert_text_is_repr(neighbours(values, ulps=1))
+
+    def test_other_normal_and_special_values(self):
+        tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            tiny, -tiny, np.nextafter(tiny, 0), 1e-310, huge, -huge,
+                            1.0, 2.0, 0.5, 1024.0, 0.1, 1 / 3, 2 / 3, 9.5, 99.5])
+        assert_text_is_repr(special)
+        assert_text_is_repr(neighbours(special[np.isfinite(special)], ulps=1))
+        assert floattext.fields(np.array([])).shape == (0, floattext.FIELD_BYTES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), max_size=40))
+    def test_any_float(self, values):
+        assert_text_is_repr(values)
+
+    def test_stock_scenario_rarely_calls_repr(self, tmp_path):
+        # the README scenario: under 1% of its cells go to repr one at a
+        # time, and the file is repr's text
+        table, _ = synthgen.weather_outage_scenario(synthgen.ScenarioSpec(seed=7))
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return repr(value)
+
+        p = tmp_path / "w.csv"
+        with mock.patch.object(floattext, "repr", counted, create=True), split_write(1):
+            ingest.write_weather_csv(table, p)
+        assert len(calls) < 0.01 * table.n_rows * len(table.factors)
+        lines = p.read_bytes().split(b"\r\n")
+        assert len(lines) == table.n_rows + 2
+        for k in (0, 1, 4095, 4096, table.n_rows - 1):
+            assert lines[k + 1].split(b",")[1:] == [
+                repr(float(table.factors[f][k])).encode() for f in table.factor_names]
+        assert kernel_cells(table.factors["F3"]) == repr_cells(table.factors["F3"])
+
+    def test_blocks_of_no_row_and_of_one_row(self, tmp_path):
+        stamps = hours(0, 1, 2)
+        columns = [np.array([0.25, -1e-5, np.nan]), (np.array([7.0, 0.1]), np.array([1, 0, 1]))]
+        assert write_bytes(tmp_path / "none.csv", stamps[:0],
+                           [columns[0][:0], (columns[1][0], columns[1][1][:0])]) \
+            == b"timestamp,c0,c1\r\n"
+        with split_write(2, 1, 1):
+            one_row_blocks = write_bytes(tmp_path / "one.csv", stamps, columns)
+        assert one_row_blocks == (b"timestamp,c0,c1\r\n"
+                                  b"2021-03-01T00:00:00Z,0.25,0.1\r\n"
+                                  b"2021-03-01T01:00:00Z,-1e-05,7.0\r\n"
+                                  b"2021-03-01T02:00:00Z,,0.1\r\n")
+
+
+class TestLengthsAgree:
+    """A write or a table whose lengths disagree is refused, not cut short."""
+
+    def test_column_shorter_than_the_timeline(self, tmp_path):
+        p = tmp_path / "w.csv"
+        with pytest.raises(ValueError, match="column 'b' has shape \\(3,\\), not one "
+                                             "value for each of 5 rows"):
+            ingest.write_text_columns(p, ["timestamp", "a", "b"], hours(*range(5)),
+                                      [np.arange(5.0), np.arange(3.0)])
+        assert not p.exists()
+
+    def test_index_shorter_than_the_timeline(self, tmp_path):
+        with pytest.raises(ValueError, match="index of column 'p' has shape \\(4,\\)"):
+            ingest.write_text_columns(tmp_path / "w.csv", ["timestamp", "p"],
+                                      hours(*range(5)), [(np.array([0.5]), np.zeros(4, int))])
+
+    @pytest.mark.parametrize("header", [["timestamp", "a"], ["timestamp", "a", "b", "c"]])
+    def test_header_that_does_not_name_every_column(self, tmp_path, header):
+        with pytest.raises(ValueError, match=re.escape(
+                f"header {header!r} names {len(header)} columns, but a row has 3")):
+            ingest.write_text_columns(tmp_path / "w.csv", header, hours(0, 1),
+                                      [np.zeros(2), np.ones(2)])
+
+    def test_table_factor_of_another_length(self):
+        with pytest.raises(ValueError, match="factor 'a' has shape \\(3,\\), not one "
+                                             "value for each of 5 rows"):
+            RawWeatherTable(hours(*range(5)), {"a": np.arange(3.0)})
+        with pytest.raises(ValueError, match="factor 'b' has shape \\(2, 1\\)"):
+            ingest.TimeSeriesTable(hours(0, 1), {"a": [1.0, 2.0], "b": [[1.0], [2.0]]})
+
+    def test_label_of_another_length(self):
+        with pytest.raises(ValueError, match="label has shape \\(3,\\), not one "
+                                             "value for each of 2 rows"):
+            ingest.TimeSeriesTable(hours(0, 1), {"a": [1.0, 2.0]}, np.zeros(3, np.uint8))
