@@ -16,10 +16,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import workers
+from . import floatparse, workers
 from .preprocess import code_dtype
 
 TIME_DTYPE = np.dtype("datetime64[us]")
@@ -219,10 +217,12 @@ def parse_weather_csv(path, schema: Sequence[str] | None = None) -> RawWeatherTa
     keeps every non-timestamp column in header order. Duplicate timestamps
     are rejected; rows arrive sorted by time regardless of file order.
 
-    A file numpy's C reader can take whole is read in one pass
-    (:func:`_parse_weather_fast`); any other file goes through the per-cell
-    reader, which is also the only source of row-level errors. Both give
-    the same table, bit for bit.
+    A file whose rows and timestamps the fast path takes is parsed in
+    numpy, block by block (:func:`_parse_weather_fast`); any other file
+    goes through the per-cell reader, which is also the only source of
+    row-level errors. Both give the same table, bit for bit: the fast path
+    reads each cell as ``_parse_cell`` does, most in numpy
+    (:func:`floatparse.decimals`) and any other through ``_parse_cell``.
     """
     with _open_csv(path, "weather", [TIMESTAMP_COLUMN, *(schema or ())]) \
             as (p, header, rows):
@@ -276,21 +276,28 @@ def _stamped_rows(p: Path, header: list[str], reader):
         yield (ts - _EPOCH) // _MICROSECOND, lineno, record
 
 
-# The one timestamp layout the fast path reads, "YYYY-MM-DDTHH:MM:SSZ",
-# plus one byte that must stay empty: numpy cuts a text to its field's
-# width, so a longer stamp shows only there.
-_STAMP_LAYOUT = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
-_STAMP_DIGITS = _STAMP_LAYOUT == ord("0")
-_DATA_BYTE = re.compile(rb"[^\r\n]")
+# The one timestamp layout the fast path reads, "YYYY-MM-DDTHH:MM:SSZ". A
+# stamp's byte differs from it, as xor, by at most 9 where it holds a digit
+# ("0" ^ "9" is 9) and by 0 elsewhere.
+_STAMP_LAYOUT = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_STAMP_XOR_MAX = np.where(_STAMP_LAYOUT == ord("0"), 9, 0).astype(np.uint8)
 _YEAR_1 = np.datetime64("0001-01-01", "us")
+_MISSING_NA = np.frombuffer(b"N/A", dtype=np.uint8)
 _COMMA, _LF, _CR = b",\n\r"
 # Bytes of a weather file that the fast path reads, checks and parses at a
-# time (:func:`_line_blocks`): glibc's default mmap threshold. Freeing a
+# time (:func:`_line_block`): glibc's default mmap threshold. Freeing a
 # transient far above the threshold raises it, and the brk heap then keeps
 # the mid-size arrays that later stages free; a part read whole (6.6 MB at
-# 100k hours) did that. Blocks of 64 KiB parsed the 100k-hour file 1-2 ms
-# slower, for at most 0.6 MB less peak RSS in `learn`, `predict` or `eval`.
+# 100k hours) did that. A block of the stock file holds about 1,000 rows
+# and 6,000 float cells. A gappy 40k-hour file parsed in one part peaked
+# 4.7 blocks above its table under tracemalloc.
 _BLOCK = 1 << 17
+# Cells that floatparse.decimals reads at a time, at about 95 bytes a cell:
+# about 2.2 blocks. Its numpy calls cost about as much as their work on
+# 2,048 cells, so 3,072 parsed the stock 100k-hour file about 10% faster;
+# a whole block's cells at once, 14% faster, peaked 6 blocks above the
+# table on the gappy 40k-hour file.
+_CELLS = 3_072
 # A file's data lines are split into parts of at least _MIN_PART_BYTES
 # (see workers.part_count).
 _MIN_PART_BYTES = 1 << 20
@@ -298,16 +305,18 @@ _MIN_PART_BYTES = 1 << 20
 
 def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
                         col_idx: list[int]) -> RawWeatherTable | None:
-    """The file through ``np.loadtxt``, one line-aligned part per usable
-    CPU, or ``None`` to fall back.
+    """The file parsed in numpy, one line-aligned part per usable CPU, or
+    ``None`` to fall back.
 
-    Accepts only files whose every cell the per-cell reader would read the
+    Accepts only files whose every row the per-cell reader would read the
     same way: ASCII with no quote, NUL or lone CR; at least one data line;
-    every timestamp in the fixed layout ``YYYY-MM-DDTHH:MM:SSZ`` and unique;
-    every other cell a number numpy parses or a missing cell. Each part
-    runs these checks on its own lines (:func:`_parse_part`); the sort, the
-    duplicate check and the rewrite of non-finite values to ``NaN`` run
-    here, once, on the gathered columns.
+    one field per header name on each line; every timestamp in the fixed
+    layout ``YYYY-MM-DDTHH:MM:SSZ`` and unique. Each cell is read as the
+    per-cell reader reads it: in numpy when it is a plain decimal
+    (:func:`floatparse.decimals`), empty or ``N/A``, and by ``_parse_cell``
+    otherwise (:func:`_cells`). Each part runs these checks on its own
+    lines (:func:`_parse_part`); the sort and the duplicate check run here,
+    once, on the gathered columns.
 
     Part 0 is parsed in this process and every other part in a forked
     worker (:func:`workers.forked`), which replies with its columns' bytes
@@ -315,7 +324,7 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
     one parsed here is parsed straight into the columns, and each reply
     is read from its pipe into place (:func:`_read_part`). A part whose
     worker could not be forked, sent nothing or died before the end of
-    its reply is parsed here. Only a part that the C reader refuses sends
+    its reply is parsed here. Only a part that the checks refuse sends
     the file to the per-cell reader. No worker outlives this call,
     whatever it raises.
     """
@@ -324,9 +333,7 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
         if not header.endswith(b"\n") or b"\r" in header[:-2]:
             return None  # no data line, or a lone CR in the header
         ranges = _part_ranges(fh, len(header), os.fstat(fh.fileno()).st_size)
-    dtype = np.dtype([(f"f{k}", f"S{_STAMP_LAYOUT.size}" if k == ts_idx else "f8")
-                      for k in range(n_fields)])
-    part = functools.partial(_parse_part, p, dtype=dtype, ts_idx=ts_idx,
+    part = functools.partial(_parse_part, p, n_fields=n_fields, ts_idx=ts_idx,
                              col_idx=col_idx)
     out = _new_columns(len(columns))
     with workers.forked(functools.partial(_parse_worker, part, len(columns)),
@@ -335,23 +342,17 @@ def _parse_weather_fast(p: Path, n_fields: int, ts_idx: int, columns: list[str],
             if pipe is not None and _read_part(pipe, out, stop - start):
                 continue
             if not part(start, stop, out=out):
-                return None  # the C reader refuses the part
+                return None  # the checks refuse the part
     if not len(out[0]):
         return None  # no data rows
     stamps = out.pop(0)
     if np.all(stamps[1:] > stamps[:-1]):
-        order = None
-    else:
-        order = np.argsort(stamps, kind="stable")
-        stamps = stamps[order]
-        if np.any(stamps[1:] == stamps[:-1]):
-            return None  # the per-cell reader reports the row
-    factors = {}
-    for c in columns:
-        values = out.pop(0)
-        values[~np.isfinite(values)] = np.nan
-        factors[c] = values if order is None else values[order]
-    return RawWeatherTable(stamps, factors)
+        return RawWeatherTable(stamps, dict(zip(columns, out)))
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    if np.any(stamps[1:] == stamps[:-1]):
+        return None  # the per-cell reader reports the row
+    return RawWeatherTable(stamps, {c: values[order] for c, values in zip(columns, out)})
 
 
 def _part_ranges(fh, body: int, size: int) -> list[tuple[int, int]]:
@@ -435,7 +436,7 @@ def _read_part(pipe, out: list[np.ndarray], most: int) -> bool:
 
 
 def _parse_part(p: Path, start: int, stop: int, *, out: list[np.ndarray],
-                dtype: np.dtype, ts_idx: int, col_idx: list[int]) -> bool:
+                n_fields: int, ts_idx: int, col_idx: list[int]) -> bool:
     """One part of a weather file (:func:`_part_ranges`), parsed block by
     block (:func:`_block_rows`) onto the end of ``out``, its timestamps and
     then the columns ``col_idx`` in file order: ``False`` to fall back.
@@ -447,26 +448,14 @@ def _parse_part(p: Path, start: int, stop: int, *, out: list[np.ndarray],
     with open(p, "rb", buffering=0) as fh:
         fh.seek(start)
         while fh.tell() < stop:
-            rows = _block_rows(fh, stop, dtype)
-            if rows is None or end + len(rows) > len(out[0]):
+            rows = _block_rows(fh, stop, n_fields, ts_idx, col_idx)
+            if rows is None or end + len(rows[0]) > len(out[0]):
                 return False
-            if not len(rows):
-                continue
-            text = np.ascontiguousarray(rows[f"f{ts_idx}"]).view(np.uint8) \
-                .reshape(len(rows), _STAMP_LAYOUT.size)
-            if not (np.all(text[:, _STAMP_DIGITS] - ord("0") <= 9)
-                    and np.all(text[:, ~_STAMP_DIGITS] == _STAMP_LAYOUT[~_STAMP_DIGITS])):
-                return False
-            block = slice(end, end + len(rows))
-            try:
-                out[0][block] = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0]
-            except ValueError:  # a field out of range, such as month 13
-                return False
-            if out[0][block].min() < _YEAR_1:  # year 0, which datetime cannot hold
-                return False
-            for values, k in zip(out[1:], col_idx):
-                values[block] = rows[f"f{k}"]
-            end += len(rows)
+            block = slice(end, end + len(rows[0]))
+            for column, values in zip(out, rows):
+                column[block] = values
+            end = block.stop
+            del rows, values  # before the next block is read
     _resize(out, end)  # lines that hold no row, blank ones
     return True
 
@@ -494,80 +483,92 @@ def _line_block(fh, stop: int) -> bytes:
     return data[:cut]
 
 
-def _block_rows(fh, stop: int, dtype: np.dtype) -> np.ndarray | None:
-    """The lines after the first of the next block of ``fh``
-    (:func:`_line_block`), through one structured ``np.loadtxt`` call, or
-    ``None`` to fall back.
+def _block_rows(fh, stop: int, n_fields: int, ts_idx: int,
+                col_idx: list[int]) -> list[np.ndarray] | None:
+    """The rows of the next block of ``fh`` (:func:`_line_block`) after its
+    first line: their timestamps, then their values in the columns
+    ``col_idx`` (:func:`_cells`); ``None`` to fall back.
 
-    numpy reads LF and CRLF line ends alike, so the bytes go to it as they
-    are, but for two rewrites to ``nan``. ``N/A`` becomes ``nan`` wherever
-    it occurs: as a whole field, signed or padded, it is then a NaN, as
-    ``_parse_cell`` reads it; inside any other text (``xN/A``, ``N/AN/A``)
-    numpy refuses the field, and the file falls back. An empty data field
-    gets ``nan`` written into it (:func:`_fill_empty_fields`). A block with
-    neither is not copied. numpy and ``float`` share CPython's
-    string-to-double routine and its whitespace rules; numpy rejects what
-    else ``float`` takes (``1_000``).
+    The offsets of the commas and LFs give each field's span, a CR before
+    an LF left out, and a blank line, LF or CRLF, is dropped; one check
+    then finds every line to hold ``n_fields`` fields. A timestamp must
+    be 20 bytes in the fixed layout, of a day and time numpy reads, from
+    year 1. The columns that ``col_idx`` does not name are not read.
     """
     data = _line_block(fh, stop)
-    # C code on either side may end a text at a NUL
-    if not data.isascii() or b'"' in data or b"\0" in data:
+    # C code may end a text at a NUL, and csv ends a line at a lone CR
+    if not data.isascii() or b'"' in data or b"\0" in data or data.endswith(b"\r"):
         return None
     body = data.find(b"\n") + 1
-    if _DATA_BYTE.search(data, body) is None:
-        # blank lines only: loadtxt would warn of an empty input
-        return np.empty(0, dtype=dtype)
-    if b"/" in data:  # one memchr, where looking for N/A takes 50 times longer
-        data = data.replace(b"N/A", b"nan")
-    data = _fill_empty_fields(data, body)
-    if data is None:
-        return None  # a lone CR, which csv reads as a line end
-    # this function holds the only reference to the block, and BytesIO
-    # shares the bytes object that the last rewrite returns, so each
-    # rewrite's input goes once it is made: two copies are the most held
-    stream = io.BytesIO(data)
-    del data
-    try:
-        return np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None,
-                          skiprows=1, ndmin=1, encoding="ascii")
-    except ValueError:
-        return None
-
-
-def _fill_empty_fields(data: bytes, body: int) -> bytes | None:
-    """``data`` with ``nan`` in each empty field of its data lines, or ``None``
-    if they hold a lone CR.
-
-    ``body`` is the offset of the first data line. ``data`` itself comes
-    back when no field is empty; otherwise ``nan`` joins views of the text
-    between the empty fields, so ``data`` and the result are the only
-    copies held.
-    """
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the file's last line
     buf = np.frombuffer(data, dtype=np.uint8)
-    data_lines = buf[body:]
-    cr = np.flatnonzero(data_lines == _CR) + body
-    if np.any(_next_byte(buf, cr) != _LF):
+    lines = buf[body:]
+    ends = lines == _COMMA
+    ends |= lines == _LF
+    ends = np.flatnonzero(ends)
+    ends += body
+    lf = buf[ends] == _LF
+    starts = np.empty_like(ends)
+    starts[:1] = body
+    starts[1:] = ends[:-1] + 1
+    if b"\r" in data:
+        crlf = lf & (buf[ends - 1] == _CR)
+        if np.count_nonzero(crlf) != np.count_nonzero(lines == _CR):
+            return None  # a lone CR
+        ends -= crlf
+        del crlf
+    # a blank line: an empty field that starts a line and ends it
+    blank = lf & (ends == starts)
+    blank[1:] &= lf[:-1]
+    if blank.any():
+        keep = ~blank
+        starts, ends, lf = starts[keep], ends[keep], lf[keep]
+    del blank
+    rows = lf.size // n_fields
+    if lf.size % n_fields or np.count_nonzero(lf) != rows \
+            or not lf[n_fields - 1::n_fields].all():
+        return None  # a line of another number of fields
+    starts, ends = starts.reshape(rows, n_fields), ends.reshape(rows, n_fields)
+    stamp_ends = ends[:, ts_idx]  # a view that keeps ends alive
+    if np.any(stamp_ends - starts[:, ts_idx] != _STAMP_LAYOUT.size):
         return None
-    # a comma after LF starts a line with an empty field, and a comma
-    # before a comma, CR, LF or the end of the file ends one; a blank
-    # line holds no field
-    comma = np.flatnonzero(data_lines == _COMMA) + body
-    ahead = _next_byte(buf, comma)
-    cuts = np.sort(np.concatenate([
-        comma[buf[comma - 1] == _LF],
-        comma[(ahead == _COMMA) | (ahead == _LF) | (ahead == _CR)] + 1])).tolist()
-    if not cuts:
-        return data
-    text = memoryview(data)
-    return b"nan".join([text[a:b] for a, b in zip([0, *cuts], [*cuts, len(data)])])
+    text = floatparse.windows(buf, stamp_ends, _STAMP_LAYOUT.size)
+    del stamp_ends
+    if not np.all((text ^ _STAMP_LAYOUT) <= _STAMP_XOR_MAX):
+        return None
+    try:
+        stamps = np.ascontiguousarray(text[:, :19]).view("S19")[:, 0].astype(TIME_DTYPE)
+    except ValueError:  # a field out of range, such as month 13
+        return None
+    if rows and stamps.min() < _YEAR_1:  # year 0, which datetime cannot hold
+        return None
+    del text
+    starts, ends = starts[:, col_idx].ravel(), ends[:, col_idx].ravel()
+    values = _cells(buf, starts, ends)
+    return [stamps, *values.reshape(rows, len(col_idx)).T]
 
 
-def _next_byte(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The byte after each offset. Past the end of a block the last byte
-    stands in for it: a block that does not end at an LF ends the file, so
-    a CR there is lone, and a comma there ends an empty field, as they
-    should be."""
-    return buf[np.minimum(at + 1, buf.size - 1)]
+def _cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The float64 of each cell ``buf[starts[i]:ends[i]]`` as ``_parse_cell``
+    reads it, NaN for missing: in numpy for a plain decimal
+    (:func:`floatparse.decimals`, :data:`_CELLS` cells at a time), an empty
+    cell and ``N/A``, and through ``_parse_cell`` for any other cell, one
+    at a time."""
+    values = np.empty(len(ends))
+    settled = np.empty(len(ends), dtype=bool)
+    for at in range(0, len(ends), _CELLS):
+        part = slice(at, at + _CELLS)
+        values[part], settled[part] = floatparse.decimals(buf, starts[part], ends[part])
+    todo = ~settled
+    if todo.any():
+        todo = np.flatnonzero(todo)
+        length = ends[todo] - starts[todo]
+        na = np.all(floatparse.windows(buf, ends[todo], len(_MISSING_NA)) == _MISSING_NA, axis=1)
+        for k in todo[(length != 0) & ((length != len(_MISSING_NA)) | ~na)].tolist():
+            value = _parse_cell(buf[starts[k]:ends[k]].tobytes().decode("ascii"))
+            values[k] = np.nan if value is None else value
+    return values
 
 
 def _parse_weather_rows(p: Path, rows, columns: list[str],
@@ -614,7 +615,8 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     emptied by an unrecoverable column); ``raw.timestamps`` stays. When no
     hour is missing, the timeline and each column observed at every hour
     are ``raw``'s own arrays, not copies: ``np.interp`` would give back each
-    sample exactly.
+    sample exactly. The float hours that ``np.interp`` reads are made for
+    the first column it fills, if any.
     """
     if raw.n_rows == 0:
         raise ValueError("cannot interpolate an empty table")
@@ -634,9 +636,7 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
     # strictly increasing whole hours with none missing are the grid itself
     complete = n == raw.n_rows
     grid = stamps if complete else stamps[0] + np.arange(n) * HOUR
-    hours = np.arange(n, dtype=np.float64)
-    # as floats, so that np.interp converts no column's positions again
-    positions = hours if complete else ((stamps - stamps[0]) // HOUR).astype(np.float64)
+    hours = positions = None  # made for the first column np.interp fills
 
     filled: dict[str, np.ndarray] = {}
     for name in list(raw.factors):
@@ -645,6 +645,11 @@ def interpolate_missing(raw: RawWeatherTable) -> TimeSeriesTable:
         if complete and observed.all():
             filled[name] = values
         elif observed.any():
+            if hours is None:
+                hours = np.arange(n, dtype=np.float64)
+                # as floats, so that np.interp converts no column's positions again
+                positions = hours if complete else \
+                    ((stamps - stamps[0]) // HOUR).astype(np.float64)
             filled[name] = np.interp(hours, positions[observed], values[observed])
         else:
             raise UnrecoverableColumnError(name)
