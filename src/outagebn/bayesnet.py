@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pcalg import GraphStateError, LearnedDag
-from .preprocess import DiscreteDataset, code_space, config_codes
+from .preprocess import DiscreteDataset, code_space, config_codes, unique_codes
 
 # Exact inference enumerates completions of the unobserved nodes; beyond
 # this many weighted terms the query is refused instead of thrashing.
@@ -200,10 +200,10 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
     """Estimate every node's table from integer-coded data of any integer dtype.
 
     Each cell gets (count + alpha) / (config_total + alpha * card) by
-    :func:`smoothed`. Only configurations seen in ``ds`` get a row; every
-    other one shares the default row, the same expression on zero counts (a
-    uniform row). ``alpha`` must be positive so that every probability
-    stays above zero, and finite so that every row is a distribution.
+    :func:`smoothed`. Only configurations seen in ``ds`` get a row, numbered by
+    ``preprocess.unique_codes``; every other one shares the default row, the
+    same expression on zero counts (a uniform row). ``alpha`` must be positive so
+    that every probability stays above zero, and finite so that every row is a distribution.
     """
     if not 0 < laplace_alpha < math.inf:
         raise ValueError("laplace_alpha must be positive and finite")
@@ -220,8 +220,9 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
         card = ds.cardinalities[col_of[node]]
         parents = list(dag.parents[node])
         parent_cards = [ds.cardinalities[col_of[p]] for p in parents]
+        space = code_space(parent_cards, f"node {node!r}")
         codes = config_codes([ds.rows[:, col_of[p]] for p in parents], parent_cards, n)
-        configs, config_of_row = np.unique(codes, return_inverse=True)
+        configs, config_of_row = unique_codes(codes, space)
         # one count row per observed configuration
         counts = np.bincount(config_of_row * card + ds.rows[:, col_of[node]],
                              minlength=len(configs) * card)
@@ -562,7 +563,8 @@ def _cpt(path, node: str, cardinalities: dict, entry) -> Cpt:
 
     Refuses, with a ``ValueError`` that names the file and the node, a
     missing entry, a missing key or one of the other kind, parents that
-    are not the file's nodes or include the node, a config gap or
+    are not the file's nodes, include the node or name a node twice, a
+    ``configs`` or ``row_of`` that is not a list, a config gap or
     ``row_of`` value that is not an integer, gaps that repeat a code or
     leave the code space, a ``row_of`` that does not index one row per
     config, a count row that is not ``card`` integers of at least 0, an
@@ -585,10 +587,14 @@ def _cpt(path, node: str, cardinalities: dict, entry) -> Cpt:
         raise ValueError(f"{where}: its parents are not a list of the file's nodes")
     if node in parents:
         raise ValueError(f"{where}: its parents include the node itself")
+    if len(set(parents)) != len(parents):
+        raise ValueError(f"{where}: its parents name a node twice")
     parent_cards = [cardinalities[q] for q in parents]
     n_configs = code_space(parent_cards, where)
     ints = {}
     for key in ("configs", "row_of"):
+        if not isinstance(entry[key], list):
+            raise ValueError(f"{where}: its {key} is not a list")
         value = np.asarray(entry[key]) if entry[key] else np.zeros(0, dtype=np.int64)
         if value.dtype.kind not in "iu" or value.ndim != 1:
             raise ValueError(f"{where}: {key} holds a value that is not an integer")

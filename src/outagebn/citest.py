@@ -21,17 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .pcalg import CiCallable
-from .preprocess import DiscreteDataset, code_space, config_codes
+from .preprocess import DiscreteDataset, code_dtype, code_space, config_codes, unique_codes
 
 # Below this many samples per degree of freedom the asymptotic null is
 # unreliable; the test then abstains by reporting independence.
 MIN_SAMPLES_PER_DOF = 10.0
-
-# A code space (conditioning configurations, or a test's cells) with at
-# most this many codes per data row is tabulated by one bincount over the
-# whole space; a larger one by sorting the rows' codes. The two cost about
-# the same at 2.
-_DENSE_CODES_PER_ROW = 2
 
 # chi2_upper_tail: a term or factor within _EPS of its limit ends a sum;
 # _TINY stands in for a zero Lentz denominator; _MAX_TERMS bounds the loops,
@@ -130,23 +124,19 @@ def condition_configs(rows: np.ndarray, given: Sequence[int],
                       cardinalities: Sequence[int]) -> np.ndarray:
     """Each row's configuration of the ``given`` columns, as an index.
 
-    The configurations that occur are numbered 0, 1, ... in ascending
-    mixed-radix code order (first column most significant); no columns is
-    the single configuration 0. The index has the smallest unsigned type
-    that holds it, 32 bits at most for any table that fits in memory, so
-    the sets :func:`dataset_ci` keeps stay small. The columns' values are
-    not range-checked.
+    The configurations that occur are numbered 0, 1, ... in ascending mixed-radix
+    code order (first column most significant) by ``preprocess.unique_codes``; no
+    columns is the single configuration 0. The index is in ``code_dtype`` of their
+    number, 32 bits at most for any table that fits in memory, so the sets
+    :func:`dataset_ci` keeps stay small. The columns' values are not range-checked.
     """
-    n = rows.shape[0]
     cond = [int(c) for c in given]
     cards = [cardinalities[c] for c in cond]
     space = code_space(cards, f"conditioning columns {cond}")
-    code = config_codes([rows[:, c] for c in cond], cards, n)
-    if space <= _DENSE_CODES_PER_ROW * n:
-        rank = np.cumsum(np.bincount(code, minlength=space) > 0) - 1
-        return rank.astype(np.min_scalar_type(rank[-1]))[code]
-    index = np.unique(code, return_inverse=True)[1]
-    return index.astype(np.min_scalar_type(index.max(initial=0)))
+    configs, index = unique_codes(config_codes([rows[:, c] for c in cond], cards,
+                                               rows.shape[0]), space)
+    # unsigned even with no rows, where code_dtype([0]) is int8
+    return index.astype(code_dtype([max(len(configs), 1)]))
 
 
 def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
@@ -199,19 +189,13 @@ def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
     i, j = min(i, j), max(i, j)
     ci, cj = cardinalities[i], cardinalities[j]
 
-    # Counts of the observed (configuration, x, y) cells, in ascending cell
-    # order: a bincount over the whole table where it has few cells per
-    # data row, else a sort of the rows' cell codes.
+    # The observed (configuration, x, y) cells in ascending cell order, as
+    # preprocess.unique_codes numbers them, and each one's count.
     config = configs.astype(np.int64)
     m = int(config.max()) + 1
-    cell = (config * ci + rows[:, i]) * cj + rows[:, j]
-    if m * ci * cj <= _DENSE_CODES_PER_ROW * n:
-        counts = np.bincount(cell, minlength=m * ci * cj)
-        cells = counts.nonzero()[0]
-        observed = counts[cells]
-    else:
-        cells, observed = np.unique(cell, return_counts=True)
-    observed = observed.astype(float)
+    cells, cell_of_row = unique_codes((config * ci + rows[:, i]) * cj + rows[:, j],
+                                      m * ci * cj)
+    observed = np.bincount(cell_of_row).astype(float)
     # Each configuration's row (x) and column (y) sums and total, keyed
     # config * ci + x, config * cj + y and config; as floats they are the
     # exact counts.

@@ -19,6 +19,9 @@ if TYPE_CHECKING:  # ingest makes its labels in code_dtype, so imports this modu
 # Rows coded per np.digitize call in apply_bins; bounds its scratch to
 # 512 KB beside the code matrix.
 _BIN_BLOCK_ROWS = 1 << 16
+# unique_codes numbers a space of at most this many codes per code by one
+# bincount over it, a larger one by sorting; the two cost about the same at 2.
+_DENSE_CODES_PER_ROW = 2
 # Minority rows whose distances smote_upsample sorts at once: its scratch
 # is 16 bytes per block row and minority row, not per pair of minority
 # rows (2,000 minority rows at 1M hours would take 64 MB).
@@ -145,6 +148,18 @@ def config_codes(columns, cards: Sequence[int], n: int) -> np.ndarray | int:
     if offset:
         code += offset
     return code
+
+
+def unique_codes(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for integer codes in ``range(space)``.
+
+    The one rule that numbers observed codes: the CI test's conditioning sets
+    and cells, and the CPT fit's parent configurations.
+    """
+    if space > _DENSE_CODES_PER_ROW * len(codes):
+        return np.unique(codes, return_inverse=True)
+    seen = np.bincount(codes, minlength=space) > 0
+    return seen.nonzero()[0].astype(codes.dtype, copy=False), (np.cumsum(seen) - 1)[codes]
 
 
 def equal_width_edges(values, bins: int) -> np.ndarray:

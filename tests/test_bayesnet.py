@@ -784,7 +784,8 @@ class TestModelFile:
               ("gaps-negative-start", "configs", [-1, 1, 1, 1], GAPS),
               ("gaps-negative", "configs", [1, -1, 1, 1], GAPS),
               ("gaps-sum-wraps-past-int64", "configs", [0, 2**63 - 1, 1, 1], GAPS),
-              ("self-parent", "parents", ["a", "t"], "its parents include the node itself"))),
+              ("self-parent", "parents", ["a", "t"], "its parents include the node itself"),
+              ("parent-twice", "parents", ["a", "a"], "its parents name a node twice"))),
         pytest.param("rows", "b", "rows", [[0.5, 0.5], [0.25, 0.5, 0.25]],
                      "a row is not a list of 2 probabilities", id="row-width"),
         pytest.param("rows", "b", "rows", [[0.5, 0.5], [-0.5, 1.5]], NOT_A_PROBABILITY,
@@ -813,6 +814,23 @@ class TestModelFile:
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value) == f"model file {path}, node {node!r}: {message}"
+
+    @pytest.mark.parametrize("key", ["configs", "row_of"])
+    @pytest.mark.parametrize("value", [0, False, None, ""],
+                             ids=["zero", "false", "null", "empty-text"])
+    def test_refuses_configs_or_row_of_that_are_not_lists(self, tmp_path, key, value):
+        # beside empty configs, row_of and counts, each value once loaded as a
+        # table of no configurations, whose every row read as the default
+        bn, _ = self.build()
+        path = tmp_path / "m.json"
+        save_model(bn, path)
+        doc = json.loads(path.read_text())
+        doc["cpts"]["t"].update(configs=[], row_of=[], counts=[])
+        doc["cpts"]["t"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == f"model file {path}, node 't': its {key} is not a list"
 
     @pytest.mark.parametrize("kind,keys,value,node,message", [
         *(pytest.param(kind, keys, value, node, message, id=prefix + name)

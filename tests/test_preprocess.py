@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import bayesnet, ingest, pcalg, preprocess, synthgen
+from outagebn import bayesnet, citest, ingest, pcalg, preprocess, synthgen
 from outagebn.ingest import TimeSeriesTable
 from outagebn.preprocess import (DiscreteDataset, ImbalanceError,
                                  SynthesisError, apply_bins,
@@ -308,6 +308,78 @@ def test_config_codes_match_python_int_reference(case):
         assert got.tolist() == want
     for col, old in zip(cols, before):  # the columns are read, never written
         assert np.array_equal(col, old)
+
+
+@st.composite
+def codes_in_a_space(draw):
+    """Up to 40 codes of one integer dtype and a space that holds them.
+
+    The space is drawn either small enough for ``unique_codes``' bincount
+    (at most two codes per code) or from the dtype's whole range, which
+    mostly takes the sort; a code is often ``space - 1``.
+    """
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int32, np.int64]))
+    n = draw(st.integers(0, 40))
+    space = draw(st.one_of(st.integers(1, max(2 * n, 1)),
+                           st.integers(1, int(np.iinfo(dtype).max) + 1)))
+    codes = draw(st.lists(st.one_of(st.just(space - 1), st.integers(0, space - 1)),
+                          min_size=n, max_size=n))
+    return np.array(codes, dtype=dtype), space
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_in_a_space())
+@example((np.zeros(0, dtype=np.int64), 1))
+@example((np.zeros(3, dtype=np.uint8), 1))
+@example((np.array([3, 0, 3], dtype=np.int64), 4))
+@example((np.array([2**62, 5, 2**62], dtype=np.int64), 2**62 + 1))
+def test_unique_codes_match_np_unique(case):
+    codes, space = case
+    before = codes.copy()
+    values, index = preprocess.unique_codes(codes, space)
+    want_values, want_index = np.unique(codes, return_inverse=True)
+    assert values.dtype == want_values.dtype and np.array_equal(values, want_values)
+    assert index.dtype == want_index.dtype and np.array_equal(index, want_index)
+    assert np.array_equal(codes, before)
+
+
+class TestUniqueCodesSwitch:
+    """The CI test, its conditioning sets and the CPT fit give the same bits
+    whichever way ``unique_codes`` numbers their codes."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        table, _ = synthgen.weather_outage_scenario(synthgen.ScenarioSpec(hours=3000,
+                                                                          seed=11))
+        return attach_label_column(discretize(table, 10))
+
+    def outputs(self, ds, path):
+        """Model bytes, configuration indexes and test results for one setting."""
+        cards, names = ds.cardinalities, ds.columns
+        # the truth's structure, and the target under every factor (10^6 configurations)
+        dags = [pcalg.LearnedDag(nodes=list(names), parents={
+                    **{n: [] for n in names}, "F3": ["F1"], "F4": ["F2"],
+                    "outage": parents}, target="outage")
+                for parents in (["F1", "F2"], names[:-1])]
+        models = []
+        for dag in dags:
+            bayesnet.save_model(bayesnet.fit_cpts(dag, ds, laplace_alpha=1e-9), path)
+            models.append(path.read_bytes())
+        sets = [(), (0,), (6,), (1, 6), (0, 2, 4), (5, 1, 3)]
+        configs = [citest.condition_configs(ds.rows, given, cards) for given in sets]
+        tests = [citest.g_test_ci(ds.rows, i, j, given, cardinalities=cards, method=method)
+                 for method in ("g2", "pearson")
+                 for i, j, given in ((0, 6, ()), (2, 6, (0,)), (1, 3, (6,)),
+                                     (0, 1, (2, 3)), (4, 5, (0, 1, 6)))]
+        return (models, [(c.dtype, c.tolist()) for c in configs],
+                [(r.statistic.hex(), r.dof, r.p_value.hex()) for r in tests])
+
+    def test_either_side_of_the_switch_gives_the_same_bits(self, ds, tmp_path,
+                                                         monkeypatch):
+        want = self.outputs(ds, tmp_path / "default.json")
+        for per_row in (0, 10**9):
+            monkeypatch.setattr(preprocess, "_DENSE_CODES_PER_ROW", per_row)
+            assert self.outputs(ds, tmp_path / f"{per_row}.json") == want, per_row
 
 
 class TestNarrowCodes:
