@@ -137,14 +137,9 @@ class Cpt:
         rows += states
         return self._flat[rows]
 
-    def lookup(self, codes, states=None):
-        """Rows for configuration ``codes`` (an int or an int array), or their entries at
-        node ``states`` (an int, or an int array of the codes' shape or with one int code)."""
-        if states is None:
-            return self._lut[self._row_of(codes)]
-        if isinstance(codes, np.ndarray):
-            codes = codes.astype(np.int64)  # the index is made in this copy
-        return self._entries(self._row_of(codes), states)
+    def lookup(self, codes):
+        """Rows for configuration ``codes``, an int or an int array."""
+        return self._lut[self._row_of(codes)]
 
     @property
     def table(self) -> np.ndarray:

@@ -28,7 +28,7 @@ WIDTH = 24
 _U64 = np.dtype("<u8")
 _MAX_DIGITS = 19  # a significand of 19 digits fits a uint64
 _MAX_POW10 = 22  # 10**22 is the largest power of ten a float64 holds exactly
-_POW10 = 10.0 ** np.arange(_MAX_POW10 + 1)
+POW10 = 10.0 ** np.arange(_MAX_POW10 + 1)
 # By the places f of a fraction, up to 18, and at WIDTH for a cell with
 # no point: 10**(f + 1), which leaves the integer part of a significand
 # read with a 0 for its point, 9 * 10**f, 14 * 10**f, the part of one
@@ -245,15 +245,17 @@ def _per_cell(flags: np.ndarray, by) -> np.ndarray:
 # x * _SPLITTER - (x * _SPLITTER - x) is the high half of x, of at most 26
 # significant bits, and the rest of x its low half (Dekker 1971).
 _SPLITTER = 2.0 ** 27 + 1
-_POW10_HI = _POW10 * _SPLITTER
-_POW10_HI -= _POW10_HI - _POW10
-_POW10_LO = _POW10 - _POW10_HI
+_POW10_HI = POW10 * _SPLITTER
+_POW10_HI -= _POW10_HI - POW10
+_POW10_LO = POW10 - _POW10_HI
 
 
-def _product_error(a: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+def product_error(a: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``a * 10**q - p`` exactly, for ``p`` the float64 ``a * 10**q``, by
     Dekker's product of the halves of ``a`` and of ``10**q``, in separate
-    float64 operations, none of which may be fused."""
+    float64 operations, none of which may be fused. :func:`_times` and
+    :func:`_over` read it for the residual that rounds a parsed cell, and
+    :func:`floattext.fields` to scale a value to 17 digits exactly."""
     a_hi = a * _SPLITTER
     a_lo = a_hi - a
     a_hi -= a_lo
@@ -280,10 +282,10 @@ def _times(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The float64 nearest to each ``m * 10**q`` (:func:`_nearest`), from
     ``m0 * 10**q``, taken exactly, plus ``(m - m0) * 10**q``, for ``m0``
     the float64 nearest ``m``."""
-    p = _POW10.take(q)
+    p = POW10.take(q)
     m0 = m.astype(np.float64)
     hi = m0 * p
-    lo = _product_error(m0, q, hi)
+    lo = product_error(m0, q, hi)
     np.multiply(_rest(m, m0), p, out=m0)
     lo += m0
     return _nearest(hi, lo, m, q, 1)
@@ -296,7 +298,7 @@ def _over(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     ph) + (m - m0) - pl``, where ``ph + pl == hi * 10**q``: the first two
     terms are exact, ``ph`` being within a factor of 2 of ``m0`` and both
     terms integers when ``m0`` exceeds 2**53, and ``m - m0`` 0 when not."""
-    p = _POW10.take(q)
+    p = POW10.take(q)
     m0 = m.astype(np.float64)
     hi = m0 / p
     ph = np.multiply(hi, p, out=p)
@@ -304,8 +306,8 @@ def _over(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     m0 -= ph
     m0 += rest
     del rest
-    m0 -= _product_error(hi, q, ph)
-    m0 /= _POW10.take(q, out=ph)
+    m0 -= product_error(hi, q, ph)
+    m0 /= POW10.take(q, out=ph)
     del ph
     return _nearest(hi, m0, m, q, -1)
 

@@ -5,39 +5,30 @@ back to the same float64, the nearest to it where several do (Gay's
 shortest mode, which CPython's ``repr`` runs), written positionally for a
 decimal exponent from -4 to 15 and in e-notation beyond, so that parse ->
 write -> parse is bit-identical. :func:`fields` makes it as NUL-padded
-bytes behind the comma that leads a CSV cell; a cell it cannot settle
-exactly goes through ``repr`` itself.
+bytes behind the comma that leads a CSV cell; zero, subnormal, infinite
+and out-of-range values, and a value whose decimal exponent it misjudged,
+go through ``repr`` itself.
 
 :func:`ingest.write_text_columns`, the writer of the weather and
 ``predict`` CSVs, is its one caller, and imports it on first use. So
 ``learn`` and ``eval``, which write no float, neither compile nor load it,
 nor build its tables: compiled as part of ``ingest.py``, it lifted every
-command's peak RSS by 0.6 MB, the heap its compilation left behind.
+command's peak RSS by 0.6 MB, the heap its compilation left behind. Its
+exact product is :mod:`floatparse`'s, which ``ingest`` loads anyway.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .floatparse import POW10, product_error
+
 # Bytes of a comma and a float cell's text, at most: the comma and
 # len(repr(-2.2250738585072014e-308)).
 FIELD_BYTES = 25
-# A cell whose decision lies within _TIE_MARGIN (in units of its 17th
-# significant digit) of a rounding tie or of the edge of the interval
-# that reads back to it goes through repr: a guard, as the arithmetic
-# deciding it is exact (see fields).
-_TIE_MARGIN = 1e-9
 
-
-def _dekker_split(v: np.ndarray):
-    """``hi + lo == v``, each with at most 26 significant bits (Dekker 1971)."""
-    c = 134_217_729.0 * v  # 2**27 + 1
-    hi = c - (c - v)
-    return hi, v - hi
-
-
-# 10**k for k = -6 .. 22, each the float nearest to it (exact for k >= 0)
-_POW10 = np.array([10 ** k if k >= 0 else 1 / 10 ** -k for k in range(-6, 23)],
+# 10**k for k = -5 .. 18, each the float nearest to it
+_POW10 = np.array([10 ** k if k >= 0 else 1 / 10 ** -k for k in range(-5, 19)],
                   dtype=np.float64)
 # Per binade (biased binary exponent b, the doubles in [2**(b-1023),
 # 2**(b-1022))): the decimal exponent of its least value, clipped to
@@ -47,16 +38,9 @@ _BINADE = np.arange(2048)
 with np.errstate(divide="ignore", over="ignore"):
     _BINADE_EXP10 = np.clip(np.floor(np.log10(np.ldexp(1.0, _BINADE - 1023))),
                             -6, 17).astype(np.intp)
-    _BINADE_POW10 = _POW10[_BINADE_EXP10 + 7]
+    _BINADE_POW10 = _POW10[_BINADE_EXP10 + 6]
     _BINADE_POW10[_BINADE_POW10 >= np.ldexp(2.0, _BINADE - 1023)] = np.inf
 _BINADE_HALF_GAP = np.ldexp(1.0, _BINADE - 1076)
-# Per decimal exponent E = -6 .. 18: the exact scale 10**(16 - E) that
-# takes a value of exponent E to [1e16, 1e17), 1 outside [-4, 15], and its
-# Dekker halves.
-_EXP10 = np.arange(-6, 19)
-_SCALE = np.where((_EXP10 >= -4) & (_EXP10 <= 15),
-                  _POW10[np.clip(16 - _EXP10, -6, 22) + 6], 1.0)
-_SCALE_HI, _SCALE_LO = _dekker_split(_SCALE)
 
 
 def _group_text() -> np.ndarray:
@@ -82,26 +66,44 @@ def fields(values: np.ndarray) -> np.ndarray:
     NUL tail of the cell before it and a leading NUL fall together, which
     halves the runs that dropping the NULs of a row of cells copies.
 
-    A value x of decimal exponent E in [-4, 15] is scaled to
-    y = |x| * 10**(16 - E), in [1e16, 1e17), taken exactly as ``hi + lo`` by
-    Dekker's product: separate float64 operations, none of which may be
-    fused. d17, the integer nearest to y, holds x's digits to 17 places,
-    which always read back to x. A rounding of y to a multiple of 10 or 100
-    (16 or 15 digits) reads back to x when it lies within half the gap
-    between doubles at x, scaled as y, and the shortest one that does is
-    repr's; of two, the nearer, and of two as near, the even one, as in
-    Gay's mode 0. That interval is narrower than 23, so it holds at most
-    one multiple of 100: a rounding to 100 that reads back also stands for
-    any shorter text, which it shows as trailing zeros, and those are cut.
-    The interval is the same on both sides of x but for a power of two,
-    whose gap below is half the gap above; in this range each power of two
-    is a decimal of at most 16 digits, which is exact and so read back.
+    A value x of decimal exponent E in [-4, 15] is scaled by 10**q, q = 16
+    - E, to y = |x| * 10**q in [1e16, 1e17), exactly ``hi + lo`` by
+    :func:`floatparse.product_error`. d17, the integer nearest to y, holds
+    x's digits to 17 places, which always read back to x. A rounding of y
+    to a multiple of 10 or 100 (16 or 15 digits) reads back to x when it
+    lies within half the gap between doubles at x, scaled as y, and the
+    shortest one that does is repr's; of two, the nearer, and of two as
+    near, the even one, as in Gay's mode 0. That interval is narrower than
+    23, so it holds at most one multiple of 100: a rounding to 100 that
+    reads back also stands for any shorter text, which it shows as
+    trailing zeros, and those are cut. The interval is the same on both
+    sides of x but for a power of two, whose gap below is half the gap
+    above; in this range its y is a multiple of 100, or (2**50 .. 2**53)
+    of 20 with half a gap of at most 10, so no shorter text lies in the
+    narrower half.
 
-    In this range the tests of distance are exact: the remainders have at
-    most 53 significant bits. Still, a cell within :data:`_TIE_MARGIN` of a
-    tie or of the edge of that interval goes through ``repr``, as do zero,
-    subnormal, infinite and out-of-range values and a cell whose digits
-    fall outside [1e16, 1e17), where the exponent was misjudged.
+    Every decision is exact. For x = m * 2**e, m in [2**52, 2**53), y = m
+    * 5**q * 2**(e + q) with q <= 20, so -46 <= e + q <= 2: t, y less the
+    multiple of 100 below d17, is in [-1/2, 99.5] and a multiple of
+    2**-46, and it, its distances to multiples of 10 and 100 and half the
+    gap are float64s exactly. So:
+
+    - At an exact tie, 17-digit (|r| = 1/2) or 16-digit (t = 10k + 5),
+      which occur, ``np.rint`` takes the even neighbour (``hi`` is even),
+      as Gay's rounding of the last digit does. A 15-digit tie is 50 from
+      y, outside the interval.
+    - ``t * 0.1``, monotone in t, is k + 1/2 exactly at t = 10k + 5 and
+      rounds away from it at 10k + 5 -+ 2**-46, the nearest t either side,
+      so ``np.rint`` of it takes t's side of the tie; so does ``t * 0.01``
+      at 50.
+    - An end of the interval, (2m +- 1) * 2**(e + q - 1) * 5**q, is a
+      multiple of 10 only where e + q = 2, and never of 100; there y is a
+      multiple of 20, so no rounding lies on an end, where reading back
+      would turn on x's last bit.
+
+    Zero, subnormal, infinite and out-of-range values go through ``repr``,
+    as does a value whose digits fall outside [1e16, 1e17), where E was
+    misjudged.
     """
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x)
@@ -109,14 +111,12 @@ def fields(values: np.ndarray) -> np.ndarray:
     binade = (bits >> np.uint64(52)).astype(np.intp)
     exp10 = _BINADE_EXP10[binade] + (a >= _BINADE_POW10[binade])
     fast = (exp10 >= -4) & (exp10 <= 15)
-    at = np.where(fast, exp10, 16) + 6
-    scale, scale_hi, scale_lo = _SCALE[at], _SCALE_HI[at], _SCALE_LO[at]
+    q = np.where(fast, 16 - exp10, 0)
     a = np.where(fast, a, 1.0)
-    # y = hi + lo
+    # y = hi + lo = d17 + r, |r| <= 1/2; hi is whole, as y >= 2**53
+    scale = POW10[q]
     hi = a * scale
-    a_hi, a_lo = _dekker_split(a)
-    lo = a_lo * scale_lo - (((hi - a_hi * scale_hi) - a_lo * scale_hi) - a_hi * scale_lo)
-    # y = d17 + r, |r| <= 1/2; hi is whole, as y >= 2**53
+    lo = product_error(a, q, hi)
     lo_int = np.rint(lo)
     d17 = hi.astype(np.int64) + lo_int.astype(np.int64)
     r = lo - lo_int
@@ -128,13 +128,10 @@ def fields(values: np.ndarray) -> np.ndarray:
     t = below + r
     to_10 = np.rint(t * 0.1) * 10
     to_100 = np.rint(t * 0.01) * 100
-    off_10 = np.abs(t - to_10)
-    off_100 = np.abs(t - to_100)
-    fast &= ((np.abs(off_10 - half_gap) > _TIE_MARGIN) & (np.abs(off_100 - half_gap) > _TIE_MARGIN)
-             & (off_10 < 5 - _TIE_MARGIN) & (np.abs(r) < 0.5 - _TIE_MARGIN) & (d17 >= 10 ** 16))
-    digits = hundreds + np.where(off_100 < half_gap, to_100,
-                                 np.where(off_10 < half_gap, to_10, below)).astype(np.int64)
-    fast &= digits < 10 ** 17
+    digits = hundreds + np.where(np.abs(t - to_100) < half_gap, to_100,
+                                 np.where(np.abs(t - to_10) < half_gap, to_10, below)
+                                 ).astype(np.int64)
+    fast &= (d17 >= 10 ** 16) & (digits < 10 ** 17)
     # the 17 digits as 4-digit groups, a group's trailing zeros NUL where
     # every group after it is zero
     digits = np.where(fast, digits, 10 ** 16)

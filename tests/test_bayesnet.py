@@ -197,13 +197,15 @@ class TestCptLookup:
         missed = np.vstack([dense[c] if c in configs else default for c in codes])
         for cpt, want in ((filled, missed), (searched, missed), (complete, dense)):
             assert cpt.lookup(codes).tobytes() == want.tobytes()
-            assert cpt.lookup(codes, codes % 2).tobytes() == want[codes, codes % 2].tobytes()
+            # _entries makes its index in the rows it is given: a copy of the codes
+            assert cpt._entries(cpt._row_of(codes.copy()), codes % 2).tobytes() == \
+                want[codes, codes % 2].tobytes()
             assert cpt.table.tobytes() == want.tobytes()
             for c in codes.tolist():
                 for code in (c, np.int64(c)):
                     assert cpt.lookup(code).tobytes() == want[c].tobytes()
-                    assert cpt.lookup(code, c % 2) == want[c, c % 2]
-                    assert cpt.lookup(code, codes[:3] % 2).tobytes() == \
+                    assert cpt._entries(cpt._row_of(code), c % 2) == want[c, c % 2]
+                    assert cpt._entries(cpt._row_of(code), codes[:3] % 2).tobytes() == \
                         want[c, codes[:3] % 2].tobytes()
             # the caller's codes are read, never written
             assert codes.tolist() == list(range(9))

@@ -4,13 +4,13 @@ import contextlib
 import csv
 import errno
 import io
-import itertools
 import os
 import re
 import sys
 import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from outagebn import cli, floattext, ingest, synthgen
+from floatcases import (TIE_AND_INTERVAL_END_SETS, at_a_tie_or_an_interval_end, neighbours,
+                        positional_bit_patterns)
+from outagebn import cli, floatparse, floattext, ingest, synthgen
 from outagebn.ingest import (EventOutOfRangeError, ParseError,
                              RawWeatherTable, UnrecoverableColumnError)
 
@@ -1416,12 +1418,6 @@ def assert_text_is_repr(values):
         pytest.fail(f"{len(bad)} cells differ from repr, such as {bad[:5]}")
 
 
-def neighbours(values, ulps=2):
-    """``values`` and the doubles up to ``ulps`` steps either side of each."""
-    bits = np.asarray(values, dtype=np.float64).view(np.int64)
-    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
-
-
 class TestFloatText:
     """A float cell's text is ``repr``'s, byte for byte."""
 
@@ -1430,12 +1426,10 @@ class TestFloatText:
         # 10**6 patterns whose binary exponent lies about the positional
         # range, 1e-6 to 1e18, so that nearly all take the vectorized path,
         # and 10**5 of any bits at all
-        near = (rng.integers(0, 1 << 52, size=10**6, dtype=np.uint64)
-                | (rng.integers(1003, 1083, size=10**6).astype(np.uint64) << np.uint64(52))
-                | (rng.integers(0, 2, size=10**6).astype(np.uint64) << np.uint64(63)))
+        near = positional_bit_patterns(rng, 10**6)
         wild = rng.integers(0, np.iinfo(np.uint64).max, size=10**5, dtype=np.uint64,
                             endpoint=True)
-        assert_text_is_repr(near.view(np.float64))
+        assert_text_is_repr(near)
         assert_text_is_repr(wild.view(np.float64))
 
     def test_powers_of_ten_and_their_neighbours(self):
@@ -1456,7 +1450,7 @@ class TestFloatText:
     @pytest.mark.parametrize("places", [15, 16, 17])
     def test_cells_at_a_rounding_tie(self, places):
         # the double nearest a number halfway between two of ``places``
-        # digits, and its neighbours: cells at a tie or 1e-9 from one
+        # digits, and its neighbours: cells at a tie or a few ulps from one
         rng = np.random.default_rng(places)
         mantissas = rng.integers(10 ** (places - 1), 10 ** places, size=5000, dtype=np.int64)
         exponents = rng.integers(-4, 16, size=5000)
@@ -1464,37 +1458,46 @@ class TestFloatText:
                            for m, e in zip(mantissas.tolist(), exponents.tolist())])
         assert_text_is_repr(neighbours(values, ulps=3))
 
-    @pytest.mark.parametrize("low, power, modulus, targets, sides", [
-        # x = m * 2**(low - 52) in [8, 10): y = x * 1e16 = m * 5**16 / 2**33,
-        # and half the gap between doubles is 8.88 (as y). y on a 17-digit
-        # tie, or 2**-33 either side of one: m * 5**16 = 2**32 + e (mod 2**33)
-        (3, 16, 1 << 33, [(1 << 32) - 1, 1 << 32, (1 << 32) + 1], [0]),
-        # y mod 10 on 5, or 5 * 2**-33 either side: a 16-digit tie
-        (3, 15, 1 << 34, [(1 << 33) - 1, 1 << 33, (1 << 33) + 1], [0]),
-        # x in [1, 2), where half the gap is 1.11: the midpoint between x
-        # and its neighbour below or above, (2m -+ 1) / 2**53, is 5 * 2**-37
-        # or 15 * 2**-37 (as y) from a multiple of 10, or 25 * 2**-37 from
-        # a multiple of 100. x's interval ends there, and a 16- or 15-digit
-        # text lies just in it or just out of it
-        (0, 15, 1 << 38, [-3, -1, 1, 3], [-1, 1]),
-        (0, 14, 1 << 39, [-1, 1], [-1, 1]),
-        # in [8, 10), 25 * 2**-34 from a multiple of 100: outside the margin
-        (3, 14, 1 << 36, [-1, 1], [-1, 1]),
-    ])
+    @pytest.mark.parametrize("low, power, modulus, targets, sides", TIE_AND_INTERVAL_END_SETS)
     def test_cells_at_a_tie_or_an_interval_end(self, low, power, modulus, targets, sides):
-        # m solves (2m + side) * 5**power = target (mod modulus), or
-        # m * 5**power = target where side is 0
-        values = []
-        for target, side in itertools.product(targets, sides):
-            k = target * pow(5 ** power, -1, modulus) % modulus
-            step = modulus >> (side != 0)
-            root = (k - side) // 2 % step if side else k
-            first = root + ((1 << 52) - root + step - 1) // step * step
-            values += [m * 2.0 ** (low - 52) for m in range(first, 5 << 50, step)][:300]
-        values = np.array(values)
+        values = at_a_tie_or_an_interval_end(low, power, modulus, targets, sides)
         assert values.size == 300 * len(targets) * len(sides)
         assert np.all((2 ** low <= values) & (values < 2 ** low * 1.25))
         assert_text_is_repr(neighbours(values, ulps=1))
+
+    def test_no_cell_at_a_tie_or_an_interval_end_goes_to_repr(self):
+        # the arithmetic that decides them is exact, so fields settles
+        # each of these cells itself, and its text is still repr's
+        values = neighbours(np.concatenate([at_a_tie_or_an_interval_end(*case)
+                                            for case in TIE_AND_INTERVAL_END_SETS]), ulps=1)
+        assert values.size == 19_800
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return repr(value)
+
+        with mock.patch.object(floattext, "repr", counted, create=True):
+            got = kernel_cells(values)
+        assert calls == []
+        assert got == repr_cells(values)
+
+    def test_scaled_value_is_exact(self):
+        # fields scales a value of the positional range by 10**q, q in
+        # 1 .. 20, exactly as hi + lo through floatparse's product
+        rng = np.random.default_rng(33)
+        a = np.abs(positional_bit_patterns(rng, 20_000))
+        a = a[(a >= 1e-4) & (a < 1e16)][:10_000]
+        ties = np.concatenate([at_a_tie_or_an_interval_end(*case)
+                               for case in TIE_AND_INTERVAL_END_SETS])
+        a = np.concatenate([a, ties])
+        exact = [Fraction(v) for v in a.tolist()]
+        for q in range(1, 21):
+            hi = a * floatparse.POW10[q]
+            lo = floatparse.product_error(a, np.full(a.size, q), hi)
+            bad = [(v, h, l) for v, f, h, l in zip(a.tolist(), exact, hi.tolist(), lo.tolist())
+                   if Fraction(h) + Fraction(l) != f * 10 ** q]
+            assert not bad, (q, bad[:5])
 
     def test_other_normal_and_special_values(self):
         tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
