@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .pcalg import GraphStateError, LearnedDag
-from .preprocess import DiscreteDataset, code_space, config_codes, unique_codes
+from .preprocess import DiscreteDataset, check_states, code_space, config_codes, unique_codes
 
 # Exact inference enumerates completions of the unobserved nodes; beyond
 # this many weighted terms the query is refused instead of thrashing.
@@ -206,6 +206,7 @@ def fit_cpts(dag: LearnedDag, ds: DiscreteDataset,
     for node in dag.nodes:
         if node not in col_of:
             raise ValueError(f"dataset has no column for node {node!r}")
+        check_states(ds.rows[:, col_of[node]], ds.cardinalities[col_of[node]], f"node {node!r}")
     n = ds.n_rows
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .pcalg import CiCallable
-from .preprocess import DiscreteDataset, code_dtype, code_space, config_codes, unique_codes
+from .preprocess import (DiscreteDataset, check_states, code_dtype, code_space, config_codes,
+                         unique_codes)
 
 # Below this many samples per degree of freedom the asymptotic null is
 # unreliable; the test then abstains by reporting independence.
@@ -111,15 +112,6 @@ def _log_gamma_density(a: float, x: float) -> float:
     return -a * bd + 0.5 * math.log(a) - _HALF_LOG_2PI - s
 
 
-def _check_states(column: np.ndarray, card: int, owner: str) -> None:
-    """Refuse a column holding a value outside ``range(card)``, naming ``owner``."""
-    if column.size:
-        lo, hi = int(column.min()), int(column.max())
-        if lo < 0 or hi >= card:
-            raise ValueError(f"{owner} holds state {lo if lo < 0 else hi} "
-                             f"outside range({card})")
-
-
 def condition_configs(rows: np.ndarray, given: Sequence[int],
                       cardinalities: Sequence[int]) -> np.ndarray:
     """Each row's configuration of the ``given`` columns, as an index.
@@ -180,7 +172,7 @@ def g_test_ci(rows: np.ndarray, i: int, j: int, given: Sequence[int] = (),
         raise ValueError("cannot test on an empty dataset")
     if configs is None:
         for c in (i, j, *cond):
-            _check_states(rows[:, c], cardinalities[c], f"column {c}")
+            check_states(rows[:, c], cardinalities[c], f"column {c}")
         configs = condition_configs(rows, cond, cardinalities)
     elif configs.shape != (n,):
         raise ValueError(f"{configs.shape} configuration index for {n} rows")
@@ -263,7 +255,7 @@ def dataset_ci(data: DiscreteDataset, alpha: float = 0.05,
     """
     rows, cards = data.rows, data.cardinalities
     for c, name in enumerate(data.columns):
-        _check_states(rows[:, c], cards[c], f"column {name!r}")
+        check_states(rows[:, c], cards[c], f"column {name!r}")
     coded: dict[tuple[int, ...], np.ndarray] = {}
 
     def ci(x: str, y: str, given: frozenset) -> bool:

@@ -9,14 +9,14 @@ integer, with |k| <= 22. Any other cell is left unsettled, for the caller
 to read another way: blanks, ``_``, ``inf``, ``nan``, a longer text and
 an exponent out of that range among them.
 
-The method is Clinger's (PLDI 1990) with an exact check of the hard case,
-as in Lemire's "Number parsing at a gigabyte per second" (SPE 2021): 10**|k|
-is a float64 exactly, so for M <= 2**53 one IEEE multiply or divide is
-exact, and for a wider M a double-double residual decides the rounding
-but for a cell within a hair of a tie, which an exact comparison in two
-uint64 limbs settles, ties to even. The digits are read from the WIDTH
-bytes that end each cell, as three little-endian uint64 words, eight
-digits per word at a time (SWAR).
+The method is Clinger's (PLDI 1990), with the hard case split off as in
+Lemire's "Number parsing at a gigabyte per second" (SPE 2021): 10**|k| is
+a float64 exactly, so for M <= 2**53 one IEEE multiply or divide is
+exact, and for a wider M a double-double residual decides the rounding.
+A cell within a hair of a tie, the hard case, is left unsettled too, for
+the caller's exact reader. The digits are read from the WIDTH bytes that
+end each cell, as three little-endian uint64 words, eight digits per
+word at a time (SWAR).
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ _NINE_TIMES[:_MAX_DIGITS] = 9 * 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 _POINT_AS_14 = np.zeros(WIDTH + 1, dtype=np.uint64)
 _POINT_AS_14[:_MAX_DIGITS] = 14 * 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 _PLACES = np.where(np.arange(WIDTH + 1) < WIDTH, np.arange(WIDTH + 1), 0)
-_POW5 = 5 ** np.arange(_MAX_POW10 + 1, dtype=np.uint64)
 # A cell whose double-double residual lies within _TIE_MARGIN of half a
-# gap between doubles, in units of the smaller gap beside it, goes to the
-# exact comparison. The residual's own error is below 2**-40 of a gap.
+# gap between doubles, in units of that gap, is left unsettled. The residual's own error is below 2**-40 of a gap.
 _TIE_MARGIN = 2.0 ** -30
 
 
@@ -61,9 +59,7 @@ _SHIFT_7, _SHIFT_8, _SHIFT_56 = np.uint64(7), np.uint64(8), np.uint64(56)
 _COLUMN_OF = np.array([sum((8 * w + 8 - i) << (8 * i) for i in range(8))
                        for w in range(WIDTH // 8)], dtype=np.uint64)
 _ONES = _each_byte(1)
-_LOW32 = np.uint64(0xFFFFFFFF)
 _FRACTION = np.uint64((1 << 52) - 1)
-_HIDDEN = np.uint64(1 << 52)
 
 
 def _before(x: np.ndarray) -> np.ndarray:
@@ -80,7 +76,8 @@ def decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
     """``(values, settled)``: the float64 of each cell ``buf[starts[i]:ends[i]]``
     of a ``uint8`` buffer of ASCII text without NUL bytes, as ``float``
     reads it, and whether it was settled here; an unsettled cell's value is
-    NaN.
+    NaN. A cell within a hair of a rounding tie (:func:`_nearest`) is left
+    unsettled.
 
     Cells are read as :func:`_plain` decimals first. A cell that is not
     one but ends in an exponent, ``e`` or ``E``, an optional sign and one
@@ -111,6 +108,7 @@ def decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         np.logical_not(down, out=down)
         values[down] = _times(m[down], k[down])
     np.negative(values, out=values, where=negative)
+    settled &= ~np.isnan(values)
     if missing is not None:
         values[missing] = np.nan
     return values, settled
@@ -288,7 +286,7 @@ def _times(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     lo = product_error(m0, q, hi)
     np.multiply(_rest(m, m0), p, out=m0)
     lo += m0
-    return _nearest(hi, lo, m, q, 1)
+    return _nearest(hi, lo)
 
 
 def _over(m: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -309,90 +307,36 @@ def _over(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     m0 -= product_error(hi, q, ph)
     m0 /= POW10.take(q, out=ph)
     del ph
-    return _nearest(hi, m0, m, q, -1)
+    return _nearest(hi, m0)
 
 
-def _nearest(hi: np.ndarray, lo: np.ndarray, m: np.ndarray, q: np.ndarray,
-             sign: int) -> np.ndarray:
-    """The float64 nearest to each ``m * 10**k``, k = ``sign * q``, ties to
-    even, given ``hi + lo``, which comes within far less than its last bit
-    of it; ``hi`` is overwritten.
+def _nearest(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The float64 nearest to each ``m * 10**k``, ties to even, given ``hi +
+    lo``, which comes within far less than its last bit of it, or NaN where
+    float64 arithmetic cannot decide; ``hi`` is overwritten.
 
     ``m`` is a uint64 below 10**19, |k| <= 22 and 10**|k| a float64
     exactly. ``hi + lo`` is ``m0 * 10**k`` plus its error and ``(m - m0) *
     10**k`` for k >= 0 (:func:`_times`), and ``m0 / 10**k`` plus the
     residual over ``10**k`` for k < 0 (:func:`_over`). Its rounded sum is
     the answer unless the part of ``lo`` it drops lies within
-    :data:`_TIE_MARGIN` of half the gap beside it (:func:`_round_exact`).
-    For m <= 2**53, ``m0`` is ``m`` and the rounded sum is the one IEEE
-    multiply or divide: Clinger's fast path.
+    :data:`_TIE_MARGIN` of half the gap on its side of the sum: then it is
+    NaN, the hard case, which :func:`decimals` leaves unsettled. For m <=
+    2**53, ``m0`` is ``m`` and the rounded sum is the one IEEE multiply or
+    divide: Clinger's fast path.
     """
     out = hi + lo
-    # the part of lo that the sum drops, against the narrower half gap
-    # beside the sum: below a power of two the gap is half as wide
+    # the part of lo that the sum drops, against half the gap on its side
+    # of the sum: below a power of two the gap is half as wide
     hi -= out
     hi += lo
     del lo
     margin = (out.view(np.uint64) & ~_FRACTION).view(np.float64)
-    power = out == margin
+    below_power = out == margin
+    below_power &= hi < 0
     margin *= (1 - 2 * _TIE_MARGIN) * 2.0 ** -53
-    np.multiply(margin, 0.5, out=margin, where=power)
-    del power
-    hard = hi > margin
-    np.negative(margin, out=margin)
-    hard |= hi < margin
-    if hard.any():
-        hard = np.flatnonzero(hard)
-        out[hard] = _round_exact(m[hard], sign * q[hard], out[hard], hi[hard] > 0)
+    np.multiply(margin, 0.5, out=margin, where=below_power)
+    del below_power
+    np.abs(hi, out=hi)
+    out[hi > margin] = np.nan
     return out
-
-
-def _round_exact(m: np.ndarray, k: np.ndarray, near: np.ndarray,
-                 up: np.ndarray) -> np.ndarray:
-    """The float64 nearest to ``m * 10**k``, ties to even, where the answer
-    is ``near`` or its neighbour above (``up``) or below: ``m * 10**k``
-    against the midpoint between the two, N * 2**f with N odd, compared
-    exactly as 128-bit integers in two uint64 limbs, ``m * 5**k * 2**s``
-    against ``N`` for k >= 0, and ``m * 2**s`` against ``N * 5**-k`` for
-    k < 0."""
-    bits = near.view(np.uint64)
-    mantissa = (bits & _FRACTION) | _HIDDEN
-    f = (bits >> np.uint64(52)).astype(np.int64) - 1076
-    # the midpoint below a power of two lies a quarter gap away
-    quarter = ~up & (mantissa == _HIDDEN)
-    n = np.where(up, 2 * mantissa + np.uint64(1),
-                 np.where(quarter, 4 * mantissa, 2 * mantissa) - np.uint64(1))
-    f -= quarter
-    q = np.abs(k)
-    scaled = k >= 0
-    one = np.ones_like(m)
-    a = _mul128(m, np.where(scaled, _POW5[q], one))
-    b = _mul128(n, np.where(scaled, one, _POW5[q]))
-    shift = np.where(scaled, k - f, -f - q)  # a * 2**shift against b
-    a = _shl128(*a, np.maximum(shift, 0))
-    b = _shl128(*b, np.maximum(-shift, 0))
-    above = (a[0] > b[0]) | ((a[0] == b[0]) & (a[1] > b[1]))
-    tie = (a[0] == b[0]) & (a[1] == b[1])
-    beyond = np.where(up, above, ~above & ~tie)
-    moved = beyond | (tie & (mantissa & np.uint64(1)).astype(bool))
-    return np.where(moved, np.nextafter(near, np.where(up, np.inf, 0.0)), near)
-
-
-def _mul128(a: np.ndarray, b: np.ndarray):
-    """``(hi, lo)``, the uint64 limbs of each ``a * b``."""
-    a1, a0 = a >> np.uint64(32), a & _LOW32
-    b1, b0 = b >> np.uint64(32), b & _LOW32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-    return hi, (p00 & _LOW32) | (mid << np.uint64(32))
-
-
-def _shl128(hi: np.ndarray, lo: np.ndarray, s: np.ndarray):
-    """``(hi, lo) << s`` for 0 <= s < 128."""
-    s = s.astype(np.uint64)
-    small = s < 64
-    a = np.minimum(s, np.uint64(63))
-    b = np.where(small, np.uint64(0), s - np.uint64(64))
-    return (np.where(small, (hi << a) | ((lo >> np.uint64(1)) >> (np.uint64(63) - a)), lo << b),
-            np.where(small, lo << a, np.uint64(0)))

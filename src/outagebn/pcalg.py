@@ -151,8 +151,6 @@ def learn_skeleton(ci: CiCallable, nodes: Sequence[str]) -> PartialGraph:
                    for x, y in pairs):
             break
         for x, y in pairs:
-            if y not in adjacency[x]:
-                continue
             tested: set[frozenset] = set()
             removed = False
             for base, other in ((x, y), (y, x)):
@@ -265,8 +263,6 @@ def propagate_orientations(g: PartialGraph) -> PartialGraph:
     while changed:
         changed = False
         for a, b in out.in_order(out.undirected):
-            if (a, b) not in out.undirected:
-                continue
             if directed_two_step(a, b):
                 changed |= _commit_direction(out, a, b, PROV_PROPAGATION)
             elif directed_two_step(b, a):

@@ -85,6 +85,15 @@ class DiscreteDataset:
             raise ValueError("a label is neither 0 nor 1")
 
 
+def check_states(column: np.ndarray, card: int, owner: str) -> None:
+    """Refuse a column holding a value outside ``range(card)``, naming ``owner``."""
+    if column.size:
+        lo, hi = int(column.min()), int(column.max())
+        if lo < 0 or hi >= card:
+            raise ValueError(f"{owner} holds state {lo if lo < 0 else hi} "
+                             f"outside range({card})")
+
+
 def code_space(cards: Sequence[int], owner: str) -> int:
     """The number of configurations of columns with cardinalities ``cards``.
 

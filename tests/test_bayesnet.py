@@ -170,6 +170,16 @@ class TestFitCpts:
         with pytest.raises(ValueError, match="no column"):
             fit_cpts(dag, ds)
 
+    def test_states_out_of_range_refused(self):
+        # A -> B, two states each: the row (A=0, B=2) must not be counted
+        # as (A=1, B=0), and a parent state out of range is named as such
+        dag = LearnedDag(nodes=["A", "B"], parents={"A": [], "B": ["A"]})
+        for row, node, state in (([0, 2], "B", 2), ([2, 0], "A", 2), ([-1, 1], "A", -1)):
+            ds = make_ds(["A", "B"], [[0, 0], [1, 1], row], cards=[2, 2])
+            with pytest.raises(ValueError,
+                               match=rf"^node '{node}' holds state {state} outside range\(2\)$"):
+                fit_cpts(dag, ds)
+
 
 class TestCptLookup:
     def test_filled_searched_and_complete_tables_agree(self, monkeypatch):

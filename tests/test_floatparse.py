@@ -2,6 +2,8 @@
 ``ingest._parse_cell`` reads, bit for bit, NaN for a missing cell."""
 
 import decimal
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,12 +87,44 @@ def halfway(rng, n):
     return out
 
 
+def is_tie(cell):
+    """Whether the decimal ``cell`` lies exactly halfway between the double
+    ``float`` reads it as and one of that double's neighbours."""
+    value = float(cell)
+    return any(Fraction(cell) == (Fraction(value) + Fraction(math.nextafter(value, toward))) / 2
+               for toward in (-math.inf, math.inf))
+
+
 def test_exact_halfway_decimals_round_to_even():
     cells = ["9007199254740993", "9007199254740995", "-9007199254740993",
              "18014398509481986", "18014398509481990", "4503599627370496.5",
              "4503599627370497.5", "1.00000000000000011102230246251565404236316680908203125",
              *halfway(np.random.default_rng(7), 3000)]
-    assert_bit_identical(cells, settled_at_least=0.95)
+    assert_bit_identical(cells)
+    # an exact tie is left to _parse_cell; any other cell of at most 19
+    # digits and point settles in numpy
+    buf, starts, ends = cell_buffer(cells)
+    _, settled = floatparse.decimals(buf, starts, ends)
+    tie = np.array([is_tie(c) for c in cells])
+    short = np.array([len(c.lstrip("+-").lower().split("e")[0]) <= 19 for c in cells])
+    assert tie.any() and (~tie & short).any()
+    assert not np.any(settled & tie), [c for c, t in zip(cells, settled & tie) if t][:5]
+    assert np.all(settled | tie | ~short), \
+        [c for c, t in zip(cells, ~settled & ~tie & short) if t][:5]
+
+
+def test_cells_beside_a_power_of_two():
+    # 2**e plus a quarter to a half of the gap above it, where the gap below
+    # is half as wide, is no tie and settles in numpy, as does a cell a
+    # little below 2**e; each reads as 2**e
+    digits = decimal.Context(prec=18)
+    cells = []
+    for e in range(-15, 64):
+        for ulps in ("0.3", "0.45", "-0.15", "-0.2"):
+            x = Fraction(2) ** e * (1 + Fraction(ulps) / 2 ** 52)
+            cells.append(f"{digits.divide(x.numerator, x.denominator):e}")
+    assert_bit_identical(cells, settled_at_least=1.0)
+    assert np.all(np.frexp([float(c) for c in cells])[0] == 0.5)
 
 
 def test_negative_zero():

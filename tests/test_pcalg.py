@@ -213,6 +213,16 @@ class TestPropagation:
         out = propagate_orientations(g)
         assert ("b", "c") in out.directed
 
+    def test_unshielded_parent_rule_points_to_the_earlier_node(self):
+        # m -> b, a - b, m and a non-adjacent: b -> a, against node order
+        g = PartialGraph(nodes=["a", "b", "m"],
+                         undirected={("a", "b")},
+                         directed={("m", "b")})
+        out = propagate_orientations(g)
+        assert out.directed == {("m", "b"), ("b", "a")}
+        assert out.undirected == set()
+        assert out.provenance[("b", "a")] == "propagation"
+
     def test_no_rule_applies(self):
         g = PartialGraph(nodes=["a", "b", "c"],
                          undirected={("a", "b"), ("b", "c"), ("a", "c")})
